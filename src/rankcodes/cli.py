@@ -220,8 +220,11 @@ def _cmd_simulate(args):
     records = []
     for t in ch["t_values"]:
         muls0 = tower.mul_count
-        mc = rank_event_rate(tower.q, dsc.dims, dsc.capability, t,
-                             ch["trials"], ch["seed"], channel=ch["mode"])
+        try:
+            mc = rank_event_rate(tower.q, dsc.dims, dsc.capability, t,
+                                 ch["trials"], ch["seed"], channel=ch["mode"])
+        except ValueError as exc:
+            raise ConfigError(f"channel: {exc}") from exc
         exact = success_probability(tower.q, dsc.dims, dsc.capability, t)
         leading = success_probability(tower.q, dsc.dims, dsc.capability, t,
                                       form="leading-order")
@@ -250,8 +253,11 @@ def _cmd_simulate(args):
             "successes": mc.successes,
         }
         if decode_trials:
-            exp = decode_experiment(dsc, t, decode_trials, ch["seed"],
-                                    channel=ch["mode"])
+            try:
+                exp = decode_experiment(dsc, t, decode_trials, ch["seed"],
+                                        channel=ch["mode"])
+            except ValueError as exc:
+                raise ConfigError(f"channel: {exc}") from exc
             record["decode_successes"] = exp.successes
             record["decode_event_successes"] = exp.event_successes
         else:

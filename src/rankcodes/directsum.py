@@ -95,8 +95,7 @@ class DirectSumCode:
         self.dims = [p.m for p in parts]
         self.total_dim = sum(self.dims)
         self.concat = tuple(x for p in parts for x in p.elements)
-        self._solver = CoordinateSolver(
-            code.tower.q, [code.tower.digits(x) for x in self.concat])
+        self._solver = CoordinateSolver(code.tower, self.concat)
 
     @property
     def capability(self) -> int:
@@ -114,10 +113,9 @@ class DirectSumCode:
     def project(self, word):
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
         parts, which sum back to the word componentwise."""
-        t = self.tower
         per_part = [[] for _ in self.parts]
         for i, x in enumerate(word):
-            coords = self._solver.solve(t.digits(x))
+            coords = self._solver.solve(x)
             if coords is None:
                 raise ValueError(f"component {i} lies outside the subspace sum")
             off = 0
@@ -273,7 +271,12 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
         raise ValueError(f"unknown channel {channel!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
+    if chunks < 1:
+        raise ValueError(f"need at least one chunk, got {chunks}")
     n_total = sum(dims)
+    if channel == "exact-rank" and t > n_total:
+        raise ValueError(
+            f"exact-rank channel needs t <= sum(dims) = {n_total}, got t = {t}")
     successes = 0
     for ci, size in enumerate(_chunk_sizes(trials, chunks)):
         rng = random.Random(f"{seed}:{ci}")
@@ -308,6 +311,13 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     concatenated subspace basis."""
     tower = M.tower
     n, q, n_total = tower.n, tower.q, M.total_dim
+    if channel not in ("uniform-matrix", "exact-rank"):
+        raise ValueError(f"unknown channel {channel!r}")
+    if t > n:
+        raise ValueError(f"t = {t} independent values exceed n = {n}")
+    if channel == "exact-rank" and t > n_total:
+        raise ValueError(
+            f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
     if t == 0:
         return (0,) * M.code.length
     # alpha_j linearly independent over GF(q)
@@ -329,11 +339,12 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
                 acc = tower.add(acc, tower.mul(c, alphas[j]))
         combined.append(acc)
     # error component at position pos collects digit pos of every value
+    digits = [tower.digits(value) for value in combined]
     error = []
     for pos in range(M.code.length):
         acc = 0
-        for r, value in enumerate(combined):
-            dig = tower.digits(value)[pos]
+        for r, value_digits in enumerate(digits):
+            dig = value_digits[pos]
             if dig:
                 acc = tower.add(acc, tower.mul(dig, M.concat[r]))
         error.append(acc)

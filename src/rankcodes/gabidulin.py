@@ -100,7 +100,7 @@ class GabidulinCode:
         self.h = h
         self._gen_rows = moore_matrix(tower, g, k) if g is not None else None
         self._par_rows = moore_matrix(tower, h, self.d - 1)
-        self._h_solver = CoordinateSolver(tower.q, [tower.digits(x) for x in h])
+        self._h_solver = CoordinateSolver(tower, h)
         if g is not None:
             self._check_orthogonal()
 
@@ -168,7 +168,7 @@ class GabidulinCode:
     def parity_coordinates(self, x: int):
         """q-ary coordinates of x over the parity basis (h_1, ..., h_L),
         or None when x lies outside their span (possible only for L < n)."""
-        return self._h_solver.solve(self.tower.digits(x))
+        return self._h_solver.solve(x)
 
     def _key_equation(self, synd, t_try):
         """Error-span polynomial of q-degree t_try (monic) satisfying the

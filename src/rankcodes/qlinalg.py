@@ -116,53 +116,72 @@ def identity_q(n: int):
 
 
 class CoordinateSolver:
-    """Repeated solving of B u = v for a fixed q-ary column set B.
+    """Repeated GF(q)-coordinates of field elements over fixed independent
+    elements b_1..b_r: solve(x) is the u with sum u_j b_j = x.
 
-    The elimination of B is done once; each solve is a matrix-vector
-    product plus a consistency check.  Used for coordinates of field
-    elements over a fixed basis (subspace membership, expansion over h).
+    [B | I], with B the n x r digit matrix of the b_j, is eliminated once.
+    The right block is then an invertible E with E B = [I; 0], so E
+    digits(x) holds u in its first r entries and is zero below them
+    exactly when x lies in the span.  E is stored as one lookup table per
+    chunk of k digits (q^k <= 256), each entry packing E's image of the
+    chunk with one lane per row of E: 1-bit lanes combined by XOR for
+    q = 2, otherwise lanes wide enough to add n (q-1)^2 without carry.
     """
 
-    def __init__(self, q: int, columns):
-        self.q = q
-        self.ncols = len(columns)
-        self.nrows = len(columns[0]) if columns else 0
-        rows = [[columns[j][i] % q for j in range(self.ncols)]
-                + [1 if i == k else 0 for k in range(self.nrows)]
-                for i in range(self.nrows)]
-        # RREF of [B | I]: left block becomes E*B, right block records E
-        pivots = []
-        r = 0
-        for col in range(self.ncols):
-            piv = next((i for i in range(r, self.nrows) if rows[i][col]), None)
-            if piv is None:
-                continue
-            rows[r], rows[piv] = rows[piv], rows[r]
-            inv = pow(rows[r][col], q - 2, q)
-            if inv != 1:
-                rows[r] = [v * inv % q for v in rows[r]]
-            for i in range(self.nrows):
-                if i != r and rows[i][col]:
-                    c = rows[i][col]
-                    rows[i] = [(a - c * b) % q for a, b in zip(rows[i], rows[r])]
-            pivots.append(col)
-            r += 1
-        if len(pivots) != self.ncols:
-            raise ValueError(
-                f"columns have rank {len(pivots)} < {self.ncols} over GF({q})")
-        self.rank = len(pivots)
-        self._transform = [row[self.ncols:] for row in rows]
+    def __init__(self, tower: FieldTower, elements):
+        q, n = tower.q, tower.n
+        cols = [tower.digits(x) for x in elements]
+        ncols = len(cols)
+        rows = [[c[i] for c in cols] + [0] * n for i in range(n)]
+        for i in range(n):
+            rows[i][ncols + i] = 1
+        # pivots beyond the left block land in the identity columns
+        pivots = _rref_q(rows, q)
+        rank = sum(1 for p in pivots if p < ncols)
+        if rank != ncols:
+            raise ValueError(f"columns have rank {rank} < {ncols} over GF({q})")
+        self.q, self.n, self.rank = q, n, rank
+        self._lane = lane = 1 if q == 2 else (n * (q - 1) ** 2).bit_length()
+        images = []
+        for col in list(zip(*rows))[ncols:]:
+            img = 0
+            for e in reversed(col):
+                img = img << lane | e
+            images.append(img)
+        chunk = next(k for k in range(8, 0, -1) if q**k <= 256 or k == 1)
+        self._radix = q**chunk  # 256 for q = 2, read off x a byte at a time
+        self._tables = []
+        for lo in range(0, n, chunk):
+            table = [0]
+            for img in images[lo:lo + chunk]:
+                # extend by one digit: entry d*len + i = table[i] + d*img
+                block = table
+                for _ in range(q - 1):
+                    block = ([b ^ img for b in block] if q == 2
+                             else [b + img for b in block])
+                    table += block
+            self._tables.append(table)
 
-    def solve(self, target):
-        """The unique u with B u = target, or None if target is outside
-        the column span."""
-        q = self.q
-        w = [sum(e * t for e, t in zip(erow, target)) % q
-             for erow in self._transform]
-        for i in range(self.rank, self.nrows):
-            if w[i]:
+    def solve(self, x: int):
+        """The coordinates of x over the elements as a list, or None if x
+        is outside their span."""
+        w = 0
+        if self.q == 2:
+            for table in self._tables:
+                w ^= table[x & 255]
+                x >>= 8
+            if w >> self.rank:
                 return None
-        return w[:self.rank]
+            return [(w >> i) & 1 for i in range(self.rank)]
+        q, radix, lane = self.q, self._radix, self._lane
+        for table in self._tables:
+            x, r = divmod(x, radix)
+            w += table[r]
+        mask = (1 << lane) - 1
+        lanes = [(w >> (lane * i) & mask) % q for i in range(self.n)]
+        if any(lanes[self.rank:]):
+            return None
+        return lanes[:self.rank]
 
 
 # ---------------------------------------------------------------------------

@@ -52,8 +52,7 @@ class SubfieldEmbedding:
             tower, tuple(tower.pow(x, i) for i in range(s))) == s)
         self.generator = theta
         self.poly_basis = tuple(tower.pow(theta, i) for i in range(s))
-        self._sub_solver = CoordinateSolver(
-            q, [tower.digits(a) for a in self.poly_basis])
+        self._sub_solver = CoordinateSolver(tower, self.poly_basis)
 
         if ext_basis is None:
             alpha = q if n > 1 else 1
@@ -64,9 +63,8 @@ class SubfieldEmbedding:
                 raise ValueError(f"extension basis needs {self.blocks} elements")
         self.ext_basis = ext_basis
         # combined q-ary basis a_e * gamma_r, block-major in r
-        combined = [tower.digits(tower.mul(a, g))
-                    for g in ext_basis for a in self.poly_basis]
-        self._full_solver = CoordinateSolver(q, combined)
+        combined = [tower.mul(a, g) for g in ext_basis for a in self.poly_basis]
+        self._full_solver = CoordinateSolver(tower, combined)
 
     def _span_int(self, kernel_rows):
         t = self.tower
@@ -82,11 +80,11 @@ class SubfieldEmbedding:
     def subfield_coords(self, x: int):
         """GF(q) coordinates of a subfield element over the polynomial
         basis, or None when x is not in the subfield."""
-        return self._sub_solver.solve(self.tower.digits(x))
+        return self._sub_solver.solve(x)
 
     def ext_coords(self, x: int):
         """Subfield coordinates of any x over the extension basis."""
-        digits = self._full_solver.solve(self.tower.digits(x))
+        digits = self._full_solver.solve(x)
         t, s = self.tower, self.s
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
                      for r in range(self.blocks))

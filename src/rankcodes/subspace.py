@@ -30,12 +30,11 @@ class SubspaceBasis:
         self.tower = tower
         self.elements = elements
         self.m = len(elements)
-        self._solver = CoordinateSolver(
-            tower.q, [tower.digits(b) for b in elements])
+        self._solver = CoordinateSolver(tower, elements)
 
     def coords(self, x: int):
         """q-ary coordinates of x over the basis, or None if x is outside."""
-        return self._solver.solve(self.tower.digits(x))
+        return self._solver.solve(x)
 
     def contains(self, x: int) -> bool:
         return self.coords(x) is not None

@@ -148,6 +148,27 @@ def test_simulate_overlapping_parts_rejected(tmp_path):
     assert main(["simulate", "--config", str(path)]) == 2
 
 
+def test_simulate_unsatisfiable_channel_is_config_error(tmp_path, capsys):
+    cases = [
+        # exact-rank Monte Carlo with t above the total dimension 4
+        {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "parts": [[1, 2], [4, 8]],
+         "channel": {"t_values": [5], "trials": 10, "seed": 1,
+                     "mode": "exact-rank"}},
+        # decode trials with t above n = 6 independent values
+        {"field": {"q": 2, "n": 6}, "code": {"k": 4},
+         "parts": [[1, 2, 4], [8, 16, 32]],
+         "channel": {"t_values": [7], "trials": 10, "seed": 1,
+                     "decode_trials": 1}},
+    ]
+    for i, cfg in enumerate(cases):
+        path = tmp_path / f"cfg{i}.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["simulate", "--config", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: channel:")
+        assert "Traceback" not in err
+
+
 def test_subfield_subcommand(tmp_path, capsys):
     cfg = {"field": {"q": 2, "n": 6}, "code": {"k": 4}, "subfield": {"s": 3}}
     path = tmp_path / "cfg.json"

@@ -264,6 +264,40 @@ def test_rank_event_rate_exact_rank_channel():
         rank_event_rate(2, [2, 2], 1, 2, 10, seed=5, channel="bogus")
 
 
+def test_rank_event_rate_rejects_bad_chunks():
+    for chunks in (0, -1):
+        with pytest.raises(ValueError, match="chunk"):
+            rank_event_rate(2, [2, 2], 1, 1, 10, seed=1, chunks=chunks)
+
+
+def test_rank_event_rate_exact_rank_needs_t_within_dims():
+    for q in (2, 3):
+        with pytest.raises(ValueError, match="exact-rank"):
+            rank_event_rate(q, [2], 1, 3, 10, seed=1, channel="exact-rank")
+    # the uniform channel has no such limit: rank stays <= sum(dims)
+    assert rank_event_rate(2, [2], 1, 3, 10, seed=1).trials == 10
+
+
+def test_sample_channel_error_rejects_t_beyond_n(gf64):
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3] C=1
+    dsc = DirectSumCode(code, [(1, 2, 4), (8, 16, 32)])
+    with pytest.raises(ValueError, match="exceed n"):
+        sample_channel_error(dsc, 7, random.Random(0))
+    with pytest.raises(ValueError, match="exceed n"):
+        decode_experiment(dsc, 7, 1, seed=0)
+
+
+def test_sample_channel_error_exact_rank_needs_t_within_dims(gf16):
+    code = GabidulinCode(gf16, 2, g=default_generator(gf16))
+    dsc = DirectSumCode(code, [(1, 2)])
+    rng = random.Random(0)
+    with pytest.raises(ValueError, match="exact-rank"):
+        sample_channel_error(dsc, 3, rng, channel="exact-rank")
+    assert len(sample_channel_error(dsc, 3, rng)) == 4
+    with pytest.raises(ValueError, match="channel"):
+        sample_channel_error(dsc, 1, rng, channel="bogus")
+
+
 def test_sample_channel_error_lands_in_sum_space(pair66, gf4096):
     rng = random.Random(67)
     for t in (0, 1, 3):

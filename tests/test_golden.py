@@ -1,0 +1,48 @@
+"""Golden CLI outputs on the fixed configs.
+
+Each config in tests/golden/ is a copy of a benchmark workload with fewer
+Monte Carlo trials.  The .jsonl files next to it were written by
+
+    rankcodes simulate  --config <name>.json --output <name>.simulate.jsonl
+    rankcodes roundtrip --config <name>.json --seed 0 --trials 5 --t <C>
+                        --output <name>.roundtrip.jsonl
+
+and every key except the op-count field `field_mul_count` must match.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from rankcodes.cli import main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+# workload name -> roundtrip error rank (the code's capability C)
+WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1}
+OP_COUNT_KEYS = ("field_mul_count",)
+
+
+def _records(path):
+    with open(path) as fh:
+        records = [json.loads(line) for line in fh]
+    for r in records:
+        for key in OP_COUNT_KEYS:
+            r.pop(key, None)
+    return records
+
+
+def _argv(name, command, out):
+    cfg = str(GOLDEN / f"{name}.json")
+    if command == "simulate":
+        return ["simulate", "--config", cfg, "--output", str(out)]
+    return ["roundtrip", "--config", cfg, "--seed", "0", "--trials", "5",
+            "--t", str(WORKLOADS[name]), "--output", str(out)]
+
+
+@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
+@pytest.mark.parametrize("name", sorted(WORKLOADS))
+def test_cli_output_matches_golden(name, command, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert main(_argv(name, command, out)) == 0
+    assert _records(out) == _records(GOLDEN / f"{name}.{command}.jsonl")

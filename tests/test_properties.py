@@ -1,0 +1,48 @@
+"""Property-based tests over random shapes for q in {2, 3, 5}."""
+
+from functools import cache
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from rankcodes import CoordinateSolver, FieldTower, rank_of_vector
+
+# chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
+# 3 digits for q = 5, so each list ends on a boundary and one past it
+SOLVER_SHAPES = [(2, 8), (2, 9), (2, 16), (2, 17), (3, 5), (3, 6), (3, 9), (5, 4)]
+
+
+@cache
+def _tower(q, n):
+    return FieldTower(q, n)
+
+
+@st.composite
+def solver_cases(draw):
+    q, n = draw(st.sampled_from(SOLVER_SHAPES))
+    tower = _tower(q, n)
+    element = st.integers(0, tower.order - 1)
+    elements = ()
+    for cand in draw(st.lists(element, max_size=n + 2)):
+        if rank_of_vector(tower, elements + (cand,)) == len(elements) + 1:
+            elements += (cand,)
+    coeffs = draw(st.lists(st.integers(0, q - 1), min_size=len(elements),
+                           max_size=len(elements)))
+    # targets inside the span, which random draws would almost never hit,
+    # and the all-(q-1) digit element, which fills every lane the most
+    inside = tower.contract(coeffs, elements)
+    x = draw(st.one_of(st.just(inside), st.just(tower.order - 1), element))
+    return tower, elements, x
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases())
+def test_coordinate_solver_matches_span_membership(case):
+    tower, elements, x = case
+    u = CoordinateSolver(tower, elements).solve(x)
+    if rank_of_vector(tower, elements + (x,)) == len(elements):
+        assert u is not None and len(u) == len(elements)
+        assert all(0 <= c < tower.q for c in u)
+        assert tower.contract(u, elements) == x
+    else:
+        assert u is None

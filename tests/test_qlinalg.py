@@ -138,12 +138,11 @@ def test_ext_nullspace_over_gf4():
 # -- coordinate solver ----------------------------------------------------------
 
 def test_coordinate_solver_membership(gf16):
-    cols = [gf16.digits(1), gf16.digits(2), gf16.digits(4)]
-    solver = CoordinateSolver(2, cols)
-    assert solver.solve(gf16.digits(6)) == [0, 1, 1]     # alpha + alpha^2
-    assert solver.solve(gf16.digits(8)) is None          # alpha^3 outside
+    solver = CoordinateSolver(gf16, [1, 2, 4])
+    assert solver.solve(6) == [0, 1, 1]     # alpha + alpha^2
+    assert solver.solve(8) is None          # alpha^3 outside
     with pytest.raises(ValueError, match="rank"):
-        CoordinateSolver(2, [gf16.digits(1), gf16.digits(2), gf16.digits(3)])
+        CoordinateSolver(gf16, [1, 2, 3])
 
 
 # -- error sampling --------------------------------------------------------------
@@ -160,10 +159,10 @@ def test_random_error_zero_and_rank(gf4096):
 def test_random_error_support_confinement(gf4096):
     rng = random.Random(2)
     support = tuple(2**i for i in range(6))
-    solver = CoordinateSolver(2, [gf4096.digits(b) for b in support])
+    solver = CoordinateSolver(gf4096, support)
     for _ in range(100):
         e = random_error(gf4096, 12, 2, rng, support=support)
-        assert all(solver.solve(gf4096.digits(x)) is not None for x in e)
+        assert all(solver.solve(x) is not None for x in e)
 
 
 def test_random_error_rank_one_structure(gf16):

@@ -32,6 +32,15 @@ def test_subspace_basis_validation(gf16):
     assert basis.contains(6) and not basis.contains(8)
 
 
+def test_empty_subspace_holds_only_zero(gf16, gf27):
+    for tower in (gf16, gf27):
+        empty = SubspaceBasis(tower, [])
+        assert empty.m == 0
+        assert empty.coords(0) == [] and empty.contains(0)
+        for x in (1, 5, tower.order - 1):
+            assert empty.coords(x) is None and not empty.contains(x)
+
+
 def test_decompose_recompose(tiny_sub, gf16):
     basis = tiny_sub.basis
     assert basis.decompose((0, 0, 0, 0)) == [[0] * 4 for _ in range(3)]
