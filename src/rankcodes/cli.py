@@ -82,6 +82,10 @@ def _build_parts(cfg: dict, tower: FieldTower):
         raise ConfigError(f"parts: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def _channel(cfg: dict, args) -> dict:
     ch = dict(cfg.get("channel") or {})
     if getattr(args, "trials", None) is not None:
@@ -94,11 +98,13 @@ def _channel(cfg: dict, args) -> dict:
     ch.setdefault("decode_trials", 0)
     if ch.get("seed") is None:
         raise ConfigError("a seed is required (config channel.seed or --seed)")
-    if not isinstance(ch.get("trials"), int) or ch["trials"] < 1:
+    if not _is_int(ch.get("trials")) or ch["trials"] < 1:
         raise ConfigError("channel.trials must be a positive integer")
     t_values = ch.get("t_values")
-    if t_values is None or not all(isinstance(t, int) and t >= 0 for t in t_values):
+    if not isinstance(t_values, list) or not all(_is_int(t) and t >= 0 for t in t_values):
         raise ConfigError("channel.t_values must be a list of nonnegative integers")
+    if not _is_int(ch["decode_trials"]) or ch["decode_trials"] < 0:
+        raise ConfigError("channel.decode_trials must be a nonnegative integer")
     if ch["mode"] not in ("uniform-matrix", "exact-rank"):
         raise ConfigError(f"unknown channel mode {ch['mode']!r}")
     return ch
@@ -171,8 +177,10 @@ def _cmd_roundtrip(args):
         raise ConfigError("roundtrip needs a generator vector")
     if args.seed is None:
         raise ConfigError("roundtrip needs --seed")
-    if args.t > code.capability:
-        raise ConfigError(f"--t {args.t} exceeds capability {code.capability}")
+    if not 0 <= args.t <= code.capability:
+        raise ConfigError(f"--t {args.t} outside 0..capability {code.capability}")
+    if args.trials < 0:
+        raise ConfigError(f"--trials {args.trials} is negative")
     rng = random.Random(args.seed)
     muls0 = tower.mul_count
     successes = 0

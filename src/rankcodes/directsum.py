@@ -330,25 +330,11 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
         while rank_q(rows, q) != t:
             rows = [[rng.randrange(q) for _ in range(n_total)] for _ in range(t)]
     # combined values, one per concatenated-basis coordinate
-    combined = []
-    for r in range(n_total):
-        acc = 0
-        for j in range(t):
-            c = rows[j][r]
-            if c:
-                acc = tower.add(acc, tower.mul(c, alphas[j]))
-        combined.append(acc)
+    combined = [tower.contract(col, alphas) for col in zip(*rows)]
     # error component at position pos collects digit pos of every value
     digits = [tower.digits(value) for value in combined]
-    error = []
-    for pos in range(M.code.length):
-        acc = 0
-        for r, value_digits in enumerate(digits):
-            dig = value_digits[pos]
-            if dig:
-                acc = tower.add(acc, tower.mul(dig, M.concat[r]))
-        error.append(acc)
-    return tuple(error)
+    return tuple(tower.contract([d[pos] for d in digits], M.concat)
+                 for pos in range(M.code.length))
 
 
 def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,

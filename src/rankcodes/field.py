@@ -188,7 +188,7 @@ def find_irreducible(q: int, n: int):
 
 
 class FieldTower:
-    """The pair GF(q) < GF(q^n) with a fixed modulus and expansion basis.
+    """The pair GF(q) < GF(q^n) with a fixed modulus.
 
     Parameters
     ----------
@@ -197,11 +197,12 @@ class FieldTower:
     modulus : optional monic degree-n irreducible over GF(q), coefficients
         low-to-high; defaults to a fixed table entry or, failing that, the
         smallest irreducible polynomial in canonical order.
-    basis : optional n-tuple of GF(q^n) elements of full q-ary rank used by
-        expand/contract; defaults to the polynomial basis.
+
+    `basis` is the polynomial basis (1, alpha, ..., alpha^(n-1)), whose
+    coordinates are `digits`.
     """
 
-    def __init__(self, q: int, n: int, modulus=None, basis=None):
+    def __init__(self, q: int, n: int, modulus=None):
         if not is_prime(q):
             raise ValueError(f"base field order {q} is not prime")
         if not 1 <= n <= 64:
@@ -217,23 +218,14 @@ class FieldTower:
         if not is_irreducible(modulus, q):
             raise ValueError("modulus is reducible over GF(q)")
         self.modulus = modulus
-        self._mod_int = self._encode(modulus)
+        self._mod_int = self.from_digits(modulus)
         self.mul_count = 0
 
         self._exp = None
         self._log = None
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-
-        self._basis_inv_cache = {}
-        if basis is None:
-            basis = tuple(q**i for i in range(n))  # expand is digit extraction
-        else:
-            basis = tuple(int(b) for b in basis)
-            if len(basis) != n:
-                raise ValueError("basis must have n elements")
-            self._basis_inv_cache[basis] = self._invert_basis(basis)
-        self.basis = basis
+        self.basis = tuple(q**i for i in range(n))
 
     # -- encoding ----------------------------------------------------------
 
@@ -250,12 +242,6 @@ class FieldTower:
     def from_digits(self, digits) -> int:
         v = 0
         for d in reversed(tuple(digits)):
-            v = v * self.q + d % self.q
-        return v
-
-    def _encode(self, coeffs) -> int:
-        v = 0
-        for d in reversed(tuple(coeffs)):
             v = v * self.q + d % self.q
         return v
 
@@ -365,61 +351,39 @@ class FieldTower:
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
         return self.pow(x, self.q**i)
 
-    # -- expansion over a basis ---------------------------------------------
+    # -- linear combinations --------------------------------------------------
 
-    def expand(self, x: int, basis=None):
-        """q-ary coordinate column of x over `basis` (default: tower basis)."""
-        if basis is None:
-            basis = self.basis
-        if self._is_polynomial_basis(basis):
-            return self.digits(x)
-        inv = self._basis_inverse(tuple(basis))
-        d = self.digits(x)
-        q = self.q
-        return tuple(sum(row[j] * d[j] for j in range(self.n)) % q for row in inv)
-
-    def contract(self, coords, basis=None) -> int:
-        if basis is None:
-            basis = self.basis
+    def contract(self, coeffs, elements=None) -> int:
+        """GF(q)-linear combination sum c_i e_i of `elements` (default: the
+        polynomial basis, so contract(digits(x)) == x).  For q = 2 it XORs
+        the elements with odd coefficient and multiplies nothing."""
+        if elements is None:
+            elements = self.basis
         acc = 0
-        for c, b in zip(coords, basis):
+        if self.q == 2:
+            for c, e in zip(coeffs, elements):
+                if c & 1:
+                    acc ^= e
+            return acc
+        for c, e in zip(coeffs, elements):
             c %= self.q
             if c:
-                acc = self.add(acc, self.mul(c, b))
+                acc = self.add(acc, self.mul(c, e))
         return acc
 
-    def _is_polynomial_basis(self, basis) -> bool:
-        return all(b == self.q**i for i, b in enumerate(basis))
-
-    def _basis_inverse(self, basis):
-        cached = self._basis_inv_cache.get(basis)
-        if cached is not None:
-            return cached
-        inv = self._invert_basis(basis)
-        self._basis_inv_cache[basis] = inv
-        return inv
-
-    def _invert_basis(self, basis):
-        """Inverse of the n x n digit matrix whose columns expand the basis."""
-        n, q = self.n, self.q
-        rows = [list(self.digits(b)) for b in basis]  # row i = digits of basis[i]
-        # transpose: column j of M is digits(basis[j])
-        m = [[rows[j][i] for j in range(n)] for i in range(n)]
-        aug = [m[i] + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-        r = 0
-        for col in range(n):
-            piv = next((i for i in range(r, n) if aug[i][col]), None)
-            if piv is None:
-                raise ValueError("basis is rank deficient over GF(q)")
-            aug[r], aug[piv] = aug[piv], aug[r]
-            pinv = pow(aug[r][col], q - 2, q)
-            aug[r] = [v * pinv % q for v in aug[r]]
-            for i in range(n):
-                if i != r and aug[i][col]:
-                    c = aug[i][col]
-                    aug[i] = [(a - c * b) % q for a, b in zip(aug[i], aug[r])]
-            r += 1
-        return [row[n:] for row in aug]
+    def dot(self, xs, ys) -> int:
+        """sum x_i y_i over GF(q^n); each nonzero product is one counted mul.
+        For q = 2 the products are XORed without calling add."""
+        acc = 0
+        if self.q == 2:
+            for x, y in zip(xs, ys):
+                if x and y:
+                    acc ^= self.mul(x, y)
+            return acc
+        for x, y in zip(xs, ys):
+            if x and y:
+                acc = self.add(acc, self.mul(x, y))
+        return acc
 
     # -- discrete-log tables --------------------------------------------------
 
@@ -460,9 +424,8 @@ class FieldTower:
     def __eq__(self, other):
         return (
             isinstance(other, FieldTower)
-            and (self.q, self.n, self.modulus, self.basis)
-            == (other.q, other.n, other.modulus, other.basis)
+            and (self.q, self.n, self.modulus) == (other.q, other.n, other.modulus)
         )
 
     def __hash__(self):
-        return hash((self.q, self.n, self.modulus, self.basis))
+        return hash((self.q, self.n, self.modulus))

@@ -15,7 +15,8 @@ from .field import FieldTower
 from .linpoly import LinearizedPoly
 from .qlinalg import CoordinateSolver, ext_nullspace, ext_solve, rank_of_vector
 
-_ENUM_GUARD = 1 << 20
+# most elements or codewords an exhaustive enumeration may produce
+ENUM_GUARD = 1 << 20
 
 
 class DecodingFailure(Exception):
@@ -105,22 +106,13 @@ class GabidulinCode:
             self._check_orthogonal()
 
     @classmethod
-    def from_generator(cls, tower, g, k):
-        return cls(tower, k, g=g)
-
-    @classmethod
     def from_parity(cls, tower, h, k):
         return cls(tower, k, h=h)
 
     def _check_orthogonal(self):
-        t = self.tower
-        for grow in self._gen_rows:
-            for hrow in self._par_rows:
-                acc = 0
-                for a, b in zip(grow, hrow):
-                    acc = t.add(acc, t.mul(a, b))
-                if acc:
-                    raise ValueError("generator and parity vectors are not dual")
+        if any(self.tower.dot(grow, hrow)
+               for grow in self._gen_rows for hrow in self._par_rows):
+            raise ValueError("generator and parity vectors are not dual")
 
     @property
     def generator_matrix(self):
@@ -138,29 +130,13 @@ class GabidulinCode:
         message = tuple(message)
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        t = self.tower
-        out = []
-        for j in range(self.length):
-            acc = 0
-            for i, x in enumerate(message):
-                if x:
-                    acc = t.add(acc, t.mul(x, self._gen_rows[i][j]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.tower.dot(message, col) for col in zip(*self._gen_rows))
 
     def syndromes(self, word):
         word = tuple(word)
         if len(word) != self.length:
             raise ValueError(f"word length {len(word)} != {self.length}")
-        t = self.tower
-        out = []
-        for hrow in self._par_rows:
-            acc = 0
-            for y, hv in zip(word, hrow):
-                if y:
-                    acc = t.add(acc, t.mul(y, hv))
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.tower.dot(word, hrow) for hrow in self._par_rows)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(word))
@@ -217,14 +193,7 @@ class GabidulinCode:
                 locators.append(coords)
             if len(locators) != t_try:
                 continue
-            error = []
-            for i in range(self.length):
-                acc = 0
-                for j in range(t_try):
-                    c = locators[j][i]
-                    if c:
-                        acc = t.add(acc, t.mul(c, values[j]))
-                error.append(acc)
+            error = [t.contract(col, values) for col in zip(*locators)]
             codeword = tuple(t.sub(yi, ei) for yi, ei in zip(y, error))
             if any(self.syndromes(codeword)):
                 continue
@@ -237,7 +206,7 @@ class GabidulinCode:
     def messages(self):
         if self._gen_rows is None:
             raise ValueError("enumeration needs a generator vector")
-        if self.tower.order**self.k > _ENUM_GUARD:
+        if self.tower.order**self.k > ENUM_GUARD:
             raise ValueError("code is too large to enumerate")
         return itertools.product(range(self.tower.order), repeat=self.k)
 

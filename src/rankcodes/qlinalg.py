@@ -111,10 +111,6 @@ def mat_inv_q(matrix, q: int):
     return [row[n:] for row in rows]
 
 
-def identity_q(n: int):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
 class CoordinateSolver:
     """Repeated GF(q)-coordinates of field elements over fixed independent
     elements b_1..b_r: solve(x) is the u with sum u_j b_j = x.
@@ -298,11 +294,15 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
 
     The E_j are sampled linearly independent over GF(q) inside the support
     space; A is a t x length q-ary matrix.  With mode="exact-rank" A is
-    resampled until it has rank t, so rank(e) = t exactly; with
-    mode="uniform-matrix" A is uniform and rank(e) <= t.
+    resampled until it has rank t, so rank(e) = t exactly, which needs
+    t <= length; with mode="uniform-matrix" A is uniform and rank(e) <= t.
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
+    if t < 0:
+        raise ValueError(f"target rank {t} is negative")
+    if mode == "exact-rank" and t > length:
+        raise ValueError(f"exact rank {t} exceeds the length {length}")
     if t == 0:
         return (0,) * length
     support = tuple(support) if support is not None else tower.basis
@@ -317,14 +317,7 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
         a = random_full_rank_q(tower.q, t, length, rng)
     else:
         a = random_matrix_q(tower.q, t, length, rng)
-    out = []
-    for i in range(length):
-        acc = 0
-        for j in range(t):
-            if a[j][i]:
-                acc = tower.add(acc, tower.mul(a[j][i], values[j]))
-        out.append(acc)
-    return tuple(out)
+    return tuple(tower.contract(col, values) for col in zip(*a))
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .field import FieldTower
-from .gabidulin import GabidulinCode, moore_matrix
+from .gabidulin import ENUM_GUARD, GabidulinCode, moore_matrix
 from .qlinalg import (CoordinateSolver, mat_inv_q, mat_mul_q, nullspace_q,
                       rank_of_vector, solve_q)
-
-_ENUM_GUARD = 1 << 20
 
 
 class SubfieldEmbedding:
@@ -44,7 +42,7 @@ class SubfieldEmbedding:
         if len(kernel) != s:  # pragma: no cover
             raise RuntimeError("fixed field has unexpected dimension")
         members = sorted(self._span_int(kernel))
-        if len(members) > _ENUM_GUARD:
+        if len(members) > ENUM_GUARD:
             raise ValueError("subfield too large to enumerate")
         self.elements = tuple(members)
 
@@ -90,12 +88,7 @@ class SubfieldEmbedding:
                      for r in range(self.blocks))
 
     def contract_ext(self, coords) -> int:
-        t = self.tower
-        acc = 0
-        for c, g in zip(coords, self.ext_basis):
-            if c:
-                acc = t.add(acc, t.mul(c, g))
-        return acc
+        return self.tower.dot(coords, self.ext_basis)
 
     def __repr__(self):
         return f"SubfieldEmbedding(q={self.tower.q}, n={self.tower.n}, s={self.s})"
@@ -177,16 +170,8 @@ def compute_factorization(code: GabidulinCode, s: int,
 
     block = moore_matrix(tower, emb.poly_basis, code.d - 1)
     big = block_diagonal(block, emb.blocks)
-    parity = []
-    for row in big:
-        out_row = []
-        for c in range(tower.n):
-            acc = 0
-            for j, w in enumerate(row):
-                if w and transform[j][c]:
-                    acc = tower.add(acc, tower.mul(transform[j][c], w))
-            out_row.append(acc)
-        parity.append(out_row)
+    cols = list(zip(*transform))
+    parity = [[tower.contract(col, row) for col in cols] for row in big]
     return SubfieldFactorization(s, emb.poly_basis, emb.ext_basis,
                                  block, transform, parity, emb)
 
@@ -220,14 +205,7 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
 
 
 def annihilates(tower: FieldTower, parity_rows, word) -> bool:
-    for row in parity_rows:
-        acc = 0
-        for w, x in zip(row, word):
-            if w and x:
-                acc = tower.add(acc, tower.mul(w, x))
-        if acc:
-            return False
-    return True
+    return not any(tower.dot(row, word) for row in parity_rows)
 
 
 def subfield_success_probability(code: GabidulinCode, s: int, t: int,

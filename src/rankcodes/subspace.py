@@ -9,10 +9,8 @@ rank-preserving coordinate transfer; en/decoding run through the parent.
 from __future__ import annotations
 
 from .field import FieldTower
-from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
+from .gabidulin import ENUM_GUARD, DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import CoordinateSolver, rank_of_vector
-
-_ENUM_GUARD = 1 << 20
 
 
 class TrivialSubcodeError(Exception):
@@ -54,21 +52,12 @@ class SubspaceBasis:
 
     def recompose(self, u_matrix):
         """Vector basis * U for an m x L coefficient matrix U."""
-        t = self.tower
-        length = len(u_matrix[0]) if u_matrix else 0
-        out = []
-        for j in range(length):
-            acc = 0
-            for i in range(self.m):
-                c = u_matrix[i][j]
-                if c:
-                    acc = t.add(acc, t.mul(c, self.elements[i]))
-            out.append(acc)
-        return tuple(out)
+        return tuple(self.tower.contract(col, self.elements)
+                     for col in zip(*u_matrix))
 
     def span(self):
         """All q^m subspace elements (tiny subspaces only)."""
-        if self.tower.q**self.m > _ENUM_GUARD:
+        if self.tower.q**self.m > ENUM_GUARD:
             raise ValueError("subspace too large to enumerate")
         out = []
         for idx in range(self.tower.q**self.m):
@@ -182,7 +171,7 @@ class SubspaceSubcode:
         and transfer (guarded by the subcode cardinality)."""
         if self.is_trivial:
             return [(0,) * self.code.length]
-        if self.cardinality > _ENUM_GUARD:
+        if self.cardinality > ENUM_GUARD:
             raise ValueError("subcode is too large to enumerate")
         return [self.encode(msg) for msg in self.parent.messages()]
 

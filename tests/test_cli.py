@@ -69,6 +69,13 @@ def test_roundtrip_rejects_t_beyond_capability(config_path):
                  "--t", "2"]) == 2
 
 
+@pytest.mark.parametrize("flags", [["--t", "-1"], ["--trials", "-1"]])
+def test_roundtrip_rejects_negative_values(config_path, flags, capsys):
+    assert main(["roundtrip", "--config", config_path, "--seed", "0"] + flags) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_simulate_records(config_path, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(["simulate", "--config", config_path,
@@ -167,6 +174,24 @@ def test_simulate_unsatisfiable_channel_is_config_error(tmp_path, capsys):
         err = capsys.readouterr().err
         assert err.startswith("config error: channel:")
         assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("channel", [
+    {"trials": True},
+    {"t_values": [True]},
+    {"t_values": 1},
+    {"decode_trials": "abc"},
+    {"decode_trials": True},
+    {"decode_trials": -1},
+])
+def test_simulate_rejects_non_integer_channel_fields(tmp_path, capsys, channel):
+    cfg = {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "parts": [[1, 2], [4, 8]],
+           "channel": {"t_values": [1], "trials": 10, "seed": 1, **channel}}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["simulate", "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: channel.") and "Traceback" not in err
 
 
 def test_subfield_subcommand(tmp_path, capsys):

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankcodes import FieldTower, find_irreducible, is_irreducible
+from rankcodes import CoordinateSolver, FieldTower, find_irreducible, is_irreducible
 from rankcodes.field import _DEFAULT_MODULI
 
 
@@ -111,40 +111,32 @@ def test_frobenius_fixes_base_field(gf27):
         assert gf27.frobenius(c, 1) == c
 
 
-def test_expand_contract_roundtrip(gf16):
-    assert gf16.expand(0) == (0, 0, 0, 0)
-    assert gf16.expand(4) == (0, 0, 1, 0)  # alpha^2 is a basis vector
+def test_digits_contract_roundtrip(gf16):
+    assert gf16.digits(0) == (0, 0, 0, 0)
+    assert gf16.digits(4) == (0, 0, 1, 0)  # alpha^2 is a basis vector
     # alpha^4 = 1 + alpha under x^4 + x + 1
     alpha4 = gf16.pow(2, 4)
-    assert gf16.expand(alpha4) == (1, 1, 0, 0)
+    assert gf16.digits(alpha4) == (1, 1, 0, 0)
     for x in range(16):
-        assert gf16.contract(gf16.expand(x)) == x
+        assert gf16.contract(gf16.digits(x)) == x
 
 
-def test_expand_is_linear(gf16, gf27):
+def test_digits_are_linear(gf16, gf27):
     rng = random.Random(3)
     for tower in (gf16, gf27):
         for _ in range(300):
             x, y = tower.random_element(rng), tower.random_element(rng)
-            sx = tower.expand(tower.add(x, y))
+            sx = tower.digits(tower.add(x, y))
             want = tuple((a + b) % tower.q
-                         for a, b in zip(tower.expand(x), tower.expand(y)))
+                         for a, b in zip(tower.digits(x), tower.digits(y)))
             assert sx == want
 
 
-def test_custom_basis_expand_contract():
-    tower = FieldTower(2, 4, basis=(1, 3, 7, 12))
-    for x in range(16):
-        assert tower.contract(tower.expand(x)) == x
-    # expansion over an explicit non-tower basis argument
+def test_contract_over_other_elements_roundtrip(gf16):
     other = (2, 3, 9, 14)
+    solver = CoordinateSolver(gf16, other)
     for x in range(16):
-        assert tower.contract(tower.expand(x, other), other) == x
-
-
-def test_rank_deficient_basis_rejected():
-    with pytest.raises(ValueError, match="rank deficient"):
-        FieldTower(2, 4, basis=(1, 2, 3, 4))  # 3 = 1 + alpha
+        assert gf16.contract(solver.solve(x), other) == x
 
 
 def test_mul_count_increments(gf64):

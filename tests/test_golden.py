@@ -8,6 +8,12 @@ Monte Carlo trials.  The .jsonl files next to it were written by
                         --output <name>.roundtrip.jsonl
 
 and every key except the op-count field `field_mul_count` must match.
+The subfield factorization has its own records, written by
+
+    rankcodes subfield  --config <name>.json --s <s> --output <name>.subfield.jsonl
+
+for oddq-q3n9 and for subfield-q2n6, the [6,4,3] code over GF(2^6) with
+its s=3 subfield.
 """
 
 import json
@@ -20,6 +26,8 @@ from rankcodes.cli import main
 GOLDEN = Path(__file__).resolve().parent / "golden"
 # workload name -> roundtrip error rank (the code's capability C)
 WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1}
+# config name -> subfield degree s
+SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3}
 OP_COUNT_KEYS = ("field_mul_count",)
 
 
@@ -46,3 +54,12 @@ def test_cli_output_matches_golden(name, command, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(_argv(name, command, out)) == 0
     assert _records(out) == _records(GOLDEN / f"{name}.{command}.jsonl")
+
+
+@pytest.mark.parametrize("name", sorted(SUBFIELDS))
+def test_subfield_output_matches_golden(name, tmp_path):
+    out = tmp_path / "out.jsonl"
+    argv = ["subfield", "--config", str(GOLDEN / f"{name}.json"),
+            "--s", str(SUBFIELDS[name]), "--output", str(out)]
+    assert main(argv) == 0
+    assert _records(out) == _records(GOLDEN / f"{name}.subfield.jsonl")

@@ -46,3 +46,46 @@ def test_coordinate_solver_matches_span_membership(case):
         assert tower.contract(u, elements) == x
     else:
         assert u is None
+
+
+# table-backed and table-less (2^17) towers for each q
+COMBINE_SHAPES = [(2, 4), (2, 12), (2, 17), (3, 3), (3, 9), (5, 2), (5, 3)]
+
+
+def _fold(tower, pairs):
+    acc = 0
+    for a, b in pairs:
+        acc = tower.add(acc, tower.mul(a, b))
+    return acc
+
+
+@st.composite
+def combine_cases(draw):
+    q, n = draw(st.sampled_from(COMBINE_SHAPES))
+    tower = _tower(q, n)
+    length = draw(st.integers(0, n + 3))
+    element = st.integers(0, tower.order - 1)
+    # sparse draws so zero coefficients and zero elements both occur
+    sparse = st.one_of(st.just(0), element)
+    xs = draw(st.lists(sparse, min_size=length, max_size=length))
+    ys = draw(st.lists(sparse, min_size=length, max_size=length))
+    # coefficients outside [0, q) are read modulo q
+    coeffs = draw(st.lists(st.integers(-q, 2 * q), min_size=length,
+                           max_size=length))
+    return tower, coeffs, xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(combine_cases())
+def test_contract_and_dot_equal_explicit_fold(case):
+    tower, coeffs, xs, ys = case
+    want_contract = _fold(tower, ((c % tower.q, x) for c, x in zip(coeffs, xs)))
+    want_dot = _fold(tower, zip(xs, ys))
+
+    before = tower.mul_count
+    assert tower.contract(coeffs, xs) == want_contract
+    if tower.q == 2:
+        assert tower.mul_count == before
+    before = tower.mul_count
+    assert tower.dot(xs, ys) == want_dot
+    assert tower.mul_count - before == sum(1 for x, y in zip(xs, ys) if x and y)

@@ -184,6 +184,15 @@ def test_random_error_validation(gf16):
         random_error(gf16, 4, 3, rng, support=(1, 2))
     with pytest.raises(ValueError, match="mode"):
         random_error(gf16, 4, 1, rng, mode="bogus")
+    with pytest.raises(ValueError, match="negative"):
+        random_error(gf16, 4, -1, rng)
+    with pytest.raises(ValueError, match="negative"):
+        random_error(gf16, 4, -1, rng, mode="uniform-matrix")
+    # exact rank 3 cannot be spread over 2 positions
+    with pytest.raises(ValueError, match="exceeds the length"):
+        random_error(gf16, 2, 3, rng)
+    e = random_error(gf16, 2, 3, rng, mode="uniform-matrix")
+    assert rank_of_vector(gf16, e) <= 2
 
 
 # -- rank-matrix counting ---------------------------------------------------------
