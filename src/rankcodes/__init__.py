@@ -12,7 +12,8 @@ from .gabidulin import (DecodingFailure, GabidulinCode, default_generator,
 from .linpoly import LinearizedPoly, min_subspace_poly
 from .qlinalg import (CoordinateSolver, count_rank_matrices, ext_nullspace,
                       ext_rank, ext_solve, mat_inv_q, mat_mul_q, nullspace_q,
-                      random_error, rank_of_vector, rank_q, solve_q)
+                      random_error, random_rows, rank_of_vector, rank_q,
+                      rank_rows, solve_q)
 from .subfield import (SubfieldEmbedding, SubfieldFactorization, annihilates,
                        block_diagonal, compute_factorization, expand_parity,
                        subfield_success_probability, verify_uniqueness)
@@ -53,10 +54,12 @@ __all__ = [
     "moore_matrix",
     "nullspace_q",
     "random_error",
+    "random_rows",
     "rank_event_rate",
     "rank_leq_probability",
     "rank_of_vector",
     "rank_q",
+    "rank_rows",
     "sample_channel_error",
     "solve_q",
     "subfield_success_probability",

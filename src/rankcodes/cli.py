@@ -40,13 +40,23 @@ def _load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _element_list(value, tower: FieldTower) -> bool:
+    return isinstance(value, list) and all(
+        _is_int(v) and 0 <= v < tower.order for v in value)
+
+
 def _build_tower(cfg: dict) -> FieldTower:
     try:
         field_cfg = cfg["field"]
-        q = int(field_cfg["q"])
-        n = int(field_cfg["n"])
-    except (KeyError, TypeError, ValueError) as exc:
+        q, n = field_cfg["q"], field_cfg["n"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"field section needs integer q and n: {exc}") from exc
+    if not (_is_int(q) and _is_int(n)):
+        raise ConfigError(f"field section needs integer q and n, got {q!r} and {n!r}")
     modulus = field_cfg.get("modulus")
     try:
         return FieldTower(q, n, modulus=modulus)
@@ -57,11 +67,16 @@ def _build_tower(cfg: dict) -> FieldTower:
 def _build_code(cfg: dict, tower: FieldTower) -> GabidulinCode:
     code_cfg = cfg.get("code") or {}
     try:
-        k = int(code_cfg["k"])
-    except (KeyError, TypeError, ValueError) as exc:
+        k = code_cfg["k"]
+    except (KeyError, TypeError) as exc:
         raise ConfigError(f"code section needs integer k: {exc}") from exc
+    if not _is_int(k):
+        raise ConfigError(f"code section needs integer k, got {k!r}")
     g = code_cfg.get("g")
     h = code_cfg.get("h")
+    for name, vec in (("g", g), ("h", h)):
+        if vec is not None and not _element_list(vec, tower):
+            raise ConfigError(f"code.{name} must list integers in [0, {tower.order})")
     if g is None and h is None:
         g = default_generator(tower)
     try:
@@ -76,14 +91,12 @@ def _build_parts(cfg: dict, tower: FieldTower):
     parts = cfg.get("parts")
     if not parts:
         raise ConfigError("this command needs a nonempty 'parts' list")
+    if not (isinstance(parts, list) and all(_element_list(p, tower) for p in parts)):
+        raise ConfigError(f"parts must be lists of integers in [0, {tower.order})")
     try:
         return [SubspaceBasis(tower, p) for p in parts]
     except (ValueError, TypeError) as exc:
         raise ConfigError(f"parts: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 def _channel(cfg: dict, args) -> dict:
@@ -283,9 +296,11 @@ def _cmd_subfield(args):
     s = args.s if args.s is not None else (cfg.get("subfield") or {}).get("s")
     if s is None:
         raise ConfigError("subfield degree required (config subfield.s or --s)")
+    if not _is_int(s):
+        raise ConfigError(f"subfield degree must be an integer, got {s!r}")
     try:
-        emb = SubfieldEmbedding(tower, int(s))
-        factz = compute_factorization(code, int(s), embedding=emb)
+        emb = SubfieldEmbedding(tower, s)
+        factz = compute_factorization(code, s, embedding=emb)
     except ValueError as exc:
         raise ConfigError(f"subfield: {exc}") from exc
     ok, problem = verify_uniqueness(code, factz)

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .gabidulin import DecodingFailure, GabidulinCode
-from .qlinalg import (CoordinateSolver, _bit_rank, count_rank_matrices,
-                      rank_q, rank_of_vector)
+from .qlinalg import (CoordinateSolver, count_rank_matrices, random_error,
+                      random_rows, rank_of_vector, rank_rows)
 from .subspace import SubspaceBasis, SubspaceSubcode, TrivialSubcodeError
 
 
@@ -222,34 +222,6 @@ def success_probability(q: int, dims, capability: int, t: int,
 # ---------------------------------------------------------------------------
 # Monte Carlo channels
 
-def _sample_rows_bits(rng, t, width):
-    return [rng.getrandbits(width) for _ in range(t)]
-
-
-def _split_ranks_ok_bits(rows, dims, cap) -> bool:
-    off = 0
-    for m in dims:
-        mask = (1 << m) - 1
-        if _bit_rank([(r >> off) & mask for r in rows]) > cap:
-            return False
-        off += m
-    return True
-
-
-def _sample_rows_digits(rng, q, t, width):
-    return [[rng.randrange(q) for _ in range(width)] for _ in range(t)]
-
-
-def _split_ranks_ok_digits(rows, dims, cap, q) -> bool:
-    off = 0
-    for m in dims:
-        block = [r[off:off + m] for r in rows]
-        if rank_q(block, q) > cap:
-            return False
-        off += m
-    return True
-
-
 def _chunk_sizes(trials, chunks):
     base, extra = divmod(trials, chunks)
     return [base + (1 if i < extra else 0) for i in range(chunks)]
@@ -277,28 +249,18 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= sum(dims) = {n_total}, got t = {t}")
+    # block i of a packed row is (row // q**offset_i) % q**m_i
+    blocks = [(q**sum(dims[:i]), q**m, m) for i, m in enumerate(dims)]
     successes = 0
     for ci, size in enumerate(_chunk_sizes(trials, chunks)):
         rng = random.Random(f"{seed}:{ci}")
-        if t == 0:
-            successes += size
-            continue
-        if q == 2:
-            for _ in range(size):
-                rows = _sample_rows_bits(rng, t, n_total)
-                if channel == "exact-rank":
-                    while _bit_rank(rows) != t:
-                        rows = _sample_rows_bits(rng, t, n_total)
-                if _split_ranks_ok_bits(rows, dims, capability):
-                    successes += 1
-        else:
-            for _ in range(size):
-                rows = _sample_rows_digits(rng, q, t, n_total)
-                if channel == "exact-rank":
-                    while rank_q(rows, q) != t:
-                        rows = _sample_rows_digits(rng, q, t, n_total)
-                if _split_ranks_ok_digits(rows, dims, capability, q):
-                    successes += 1
+        for _ in range(size):
+            rows = random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
+            for low, span, m in blocks:
+                if rank_rows([r // low % span for r in rows], q, m) > capability:
+                    break
+            else:
+                successes += 1
     freq = successes / trials
     half = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
     return MonteCarloResult(successes, trials, freq, half)
@@ -310,7 +272,7 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     alpha_1..alpha_t combined by a t x N q-ary matrix, expressed over the
     concatenated subspace basis."""
     tower = M.tower
-    n, q, n_total = tower.n, tower.q, M.total_dim
+    n, n_total = tower.n, M.total_dim
     if channel not in ("uniform-matrix", "exact-rank"):
         raise ValueError(f"unknown channel {channel!r}")
     if t > n:
@@ -318,19 +280,8 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
-    if t == 0:
-        return (0,) * M.code.length
-    # alpha_j linearly independent over GF(q)
-    while True:
-        alphas = [tower.random_element(rng) for _ in range(t)]
-        if rank_of_vector(tower, alphas) == t:
-            break
-    rows = [[rng.randrange(q) for _ in range(n_total)] for _ in range(t)]
-    if channel == "exact-rank":
-        while rank_q(rows, q) != t:
-            rows = [[rng.randrange(q) for _ in range(n_total)] for _ in range(t)]
     # combined values, one per concatenated-basis coordinate
-    combined = [tower.contract(col, alphas) for col in zip(*rows)]
+    combined = random_error(tower, n_total, t, rng, mode=channel)
     # error component at position pos collects digit pos of every value
     digits = [tower.digits(value) for value in combined]
     return tuple(tower.contract([d[pos] for d in digits], M.concat)

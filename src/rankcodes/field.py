@@ -172,16 +172,23 @@ def is_irreducible(modulus, q: int) -> bool:
     return h == x
 
 
+def int_digits(v: int, q: int, width: int) -> tuple:
+    """The low `width` base-q digits of v, least significant first: the
+    entries of a q-ary row packed as v = sum row[j] * q**j."""
+    if q == 2:
+        return tuple((v >> i) & 1 for i in range(width))
+    out = []
+    for _ in range(width):
+        out.append(v % q)
+        v //= q
+    return tuple(out)
+
+
 def find_irreducible(q: int, n: int):
     """Smallest monic irreducible polynomial of degree n over GF(q)
     in the base-q integer order of its low coefficients."""
     for low in range(q**n):
-        digits = []
-        v = low
-        for _ in range(n):
-            digits.append(v % q)
-            v //= q
-        cand = tuple(digits) + (1,)
+        cand = int_digits(low, q, n) + (1,)
         if is_irreducible(cand, q):
             return cand
     raise RuntimeError(f"no irreducible polynomial of degree {n} over GF({q})")
@@ -231,13 +238,7 @@ class FieldTower:
 
     def digits(self, x: int):
         """Base-q digit tuple of x over the polynomial basis, length n."""
-        if self.q == 2:
-            return tuple((x >> i) & 1 for i in range(self.n))
-        out = []
-        for _ in range(self.n):
-            out.append(x % self.q)
-            x //= self.q
-        return tuple(out)
+        return int_digits(x, self.q, self.n)
 
     def from_digits(self, digits) -> int:
         v = 0
@@ -257,6 +258,8 @@ class FieldTower:
     def add(self, a: int, b: int) -> int:
         if self.q == 2:
             return a ^ b
+        if not a or not b:
+            return a or b
         q, v, shift = self.q, 0, 1
         for _ in range(self.n):
             v += ((a + b) % q) * shift

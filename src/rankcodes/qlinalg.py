@@ -2,14 +2,16 @@
 
 q-ary matrices are plain lists of row lists with entries in [0, q);
 vectors over the extension field are tuples of integer-encoded elements.
-Everything here is exact Gaussian elimination at desk scale, plus the
-rank-matrix counting formula and the rank-t error sampler used by the
-decoding experiments.
+Random q-ary matrices are lists of packed rows: a row of width w is the
+base-q int sum row[j] * q**j, the encoding field elements use (an element
+is a row of width n).  Everything here is exact Gaussian elimination at
+desk scale, plus the rank-matrix counting formula and the rank-t error
+sampler used by the decoding experiments.
 """
 
 from __future__ import annotations
 
-from .field import FieldTower
+from .field import FieldTower, int_digits
 
 
 # ---------------------------------------------------------------------------
@@ -19,24 +21,28 @@ def _rref_q(rows, q):
     """In-place reduced row echelon form; returns the pivot column list."""
     if not rows:
         return []
-    ncols = len(rows[0])
+    nrows = len(rows)
     pivots = []
     r = 0
-    for col in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
-        if piv is None:
+    for col in range(len(rows[0])):
+        for piv in range(r, nrows):
+            if rows[piv][col]:
+                break
+        else:
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = pow(rows[r][col], q - 2, q)
+        prow = rows[piv]
+        rows[piv] = rows[r]
+        inv = pow(prow[col], q - 2, q)
         if inv != 1:
-            rows[r] = [v * inv % q for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [(a - c * b) % q for a, b in zip(rows[i], rows[r])]
+            prow = [v * inv % q for v in prow]
+        rows[r] = prow
+        for i in range(nrows):
+            c = rows[i][col]
+            if c and i != r:
+                rows[i] = [(a - c * b) % q for a, b in zip(rows[i], prow)]
         pivots.append(col)
         r += 1
-        if r == len(rows):
+        if r == nrows:
             break
     return pivots
 
@@ -46,22 +52,29 @@ def rank_q(matrix, q: int) -> int:
     return len(_rref_q(rows, q))
 
 
+def _free_basis(rows, pivots, ncols, neg):
+    """Nullspace basis of the first ncols columns of a reduced matrix whose
+    pivots all lie among them: one vector per free column f, with 1 at f
+    and neg(rows[r][f]) at the r-th pivot column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = neg(rows[r][f])
+        basis.append(vec)
+    return basis
+
+
 def nullspace_q(matrix, q: int):
     """Basis of the right nullspace of a q-ary matrix, as row vectors."""
     if not matrix:
         return []
-    ncols = len(matrix[0])
     rows = [[v % q for v in row] for row in matrix]
     pivots = _rref_q(rows, q)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = -rows[r][f] % q
-        basis.append(vec)
-    return basis
+    return _free_basis(rows, pivots, len(rows[0]), lambda v: -v % q)
 
 
 def solve_q(matrix, rhs, q: int):
@@ -80,7 +93,7 @@ def solve_q(matrix, rhs, q: int):
     x = [0] * ncols
     for r, col in enumerate(pivots):
         x[col] = rows[r][ncols]
-    return x, nullspace_q(matrix, q)
+    return x, _free_basis(rows, pivots, ncols, lambda v: -v % q)
 
 
 def mat_mul_q(a, b, q: int):
@@ -181,29 +194,46 @@ class CoordinateSolver:
 
 
 # ---------------------------------------------------------------------------
-# rank of extension-field vectors (Definition: q-ary rank of the expansion)
+# packed q-ary rows
 
-def _bit_rank(values) -> int:
-    pivots = {}
-    rank = 0
-    for v in values:
-        while v:
-            h = v.bit_length() - 1
-            p = pivots.get(h)
-            if p is None:
-                pivots[h] = v
-                rank += 1
-                break
-            v ^= p
-    return rank
+def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
+    """`rows` uniform q-ary rows of the given width, packed.  For q = 2
+    each row is one getrandbits(width); otherwise entries are drawn with
+    randrange(q) in row-major order, entry j becoming digit j.  With
+    full_rank the draw is repeated until the rank is min(rows, width)."""
+    if rows < 0 or width < 0:
+        raise ValueError(f"negative shape {rows} x {width}")
+    while True:
+        if q == 2:
+            out = [rng.getrandbits(width) for _ in range(rows)]
+        else:
+            powers = [q**j for j in range(width)]
+            out = [sum([rng.randrange(q) * p for p in powers])
+                   for _ in range(rows)]
+        if not full_rank or rank_rows(out, q, width) == min(rows, width):
+            return out
+
+
+def rank_rows(rows, q: int, width: int) -> int:
+    """Rank over GF(q) of packed rows of the given width.  For q = 2 the
+    rows are reduced by XOR against one pivot per leading bit."""
+    if q == 2:
+        pivots = {}
+        for v in rows:
+            while v:
+                h = v.bit_length()
+                p = pivots.get(h)
+                if p is None:
+                    pivots[h] = v
+                    break
+                v ^= p
+        return len(pivots)
+    return len(_rref_q([int_digits(v, q, width) for v in rows if v], q))
 
 
 def rank_of_vector(tower: FieldTower, vec) -> int:
     """q-ary rank of (the expansion of) a vector over GF(q^n)."""
-    if tower.q == 2:
-        return _bit_rank(vec)
-    rows = [list(tower.digits(x)) for x in vec if x]
-    return len(_rref_q(rows, tower.q))
+    return rank_rows(vec, tower.q, tower.n)
 
 
 # ---------------------------------------------------------------------------
@@ -242,18 +272,9 @@ def ext_rank(tower: FieldTower, matrix) -> int:
 def ext_nullspace(tower: FieldTower, matrix):
     if not matrix:
         return []
-    ncols = len(matrix[0])
     rows = [list(row) for row in matrix]
     pivots = _rref_ext(tower, rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = tower.neg(rows[r][f])
-        basis.append(vec)
-    return basis
+    return _free_basis(rows, pivots, len(rows[0]), tower.neg)
 
 
 def ext_solve(tower: FieldTower, matrix, rhs):
@@ -268,34 +289,21 @@ def ext_solve(tower: FieldTower, matrix, rhs):
     x = [0] * ncols
     for r, col in enumerate(pivots):
         x[col] = rows[r][ncols]
-    return x, ext_nullspace(tower, matrix)
+    return x, _free_basis(rows, pivots, ncols, tower.neg)
 
 
 # ---------------------------------------------------------------------------
 # sampling
-
-def random_matrix_q(q: int, rows: int, cols: int, rng):
-    return [[rng.randrange(q) for _ in range(cols)] for _ in range(rows)]
-
-
-def random_full_rank_q(q: int, rows: int, cols: int, rng):
-    """Uniform q-ary matrix conditioned on full rank min(rows, cols),
-    by rejection (cheap whenever the matrix is not nearly square)."""
-    target = min(rows, cols)
-    while True:
-        m = random_matrix_q(q, rows, cols, rng)
-        if rank_q(m, q) == target:
-            return m
-
 
 def random_error(tower: FieldTower, length: int, t: int, rng,
                  support=None, mode: str = "exact-rank"):
     """Error vector e = (E_1,...,E_t) A with values in span(support).
 
     The E_j are sampled linearly independent over GF(q) inside the support
-    space; A is a t x length q-ary matrix.  With mode="exact-rank" A is
-    resampled until it has rank t, so rank(e) = t exactly, which needs
-    t <= length; with mode="uniform-matrix" A is uniform and rank(e) <= t.
+    space (default: the whole field); A is a t x length q-ary matrix.  With
+    mode="exact-rank" A is resampled until it has rank t, so rank(e) = t
+    exactly, which needs t <= length; with mode="uniform-matrix" A is
+    uniform and rank(e) <= t.
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
@@ -305,19 +313,21 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
         raise ValueError(f"exact rank {t} exceeds the length {length}")
     if t == 0:
         return (0,) * length
-    support = tuple(support) if support is not None else tower.basis
-    dim = len(support)
-    if rank_of_vector(tower, support) != dim:
-        raise ValueError("support elements are not linearly independent")
+    q, dim = tower.q, tower.n
+    if support is not None:
+        support = tuple(support)
+        dim = len(support)
+        if rank_of_vector(tower, support) != dim:
+            raise ValueError("support elements are not linearly independent")
     if t > dim:
         raise ValueError(f"target rank {t} exceeds support dimension {dim}")
-    coeffs = random_full_rank_q(tower.q, t, dim, rng)
-    values = [tower.contract(row, support) for row in coeffs]
-    if mode == "exact-rank":
-        a = random_full_rank_q(tower.q, t, length, rng)
-    else:
-        a = random_matrix_q(tower.q, t, length, rng)
-    return tuple(tower.contract(col, values) for col in zip(*a))
+    # a full-rank t x dim matrix; over the polynomial basis its rows are the values
+    values = random_rows(q, t, dim, rng, full_rank=True)
+    if support is not None:
+        values = [tower.contract(int_digits(v, q, dim), support) for v in values]
+    a = random_rows(q, t, length, rng, full_rank=mode == "exact-rank")
+    cols = zip(*(int_digits(row, q, length) for row in a))
+    return tuple(tower.contract(col, values) for col in cols)
 
 
 # ---------------------------------------------------------------------------

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 
 from .field import FieldTower
 from .gabidulin import ENUM_GUARD, GabidulinCode, moore_matrix
-from .qlinalg import (CoordinateSolver, mat_inv_q, mat_mul_q, nullspace_q,
-                      rank_of_vector, solve_q)
+from .linpoly import LinearizedPoly
+from .qlinalg import CoordinateSolver, mat_inv_q, mat_mul_q, rank_of_vector, solve_q
 
 
 class SubfieldEmbedding:
@@ -34,11 +34,9 @@ class SubfieldEmbedding:
         self.blocks = tower.n // s
         q, n = tower.q, tower.n
 
-        # kernel of the GF(q)-linear map x -> x^[s] - x
-        cols = [tower.digits(tower.sub(tower.frobenius(q**j, s), q**j))
-                for j in range(n)]
-        fixed = [[cols[j][i] for j in range(n)] for i in range(n)]
-        kernel = nullspace_q(fixed, q)
+        # root space of the linearized polynomial x^[s] - x
+        fixed = LinearizedPoly(tower, (tower.neg(1),) + (0,) * (s - 1) + (1,))
+        kernel = fixed.root_space_basis()
         if len(kernel) != s:  # pragma: no cover
             raise RuntimeError("fixed field has unexpected dimension")
         members = sorted(self._span_int(kernel))
@@ -64,11 +62,10 @@ class SubfieldEmbedding:
         combined = [tower.mul(a, g) for g in ext_basis for a in self.poly_basis]
         self._full_solver = CoordinateSolver(tower, combined)
 
-    def _span_int(self, kernel_rows):
+    def _span_int(self, kernel):
         t = self.tower
         out = {0}
-        for row in kernel_rows:
-            v = t.from_digits(row)
+        for v in kernel:
             out |= {t.add(x, t.mul(c, v)) for x in out for c in range(1, t.q)}
         return out
 

@@ -8,7 +8,7 @@ rank-preserving coordinate transfer; en/decoding run through the parent.
 
 from __future__ import annotations
 
-from .field import FieldTower
+from .field import FieldTower, int_digits
 from .gabidulin import ENUM_GUARD, DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import CoordinateSolver, rank_of_vector
 
@@ -57,17 +57,11 @@ class SubspaceBasis:
 
     def span(self):
         """All q^m subspace elements (tiny subspaces only)."""
-        if self.tower.q**self.m > ENUM_GUARD:
+        q = self.tower.q
+        if q**self.m > ENUM_GUARD:
             raise ValueError("subspace too large to enumerate")
-        out = []
-        for idx in range(self.tower.q**self.m):
-            coords = []
-            v = idx
-            for _ in range(self.m):
-                coords.append(v % self.tower.q)
-                v //= self.tower.q
-            out.append(self.element(coords))
-        return out
+        return [self.element(int_digits(idx, q, self.m))
+                for idx in range(q**self.m)]
 
     def __repr__(self):
         return f"SubspaceBasis(m={self.m}, elements={self.elements})"

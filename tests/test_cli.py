@@ -194,6 +194,34 @@ def test_simulate_rejects_non_integer_channel_fields(tmp_path, capsys, channel):
     assert err.startswith("config error: channel.") and "Traceback" not in err
 
 
+@pytest.mark.parametrize("command, section, value", [
+    ("simulate", "field", {"q": 2.7, "n": 4}),
+    ("simulate", "field", {"q": 2, "n": 4.0}),
+    ("simulate", "field", {"q": True, "n": 4}),
+    ("simulate", "field", {"q": "2", "n": 4}),
+    ("simulate", "code", {"k": 2.9}),
+    ("simulate", "code", {"k": True}),
+    ("simulate", "code", {"k": 2, "g": [1, 2, 4, 8.0]}),
+    ("simulate", "code", {"k": 2, "g": "1248"}),
+    ("simulate", "code", {"k": 2, "h": [1, 2, True, 8]}),
+    ("simulate", "code", {"k": 2, "g": [1, 2, 4, 16]}),  # outside GF(2^4)
+    ("simulate", "parts", [[1, 2.0], [4, 8]]),
+    ("simulate", "parts", [[-1, 2], [4, 8]]),
+    ("simulate", "parts", [[1, 2], [True, 8]]),
+    ("simulate", "parts", [[1, 2], 4]),
+    ("subfield", "subfield", {"s": 2.0}),
+])
+def test_config_rejects_non_integer_or_out_of_field_values(tmp_path, capsys, command, section, value):
+    cfg = {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "parts": [[1, 2], [4, 8]],
+           "channel": {"t_values": [1], "trials": 10, "seed": 1},
+           "subfield": {"s": 2}, section: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_subfield_subcommand(tmp_path, capsys):
     cfg = {"field": {"q": 2, "n": 6}, "code": {"k": 4}, "subfield": {"s": 3}}
     path = tmp_path / "cfg.json"

@@ -260,6 +260,10 @@ def test_rank_event_rate_exact_rank_channel():
     uni = rank_event_rate(2, [2, 2], 1, 2, 20_000, seed=5)
     cond = rank_event_rate(2, [2, 2], 1, 2, 20_000, seed=5, channel="exact-rank")
     assert cond.frequency <= uni.frequency
+    # a full-rank 2 x 2 block always exceeds capability 1
+    for q in (2, 3):
+        assert rank_event_rate(q, [2], 1, 2, 200, seed=5,
+                               channel="exact-rank").successes == 0
     with pytest.raises(ValueError, match="channel"):
         rank_event_rate(2, [2, 2], 1, 2, 10, seed=5, channel="bogus")
 
@@ -300,10 +304,15 @@ def test_sample_channel_error_exact_rank_needs_t_within_dims(gf16):
 
 def test_sample_channel_error_lands_in_sum_space(pair66, gf4096):
     rng = random.Random(67)
-    for t in (0, 1, 3):
-        e = sample_channel_error(pair66, t, rng)
-        assert rank_of_vector(gf4096, e) <= t
-        pair66.project(e)  # raises if outside the sum space
+    for channel in ("uniform-matrix", "exact-rank"):
+        # t = 12 fills the 12 x 12 matrix, which is often singular if uniform
+        for t in (0, 1, 3, 12, 12, 12):
+            e = sample_channel_error(pair66, t, rng, channel=channel)
+            if channel == "exact-rank":
+                assert rank_of_vector(gf4096, e) == t
+            else:
+                assert rank_of_vector(gf4096, e) <= t
+            pair66.project(e)  # raises if outside the sum space
 
 
 def test_decode_experiment_agrees_with_rank_event(gf64):

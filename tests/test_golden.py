@@ -8,6 +8,9 @@ Monte Carlo trials.  The .jsonl files next to it were written by
                         --output <name>.roundtrip.jsonl
 
 and every key except the op-count field `field_mul_count` must match.
+The -exact configs are copies of paper-q2n12 and oddq-q3n9 with the
+exact-rank channel and no decode trials; they have no roundtrip
+records, since roundtrip ignores the channel.
 The subfield factorization has its own records, written by
 
     rankcodes subfield  --config <name>.json --s <s> --output <name>.subfield.jsonl
@@ -24,8 +27,10 @@ import pytest
 from rankcodes.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
-# workload name -> roundtrip error rank (the code's capability C)
-WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1}
+# config name -> roundtrip error rank (the code's capability C), or None
+# for a simulate-only config
+WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1,
+             "paper-q2n12-exact": None, "oddq-q3n9-exact": None}
 # config name -> subfield degree s
 SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3}
 OP_COUNT_KEYS = ("field_mul_count",)
@@ -48,8 +53,10 @@ def _argv(name, command, out):
             "--t", str(WORKLOADS[name]), "--output", str(out)]
 
 
-@pytest.mark.parametrize("command", ["simulate", "roundtrip"])
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
+@pytest.mark.parametrize("name, command", [
+    (name, command) for name in sorted(WORKLOADS)
+    for command in ("simulate", "roundtrip")
+    if command == "simulate" or WORKLOADS[name] is not None])
 def test_cli_output_matches_golden(name, command, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(_argv(name, command, out)) == 0

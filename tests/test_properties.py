@@ -5,7 +5,8 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcodes import CoordinateSolver, FieldTower, rank_of_vector
+from rankcodes import (CoordinateSolver, FieldTower, random_rows, rank_of_vector,
+                       rank_q, rank_rows)
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -89,3 +90,35 @@ def test_contract_and_dot_equal_explicit_fold(case):
     before = tower.mul_count
     assert tower.dot(xs, ys) == want_dot
     assert tower.mul_count - before == sum(1 for x, y in zip(xs, ys) if x and y)
+
+
+def _digit_lists(rows, q, width):
+    """Packed rows as digit lists, entry j = digit j, by plain arithmetic."""
+    return [[v // q**j % q for j in range(width)] for v in rows]
+
+
+@st.composite
+def packed_row_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    width = draw(st.integers(0, 20))
+    row = st.one_of(st.just(0), st.integers(0, q**width - 1))
+    rows = draw(st.lists(row, max_size=8))
+    if rows:  # repeated rows, which add nothing to the rank
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return q, width, draw(st.permutations(rows))
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_row_cases())
+def test_rank_rows_matches_rank_q(case):
+    q, width, rows = case
+    assert rank_rows(rows, q, width) == rank_q(_digit_lists(rows, q, width), q)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 6), st.integers(0, 8),
+       st.randoms(use_true_random=False))
+def test_random_rows_full_rank(q, rows, width, rng):
+    out = random_rows(q, rows, width, rng, full_rank=True)
+    assert len(out) == rows and all(0 <= v < q**width for v in out)
+    assert rank_q(_digit_lists(out, q, width), q) == min(rows, width)

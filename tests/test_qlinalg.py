@@ -5,7 +5,8 @@ import pytest
 
 from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
                        ext_solve, mat_inv_q, mat_mul_q, nullspace_q,
-                       random_error, rank_of_vector, rank_q, solve_q)
+                       random_error, random_rows, rank_of_vector, rank_q,
+                       solve_q)
 
 
 # -- q-ary elimination --------------------------------------------------------
@@ -33,9 +34,12 @@ def test_solve_q_roundtrip_and_inconsistent():
             b = [sum(m[i][j] * x[j] for j in range(n)) % q for i in range(n)]
             sol = solve_q(m, b, q)
             assert sol is not None
-            got, _ = sol
+            got, kernel = sol
             back = [sum(m[i][j] * got[j] for j in range(n)) % q for i in range(n)]
             assert back == b
+            assert kernel == nullspace_q(m, q)
+            for v in kernel:
+                assert all(sum(a * c for a, c in zip(row, v)) % q == 0 for row in m)
     assert solve_q([[1, 1], [1, 1]], [0, 1], 2) is None
 
 
@@ -88,7 +92,7 @@ def test_rank_of_vector_matches_generic_path(gf27):
 
 # -- extension-field elimination ------------------------------------------------
 
-def test_ext_solve_identity_and_roundtrip(gf16):
+def test_ext_solve_identity_and_roundtrip(gf16, gf27):
     rng = random.Random(21)
     eye = [[1 if i == j else 0 for j in range(3)] for i in range(3)]
     rhs = [5, 9, 14]
@@ -105,11 +109,20 @@ def test_ext_solve_identity_and_roundtrip(gf16):
         sol = ext_solve(gf16, m, b)
         assert sol is not None
         got = sol[0]
+        assert sol[1] == ext_nullspace(gf16, m)
         for i in range(3):
             acc = 0
             for j in range(3):
                 acc = gf16.add(acc, gf16.mul(m[i][j], got[j]))
             assert acc == b[i]
+    # a singular odd-q system: the kernel comes back with the solution
+    row = [1, 5]
+    m = [row, [gf27.mul(2, x) for x in row]]
+    b = [gf27.dot(r, [4, 7]) for r in m]
+    got, kernel = ext_solve(gf27, m, b)
+    assert [gf27.dot(r, got) for r in m] == b
+    assert kernel == ext_nullspace(gf27, m) and len(kernel) == 1
+    assert all(gf27.dot(r, kernel[0]) == 0 for r in m)
 
 
 def test_ext_nullspace_singular_system(gf16):
@@ -193,6 +206,10 @@ def test_random_error_validation(gf16):
         random_error(gf16, 2, 3, rng)
     e = random_error(gf16, 2, 3, rng, mode="uniform-matrix")
     assert rank_of_vector(gf16, e) <= 2
+    # the sampler under random_error fails fast on a negative shape
+    for q, shape in itertools.product((2, 3), ((-1, 3), (3, -1))):
+        with pytest.raises(ValueError, match="negative shape"):
+            random_rows(q, *shape, rng, full_rank=True)
 
 
 # -- rank-matrix counting ---------------------------------------------------------
