@@ -4,9 +4,9 @@ Elements of GF(q^n) are plain Python ints: the base-q encoding of the
 coefficient vector over the polynomial basis (1, alpha, ..., alpha^(n-1)),
 so x == sum(digit_i * q**i).  Elements of GF(q) are ints in [0, q).
 
-A FieldTower is immutable after construction; every operation is a pure
-function of its arguments, so towers can be shared freely across threads.
-The only mutable state is the `mul_count` statistics counter.
+A FieldTower's arithmetic is fixed at construction: every operation is a
+pure function of its arguments.  See FieldTower for its two pieces of
+mutable state, the `mul_count` counter and the Frobenius table cache.
 """
 
 from __future__ import annotations
@@ -184,6 +184,39 @@ def int_digits(v: int, q: int, width: int) -> tuple:
     return tuple(out)
 
 
+def linear_map_tables(q: int, images):
+    """Sliced lookup tables of a GF(q)-linear map on packed elements.
+
+    images[j] is the digit sequence of the image of digit j.  Digits of
+    the input are read k at a time, with q^k <= 256 (k = 8 for q = 2).
+    Returns (q^k, lane, tables): tables[c][r] is the image of the digit
+    chunk r at chunk c, packed with one `lane`-bit lane per output digit,
+    so the image of x is the sum over c of tables[c][chunk c of x].  For
+    q = 2 lanes are single bits combined by XOR; otherwise they are wide
+    enough to add len(images) (q-1)^2 without carry.
+    """
+    lane = 1 if q == 2 else (len(images) * (q - 1) ** 2).bit_length()
+    packed = []
+    for img in images:
+        v = 0
+        for d in reversed(tuple(img)):
+            v = v << lane | d
+        packed.append(v)
+    chunk = next(k for k in range(8, 0, -1) if q**k <= 256 or k == 1)
+    tables = []
+    for lo in range(0, len(packed), chunk):
+        table = [0]
+        for img in packed[lo:lo + chunk]:
+            # extend by one digit: entry d*len + i = table[i] + d*img
+            block = table
+            for _ in range(q - 1):
+                block = ([b ^ img for b in block] if q == 2
+                         else [b + img for b in block])
+                table += block
+        tables.append(table)
+    return q**chunk, lane, tables
+
+
 def find_irreducible(q: int, n: int):
     """Smallest monic irreducible polynomial of degree n over GF(q)
     in the base-q integer order of its low coefficients."""
@@ -207,6 +240,23 @@ class FieldTower:
 
     `basis` is the polynomial basis (1, alpha, ..., alpha^(n-1)), whose
     coordinates are `digits`.
+
+    Fields of order <= 2^16 multiply through discrete-log tables.  Larger
+    ones are table-less: `mul` is shift-and-add (q = 2) or polynomial
+    multiplication, `inv` is extended Euclid (on ints for q = 2), and
+    `frobenius(x, i)` is the GF(q)-linear map x -> x^(q^i) read through
+    `linear_map_tables`.  Those tables are the one lazily filled state:
+    the set for power i is built on its first use and kept, at most
+    (n-1) * ceil(n/k) tables of at most 256 entries.  Each set is built
+    whole and then published by one dict assignment, so a tower can still
+    be shared across threads; a race only builds a set twice.
+
+    `mul_count` counts one per `mul`, one per `inv`, and one per
+    `frobenius` that is not the identity (i = 0 mod n, or x in {0, 1});
+    table-backed `pow` counts one and table-less `pow` one per `mul`.  It
+    depends only on the calls made: building tables never touches it.
+    Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
+    outside [0, q^n).
     """
 
     def __init__(self, q: int, n: int, modulus=None):
@@ -233,6 +283,7 @@ class FieldTower:
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         self.basis = tuple(q**i for i in range(n))
+        self._frob = {}  # power i -> linear_map_tables, table-less only
 
     # -- encoding ----------------------------------------------------------
 
@@ -249,6 +300,16 @@ class FieldTower:
     def elements(self):
         """All field elements in canonical integer order (tiny fields only)."""
         return range(self.order)
+
+    def check_elements(self, elements, what: str = "element") -> tuple:
+        """The elements as a tuple; ValueError unless each is an int in
+        [0, q^n).  The one element check at the library boundary."""
+        elements = tuple(elements)
+        for x in elements:
+            if not (isinstance(x, int) and 0 <= x < self.order):
+                raise ValueError(
+                    f"{what} {x!r} is not an element of GF({self.q}^{self.n})")
+        return elements
 
     def random_element(self, rng) -> int:
         return rng.randrange(self.order)
@@ -301,12 +362,20 @@ class FieldTower:
         prod = _pmul(self.digits(a), self.digits(b), self.q)
         return self.from_digits(_pmod(prod, self.modulus, self.q) + (0,) * self.n)
 
+    def _outside(self, *xs):
+        return ValueError(f"operand outside GF({self.q}^{self.n}): {xs}")
+
     def mul(self, a: int, b: int) -> int:
         self.mul_count += 1
         if self._exp is not None:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
+        if self.q == 2:
+            if (a | b) >> self.n:
+                raise self._outside(a, b)
+        elif not (0 <= a < self.order and 0 <= b < self.order):
+            raise self._outside(a, b)
         return self._mul_raw(a, b)
 
     def inv(self, a: int) -> int:
@@ -315,6 +384,19 @@ class FieldTower:
         self.mul_count += 1
         if self._exp is not None:
             return self._exp[(self.order - 1 - self._log[a]) % (self.order - 1)]
+        if not 0 < a < self.order:
+            raise self._outside(a)
+        if self.q == 2:
+            # binary extended Euclid (Hankerson-Menezes-Vanstone, Alg. 2.48):
+            # g1*a = u and g2*a = v modulo the modulus, until u = 1
+            u, v, g1, g2 = a, self._mod_int, 1, 0
+            while u != 1:
+                j = u.bit_length() - v.bit_length()
+                if j < 0:
+                    u, v, g1, g2, j = v, u, g2, g1, -j
+                u ^= v << j
+                g1 ^= g2 << j
+            return g1
         # extended Euclid on polynomials: maintain s with s*a = r (mod modulus)
         q = self.q
         r0, r1 = self.modulus, _ptrim(self.digits(a))
@@ -349,10 +431,42 @@ class FieldTower:
         i %= self.n
         if i == 0 or x == 0 or x == 1:
             return x
+        self.mul_count += 1
         if self._exp is not None:
-            self.mul_count += 1
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
-        return self.pow(x, self.q**i)
+        if not 0 <= x < self.order:
+            raise self._outside(x)
+        radix, lane, tables = self._frob.get(i) or self._frobenius_tables(i)
+        w = 0
+        if self.q == 2:
+            for table in tables:
+                w ^= table[x & 255]
+                x >>= 8
+            return w
+        for table in tables:
+            x, r = divmod(x, radix)
+            w += table[r]
+        q = self.q
+        mask = (1 << lane) - 1
+        return sum([(w >> (lane * j) & mask) % q * p
+                    for j, p in enumerate(self.basis)])
+
+    def _frobenius_tables(self, i: int):
+        """Tables of x -> x^(q^i) from the basis images beta^j, where
+        beta = alpha^(q^i); uncounted products, published whole."""
+        beta, alpha, e = 1, self.q, self.q**i
+        while e:
+            if e & 1:
+                beta = self._mul_raw(beta, alpha)
+            alpha = self._mul_raw(alpha, alpha)
+            e >>= 1
+        images, img = [], 1
+        for _ in range(self.n):
+            images.append(self.digits(img))
+            img = self._mul_raw(img, beta)
+        built = linear_map_tables(self.q, images)
+        self._frob[i] = built
+        return built
 
     # -- linear combinations --------------------------------------------------
 

@@ -88,13 +88,13 @@ class GabidulinCode:
         self.d = length - k + 1
         self.capability = (self.d - 1) // 2
         if g is not None:
-            g = tuple(g)
+            g = tower.check_elements(g, "generator component")
             if len(g) != length or rank_of_vector(tower, g) != length:
                 raise ValueError("generator vector must have full q-ary rank")
         if h is None:
             h = dual_vector(tower, g, k)
         else:
-            h = tuple(h)
+            h = tower.check_elements(h, "parity component")
             if len(h) != length or rank_of_vector(tower, h) != length:
                 raise ValueError("parity vector must have full q-ary rank")
         self.g = g

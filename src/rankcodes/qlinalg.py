@@ -11,7 +11,7 @@ sampler used by the decoding experiments.
 
 from __future__ import annotations
 
-from .field import FieldTower, int_digits
+from .field import FieldTower, int_digits, linear_map_tables
 
 
 # ---------------------------------------------------------------------------
@@ -131,15 +131,13 @@ class CoordinateSolver:
     [B | I], with B the n x r digit matrix of the b_j, is eliminated once.
     The right block is then an invertible E with E B = [I; 0], so E
     digits(x) holds u in its first r entries and is zero below them
-    exactly when x lies in the span.  E is stored as one lookup table per
-    chunk of k digits (q^k <= 256), each entry packing E's image of the
-    chunk with one lane per row of E: 1-bit lanes combined by XOR for
-    q = 2, otherwise lanes wide enough to add n (q-1)^2 without carry.
+    exactly when x lies in the span.  E is stored as the sliced lookup
+    tables of `linear_map_tables`, one lane per row of E.
     """
 
     def __init__(self, tower: FieldTower, elements):
         q, n = tower.q, tower.n
-        cols = [tower.digits(x) for x in elements]
+        cols = [tower.digits(x) for x in tower.check_elements(elements)]
         ncols = len(cols)
         rows = [[c[i] for c in cols] + [0] * n for i in range(n)]
         for i in range(n):
@@ -150,26 +148,9 @@ class CoordinateSolver:
         if rank != ncols:
             raise ValueError(f"columns have rank {rank} < {ncols} over GF({q})")
         self.q, self.n, self.rank = q, n, rank
-        self._lane = lane = 1 if q == 2 else (n * (q - 1) ** 2).bit_length()
-        images = []
-        for col in list(zip(*rows))[ncols:]:
-            img = 0
-            for e in reversed(col):
-                img = img << lane | e
-            images.append(img)
-        chunk = next(k for k in range(8, 0, -1) if q**k <= 256 or k == 1)
-        self._radix = q**chunk  # 256 for q = 2, read off x a byte at a time
-        self._tables = []
-        for lo in range(0, n, chunk):
-            table = [0]
-            for img in images[lo:lo + chunk]:
-                # extend by one digit: entry d*len + i = table[i] + d*img
-                block = table
-                for _ in range(q - 1):
-                    block = ([b ^ img for b in block] if q == 2
-                             else [b + img for b in block])
-                    table += block
-            self._tables.append(table)
+        # radix 256 for q = 2, read off x a byte at a time
+        self._radix, self._lane, self._tables = linear_map_tables(
+            q, list(zip(*rows))[ncols:])
 
     def solve(self, x: int):
         """The coordinates of x over the elements as a list, or None if x
@@ -315,7 +296,7 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
         return (0,) * length
     q, dim = tower.q, tower.n
     if support is not None:
-        support = tuple(support)
+        support = tower.check_elements(support, "support element")
         dim = len(support)
         if rank_of_vector(tower, support) != dim:
             raise ValueError("support elements are not linearly independent")

@@ -33,16 +33,15 @@ class SubfieldEmbedding:
         self.s = s
         self.blocks = tower.n // s
         q, n = tower.q, tower.n
+        if q**s > ENUM_GUARD:
+            raise ValueError("subfield too large to enumerate")
 
         # root space of the linearized polynomial x^[s] - x
         fixed = LinearizedPoly(tower, (tower.neg(1),) + (0,) * (s - 1) + (1,))
         kernel = fixed.root_space_basis()
         if len(kernel) != s:  # pragma: no cover
             raise RuntimeError("fixed field has unexpected dimension")
-        members = sorted(self._span_int(kernel))
-        if len(members) > ENUM_GUARD:
-            raise ValueError("subfield too large to enumerate")
-        self.elements = tuple(members)
+        self.elements = tuple(sorted(self._span_int(kernel)))
 
         theta = next(x for x in self.elements if x and rank_of_vector(
             tower, tuple(tower.pow(x, i) for i in range(s))) == s)

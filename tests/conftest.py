@@ -1,6 +1,25 @@
+import contextlib
+import signal
+
 import pytest
 
 from rankcodes import FieldTower, GabidulinCode, default_generator
+
+
+@contextlib.contextmanager
+def bounded(seconds: float):
+    """Turn a hang inside the block into a test failure: SIGALRM after
+    `seconds` raises TimeoutError.  Main thread only."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,12 @@
 import random
+import sys
+import threading
 
 import pytest
+from conftest import bounded
 
-from rankcodes import CoordinateSolver, FieldTower, find_irreducible, is_irreducible
+from rankcodes import (CoordinateSolver, FieldTower, GabidulinCode, SubspaceBasis,
+                       find_irreducible, is_irreducible, random_error)
 from rankcodes.field import _DEFAULT_MODULI
 
 
@@ -143,3 +147,94 @@ def test_mul_count_increments(gf64):
     before = gf64.mul_count
     gf64.mul(3, 5)
     assert gf64.mul_count == before + 1
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 11)])
+def test_tableless_operations_fail_fast_outside_the_field(q, n):
+    tower = FieldTower(q, n)
+    assert tower._exp is None
+    bad = (-3, tower.order, tower._mod_int)
+    with bounded(5):
+        for x in bad:
+            with pytest.raises(ValueError, match="outside"):
+                tower.mul(5, x)
+            with pytest.raises(ValueError, match="outside"):
+                tower.mul(x, 5)
+            with pytest.raises(ValueError, match="outside"):
+                tower.inv(x)
+            with pytest.raises(ValueError, match="outside"):
+                tower.frobenius(x, 1)
+        with pytest.raises(ZeroDivisionError):
+            tower.inv(0)
+
+
+def test_frobenius_tables_leave_mul_count_alone():
+    # a fresh tower builds the tables for power 3 on the first call only,
+    # and both calls count the same
+    tower = FieldTower(2, 20)
+    counts = []
+    for _ in range(2):
+        before = tower.mul_count
+        tower.frobenius(12345, 3)
+        counts.append(tower.mul_count - before)
+    assert counts == [1, 1]
+    assert list(tower._frob) == [3]
+    # trivial calls are the identity and count nothing
+    before = tower.mul_count
+    assert [tower.frobenius(x, i) for x, i in ((0, 3), (1, 3), (7, 20))] == [0, 1, 7]
+    assert tower.mul_count == before
+
+
+def test_frobenius_tables_shared_across_threads():
+    # threads that fill a fresh tower's Frobenius cache at once, power by
+    # power, must all read complete tables: compare with a tower filled
+    # by one thread; several fresh towers, since one race may not overlap
+    n, workers = 20, 6
+    alone = FieldTower(2, n)
+    xs = random.Random(4).sample(range(2, alone.order), 12)
+    want = [[alone.frobenius(x, i) for x in xs] for i in range(n)]
+
+    def race(shared):
+        got = {}
+        start = threading.Barrier(workers, timeout=30)
+
+        def work(k):
+            start.wait()
+            got[k] = [[shared.frobenius(x, i) for x in xs] for i in range(n)]
+
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=30)
+        assert not any(th.is_alive() for th in threads)
+        return got
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(12):
+            shared = FieldTower(2, n)
+            assert race(shared) == {k: want for k in range(workers)}
+            assert sorted(shared._frob) == list(range(1, n))
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
+    rng = random.Random(0)
+    gf9 = FieldTower(3, 2)
+    with bounded(5):
+        with pytest.raises(ValueError, match="generator component 16"):
+            GabidulinCode(gf16, 2, g=(1, 2, 4, 16))
+        with pytest.raises(ValueError, match="parity component -1"):
+            GabidulinCode(gf16, 2, h=(1, 2, 4, -1))
+        with pytest.raises(ValueError, match="basis element -1"):
+            SubspaceBasis(gf9, [-1])
+        with pytest.raises(ValueError, match="element 99"):
+            CoordinateSolver(gf16, [1, 99])
+        with pytest.raises(ValueError, match="support element 32"):
+            random_error(gf16, 3, 1, rng, support=[1, 32])
+        with pytest.raises(ValueError, match="element 2.0"):
+            CoordinateSolver(gf16, [1, 2.0])
+    assert gf16.check_elements(iter([0, 15])) == (0, 15)

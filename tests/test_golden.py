@@ -11,6 +11,9 @@ and every key except the op-count field `field_mul_count` must match.
 The -exact configs are copies of paper-q2n12 and oddq-q3n9 with the
 exact-rank channel and no decode trials; they have no roundtrip
 records, since roundtrip ignores the channel.
+tableless-q3n11 is not a workload: it is the [11,7,5] code over GF(3^11),
+above the table limit, with g the polynomial basis and parts of 5 and 6
+dims, and pins odd-q decoding on the table-less arithmetic.
 The subfield factorization has its own records, written by
 
     rankcodes subfield  --config <name>.json --s <s> --output <name>.subfield.jsonl
@@ -30,6 +33,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # config name -> roundtrip error rank (the code's capability C), or None
 # for a simulate-only config
 WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1,
+             "tableless-q3n11": 2,
              "paper-q2n12-exact": None, "oddq-q3n9-exact": None}
 # config name -> subfield degree s
 SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3}

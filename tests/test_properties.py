@@ -122,3 +122,60 @@ def test_random_rows_full_rank(q, rows, width, rng):
     out = random_rows(q, rows, width, rng, full_rank=True)
     assert len(out) == rows and all(0 <= v < q**width for v in out)
     assert rank_q(_digit_lists(out, q, width), q) == min(rows, width)
+
+
+# table-less towers, where inv is extended Euclid and frobenius reads the
+# lazily built linear-map tables, plus two table-backed ones for mul_count
+TABLELESS_SHAPES = [(2, 17), (2, 20), (2, 33), (2, 64), (3, 11), (5, 7)]
+COUNT_SHAPES = TABLELESS_SHAPES + [(2, 12), (3, 9)]
+
+
+@st.composite
+def frobenius_cases(draw, shapes=TABLELESS_SHAPES):
+    q, n = draw(st.sampled_from(shapes))
+    tower = _tower(q, n)
+    x = draw(st.one_of(st.integers(0, q), st.integers(0, tower.order - 1)))
+    return tower, x, draw(st.integers(-2 * n, 2 * n))
+
+
+def _raw_power(tower, x, i):
+    """x^(q^i) by i-fold q-th powering with uncounted products."""
+    for _ in range(i % tower.n):
+        y = 1
+        for _ in range(tower.q):
+            y = tower._mul_raw(y, x)
+        x = y
+    return x
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_cases())
+def test_tableless_inverse(case):
+    tower, x, _ = case
+    a = x or 1
+    inv = tower.inv(a)
+    assert 0 <= inv < tower.order
+    assert tower._mul_raw(a, inv) == 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_cases())
+def test_tableless_frobenius_matches_repeated_powering(case):
+    tower, x, i = case
+    y = tower.frobenius(x, i)
+    assert y == _raw_power(tower, x, i)
+    assert tower.frobenius(y, -i) == x
+
+
+@settings(max_examples=200, deadline=None)
+@given(frobenius_cases(COUNT_SHAPES))
+def test_inv_and_frobenius_count_one_each(case):
+    tower, x, i = case
+    before = tower.mul_count
+    if x:
+        tower.inv(x)
+        assert tower.mul_count == before + 1
+    before = tower.mul_count
+    tower.frobenius(x, i)
+    trivial = i % tower.n == 0 or x in (0, 1)
+    assert tower.mul_count == before + (0 if trivial else 1)

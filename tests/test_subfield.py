@@ -2,6 +2,7 @@ import itertools
 import random
 
 import pytest
+from conftest import bounded
 
 from rankcodes import (FieldTower, GabidulinCode, SubfieldEmbedding,
                        SubspaceBasis, SubspaceSubcode, annihilates,
@@ -55,6 +56,14 @@ def test_embedding_degree_must_divide():
     tower = FieldTower(2, 6)
     with pytest.raises(ValueError, match="divide"):
         SubfieldEmbedding(tower, 4)
+
+
+def test_embedding_too_large_to_enumerate_fails_at_once():
+    # 2^32 subfield elements: the guard must come before the root space
+    tower = FieldTower(2, 64)
+    with bounded(2):
+        with pytest.raises(ValueError, match="enumerate"):
+            SubfieldEmbedding(tower, 32)
 
 
 def test_trivial_embedding_s_equals_n(gf16):
