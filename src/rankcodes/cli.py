@@ -58,6 +58,8 @@ def _build_tower(cfg: dict) -> FieldTower:
     if not (_is_int(q) and _is_int(n)):
         raise ConfigError(f"field section needs integer q and n, got {q!r} and {n!r}")
     modulus = field_cfg.get("modulus")
+    if modulus is not None and not (isinstance(modulus, list) and all(map(_is_int, modulus))):
+        raise ConfigError(f"field.modulus must list integer coefficients, got {modulus!r}")
     try:
         return FieldTower(q, n, modulus=modulus)
     except ValueError as exc:
@@ -100,15 +102,16 @@ def _build_parts(cfg: dict, tower: FieldTower):
 
 
 def _channel(cfg: dict, args) -> dict:
-    ch = dict(cfg.get("channel") or {})
+    ch = cfg.get("channel") or {}
+    if not isinstance(ch, dict):
+        raise ConfigError(f"channel section must be an object, got {ch!r}")
+    ch = {"mode": "uniform-matrix", "decode_trials": 0, **ch}
     if getattr(args, "trials", None) is not None:
         ch["trials"] = args.trials
     if getattr(args, "seed", None) is not None:
         ch["seed"] = args.seed
     if getattr(args, "t", None) is not None:
         ch["t_values"] = args.t
-    ch.setdefault("mode", "uniform-matrix")
-    ch.setdefault("decode_trials", 0)
     if ch.get("seed") is None:
         raise ConfigError("a seed is required (config channel.seed or --seed)")
     if not _is_int(ch.get("trials")) or ch["trials"] < 1:

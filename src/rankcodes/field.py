@@ -359,6 +359,11 @@ class FieldTower:
                 if a & top:
                     a ^= self._mod_int
             return r
+        return self._mul_poly(a, b)
+
+    def _mul_poly(self, a: int, b: int) -> int:
+        if a < self.q or b < self.q:  # odd q: a GF(q) scalar scales digit-wise
+            return self.from_digits([min(a, b) * d for d in self.digits(max(a, b))])
         prod = _pmul(self.digits(a), self.digits(b), self.q)
         return self.from_digits(_pmod(prod, self.modulus, self.q) + (0,) * self.n)
 

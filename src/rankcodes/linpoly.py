@@ -8,7 +8,7 @@ with the trailing coefficient nonzero (the zero polynomial stores none).
 from __future__ import annotations
 
 from .field import FieldTower
-from .qlinalg import nullspace_q
+from .qlinalg import kernel_rows
 
 
 class LinearizedPoly:
@@ -76,10 +76,7 @@ class LinearizedPoly:
         if self.is_zero:
             raise ValueError("zero polynomial vanishes everywhere")
         t = self.tower
-        n, q = t.n, t.q
-        cols = [t.digits(self.evaluate(q**j)) for j in range(n)]
-        matrix = [[cols[j][i] for j in range(n)] for i in range(n)]
-        return [t.from_digits(v) for v in nullspace_q(matrix, q)]
+        return kernel_rows([self.evaluate(b) for b in t.basis], t.q, t.n)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

@@ -1,7 +1,12 @@
 import json
+import os
+import tempfile
 
 import pytest
+from hypothesis import HealthCheck, event, given, settings
+from hypothesis import strategies as st
 
+from conftest import bounded
 from rankcodes.cli import main
 
 
@@ -199,6 +204,9 @@ def test_simulate_rejects_non_integer_channel_fields(tmp_path, capsys, channel):
     ("simulate", "field", {"q": 2, "n": 4.0}),
     ("simulate", "field", {"q": True, "n": 4}),
     ("simulate", "field", {"q": "2", "n": 4}),
+    ("simulate", "field", {"q": 2, "n": 4, "modulus": False}),
+    ("simulate", "field", {"q": 2, "n": 4, "modulus": [1, 1, 0, 0, [1]]}),
+    ("simulate", "channel", "0"),
     ("simulate", "code", {"k": 2.9}),
     ("simulate", "code", {"k": True}),
     ("simulate", "code", {"k": 2, "g": [1, 2, 4, 8.0]}),
@@ -262,3 +270,73 @@ def test_csv_projection(config_path, tmp_path):
     lines = csv_path.read_text().strip().splitlines()
     assert len(lines) == 3  # header + 2 records
     assert "empirical" in lines[0]
+
+
+# values of the wrong JSON type for any config entry
+WRONG_TYPES = st.one_of(st.none(), st.booleans(), st.floats(-3, 70),
+                        st.text(max_size=3), st.builds(dict),
+                        st.builds(lambda: [[1]]))
+SMALL_INTS = st.integers(-2, 8)
+
+
+@st.composite
+def fuzzed_configs(draw):
+    """A valid config over a small field, then one to three entries
+    replaced by a wrong type, an out-of-range value or nothing.  Every
+    integer stays small, so no case can start large work."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 4 if q == 5 else 6))
+    order = q**n
+    elements = st.lists(st.integers(-1, order), max_size=n + 1)
+    cfg = {
+        "field": {"q": q, "n": n},
+        "code": {"k": draw(st.integers(1, n - 1))},
+        "parts": [[q**j for j in range(n // 2)], [q**j for j in range(n // 2, n)]],
+        "channel": {"t_values": [1, 2], "trials": 5, "seed": 0,
+                    "mode": "exact-rank", "decode_trials": 0},
+    }
+    # (section, key or None for the whole section) -> replacement values
+    entries = {
+        (None, "field"): WRONG_TYPES, (None, "code"): WRONG_TYPES,
+        (None, "parts"): st.one_of(WRONG_TYPES, st.lists(elements, max_size=3)),
+        (None, "channel"): WRONG_TYPES,
+        ("field", "q"): st.one_of(WRONG_TYPES, st.sampled_from([-1, 0, 1, 4, 6])),
+        ("field", "n"): st.one_of(WRONG_TYPES, st.sampled_from([-1, 0, 1, 65])),
+        ("field", "modulus"): st.one_of(WRONG_TYPES, st.lists(st.one_of(
+            SMALL_INTS, WRONG_TYPES), max_size=n + 2)),
+        ("code", "k"): st.one_of(WRONG_TYPES, SMALL_INTS),
+        ("code", "g"): st.one_of(WRONG_TYPES, elements),
+        ("code", "h"): st.one_of(WRONG_TYPES, elements),
+        ("channel", "t_values"): st.one_of(WRONG_TYPES, st.lists(SMALL_INTS, max_size=3)),
+        ("channel", "trials"): st.one_of(WRONG_TYPES, SMALL_INTS),
+        ("channel", "seed"): st.one_of(WRONG_TYPES, SMALL_INTS),
+        ("channel", "mode"): st.one_of(WRONG_TYPES, st.just("uniform-matrix")),
+        ("channel", "decode_trials"): st.one_of(WRONG_TYPES, st.integers(-1, 2)),
+    }
+    keys = draw(st.lists(st.sampled_from(sorted(entries, key=str)),
+                         min_size=1, max_size=3, unique=True))
+    for section, key in keys:
+        target = cfg if section is None else cfg.get(section)
+        if not isinstance(target, dict):
+            continue
+        if draw(st.booleans()):
+            target[key] = draw(entries[(section, key)])
+        else:
+            target.pop(key, None)
+    return cfg
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fuzzed_configs())
+def test_config_fuzz(cfg):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "cfg.json")
+        with open(path, "w") as fh:
+            json.dump(cfg, fh)
+        for command in ("code-info", "simulate"):
+            argv = [command, "--config", path, "--output", os.path.join(tmp, "out")]
+            with bounded(5):
+                code = main(argv)
+            assert code in (0, 2), cfg
+            event(f"{command} exit {code}")

@@ -11,6 +11,10 @@ and every key except the op-count field `field_mul_count` must match.
 The -exact configs are copies of paper-q2n12 and oddq-q3n9 with the
 exact-rank channel and no decode trials; they have no roundtrip
 records, since roundtrip ignores the channel.
+rejection-q2n12-exact is the same code with parts of 2 and 3 dims and
+t in {3, 4}: a 4 x 5 binary draw has rank < 4 in about 40% of draws and
+its cells succeed 282 and 116 times out of 500, so it pins the stream of
+the exact-rank rejection loop.
 tableless-q3n11 is not a workload: it is the [11,7,5] code over GF(3^11),
 above the table limit, with g the polynomial basis and parts of 5 and 6
 dims, and pins odd-q decoding on the table-less arithmetic.
@@ -34,7 +38,8 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # for a simulate-only config
 WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1,
              "tableless-q3n11": 2,
-             "paper-q2n12-exact": None, "oddq-q3n9-exact": None}
+             "paper-q2n12-exact": None, "oddq-q3n9-exact": None,
+             "rejection-q2n12-exact": None}
 # config name -> subfield degree s
 SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3}
 OP_COUNT_KEYS = ("field_mul_count",)

@@ -5,8 +5,9 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcodes import (CoordinateSolver, FieldTower, random_rows, rank_of_vector,
-                       rank_q, rank_rows)
+from rankcodes import (CoordinateSolver, FieldTower, LinearizedPoly,
+                       min_subspace_poly, nullspace_q, random_rows,
+                       rank_of_vector, rank_q, rank_rows)
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -179,3 +180,43 @@ def test_inv_and_frobenius_count_one_each(case):
     tower.frobenius(x, i)
     trivial = i % tower.n == 0 or x in (0, 1)
     assert tower.mul_count == before + (0 if trivial else 1)
+
+
+# root spaces on table-backed and table-less (2^17, 3^11) towers
+ROOT_SPACE_SHAPES = [(2, 6), (2, 12), (2, 17), (3, 5), (3, 11), (5, 3)]
+
+
+@st.composite
+def linpoly_cases(draw):
+    q, n = draw(st.sampled_from(ROOT_SPACE_SHAPES))
+    tower = _tower(q, n)
+    element = st.integers(0, tower.order - 1)
+    if draw(st.booleans()):
+        # a random monic polynomial of q-degree at most 4
+        return LinearizedPoly(tower, draw(st.lists(element, max_size=4)) + [1])
+    # the span of a few values, repeats and dependent values included
+    values = draw(st.lists(element, max_size=4))
+    if values:
+        values.append(draw(st.sampled_from(values)))
+        values.append(tower.add(values[0], values[-1]))
+    return min_subspace_poly(tower, values)
+
+
+def _root_space_reference(f):
+    """Kernel of f by expanding its basis images into digits, transposing
+    and taking nullspace_q, packed back into field elements."""
+    tower = f.tower
+    images = [tower.digits(f.evaluate(b)) for b in tower.basis]
+    matrix = [[img[i] for img in images] for i in range(tower.n)]
+    return [tower.from_digits(v) for v in nullspace_q(matrix, tower.q)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(linpoly_cases())
+def test_root_space_matches_digit_nullspace(f):
+    tower = f.tower
+    kernel = f.root_space_basis()
+    assert kernel == _root_space_reference(f)
+    assert all(f.evaluate(x) == 0 for x in kernel)
+    images = [f.evaluate(b) for b in tower.basis]
+    assert len(kernel) == tower.n - rank_rows(images, tower.q, tower.n)

@@ -7,6 +7,7 @@ from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
                        ext_solve, mat_inv_q, mat_mul_q, nullspace_q,
                        random_error, random_rows, rank_of_vector, rank_q,
                        solve_q)
+from rankcodes.qlinalg import kernel_rows
 
 
 # -- q-ary elimination --------------------------------------------------------
@@ -22,6 +23,20 @@ def test_nullspace_dimension():
     ns = nullspace_q(m, 2)
     assert len(ns) == 1 and ns[0] == [1, 1, 0]
     assert nullspace_q([[0, 0], [0, 0]], 5) == [[1, 0], [0, 1]]
+
+
+def test_kernel_rows_examples():
+    for q in (2, 3, 5):
+        basis = [q**j for j in range(4)]
+        # the zero map: every basis vector lies in the kernel
+        assert kernel_rows([0] * 4, q, 4) == basis
+        # an injective map, e_j -> e_(3-j): the kernel is zero
+        assert kernel_rows(basis[::-1], q, 4) == []
+        # e_0, e_1 -> e_0 and e_2, e_3 -> e_1: the kernel is spanned by
+        # e_1 - e_0 and e_3 - e_2, listed in ascending top-digit order
+        assert kernel_rows([1, 1, q, q], q, 2) == [q + q - 1, q**3 + (q - 1) * q**2]
+        # rows of width 0: the map is zero
+        assert kernel_rows([0, 0], q, 0) == [1, q]
 
 
 def test_solve_q_roundtrip_and_inconsistent():
