@@ -204,9 +204,6 @@ def test_simulate_rejects_non_integer_channel_fields(tmp_path, capsys, channel):
     ("simulate", "field", {"q": 2, "n": 4.0}),
     ("simulate", "field", {"q": True, "n": 4}),
     ("simulate", "field", {"q": "2", "n": 4}),
-    ("simulate", "field", {"q": 2, "n": 4, "modulus": False}),
-    ("simulate", "field", {"q": 2, "n": 4, "modulus": [1, 1, 0, 0, [1]]}),
-    ("simulate", "channel", "0"),
     ("simulate", "code", {"k": 2.9}),
     ("simulate", "code", {"k": True}),
     ("simulate", "code", {"k": 2, "g": [1, 2, 4, 8.0]}),
@@ -218,6 +215,9 @@ def test_simulate_rejects_non_integer_channel_fields(tmp_path, capsys, channel):
     ("simulate", "parts", [[1, 2], [True, 8]]),
     ("simulate", "parts", [[1, 2], 4]),
     ("subfield", "subfield", {"s": 2.0}),
+    ("simulate", "field", {"q": 2, "n": 4, "modulus": False}),
+    ("simulate", "field", {"q": 2, "n": 4, "modulus": [1, 1, 0, 0, [1]]}),
+    ("simulate", "channel", "0"),
 ])
 def test_config_rejects_non_integer_or_out_of_field_values(tmp_path, capsys, command, section, value):
     cfg = {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "parts": [[1, 2], [4, 8]],
