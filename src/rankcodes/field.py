@@ -234,9 +234,10 @@ class FieldTower:
     ----------
     q : prime order of the base field (prime powers are out of scope here)
     n : extension degree, 1 <= n <= 64
-    modulus : optional monic degree-n irreducible over GF(q), coefficients
-        low-to-high; defaults to a fixed table entry or, failing that, the
-        smallest irreducible polynomial in canonical order.
+    modulus : optional monic degree-n irreducible over GF(q), a list or
+        tuple of int coefficients low-to-high; defaults to a fixed table
+        entry or, failing that, the smallest irreducible polynomial in
+        canonical order.
 
     `basis` is the polynomial basis (1, alpha, ..., alpha^(n-1)), whose
     coordinates are `digits`.
@@ -269,7 +270,10 @@ class FieldTower:
         self.order = q**n
         if modulus is None:
             modulus = _DEFAULT_MODULI.get((q, n)) or find_irreducible(q, n)
-        modulus = tuple(int(c) % q for c in modulus)
+        if not (isinstance(modulus, (list, tuple))
+                and all(isinstance(c, int) and not isinstance(c, bool) for c in modulus)):
+            raise ValueError(f"modulus must list integer coefficients, got {modulus!r}")
+        modulus = tuple(c % q for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")
         if not is_irreducible(modulus, q):

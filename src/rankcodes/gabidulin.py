@@ -20,7 +20,12 @@ ENUM_GUARD = 1 << 20
 
 
 class DecodingFailure(Exception):
-    """No codeword within the guaranteed decoding radius."""
+    """No codeword within the guaranteed decoding radius.  `stage` names
+    the step that gave up, and the message starts with it."""
+
+    def __init__(self, stage: str, detail: str):
+        super().__init__(f"{stage}: {detail}")
+        self.stage = stage
 
 
 def moore_matrix(tower: FieldTower, vector, rows: int):
@@ -146,60 +151,47 @@ class GabidulinCode:
         or None when x lies outside their span (possible only for L < n)."""
         return self._h_solver.solve(x)
 
-    def _key_equation(self, synd, t_try):
-        """Error-span polynomial of q-degree t_try (monic) satisfying the
-        syndrome recursion, or None when the system is inconsistent."""
-        t = self.tower
-        rows = []
-        rhs = []
-        for l in range(t_try, self.d - 1):
-            rows.append([t.frobenius(synd[l - p], p) for p in range(t_try)])
-            rhs.append(t.neg(t.frobenius(synd[l - t_try], t_try)))
-        sol = ext_solve(t, rows, rhs)
-        if sol is None:
-            return None
-        return LinearizedPoly(t, tuple(sol[0]) + (1,))
-
     def decode(self, received):
         """Return (codeword, error) with rank(error) <= capability.
 
-        Raises DecodingFailure when no codeword lies within the decoding
-        radius; never returns a word with nonzero syndromes.
+        Raises DecodingFailure, whose `stage` names the step that gave up,
+        when no codeword lies within the decoding radius; never returns a
+        word with nonzero syndromes.
         """
         y = tuple(received)
         synd = self.syndromes(y)
         if not any(synd):
             return y, (0,) * self.length
-        t = self.tower
-        for t_try in range(1, self.capability + 1):
-            sigma = self._key_equation(synd, t_try)
-            if sigma is None:
-                continue
-            values = sigma.root_space_basis()
-            if len(values) != t_try:
-                continue
-            # Solve sum_j values_j^[-l] x_j = synd_l^[-l]; x_j is the h-expansion
-            # of the error locator combination for value j.
-            rows = [[t.frobenius(v, -l) for v in values] for l in range(self.d - 1)]
-            rhs = [t.frobenius(synd[l], -l) for l in range(self.d - 1)]
-            sol = ext_solve(t, rows, rhs)
-            if sol is None:
-                continue
-            locators = []
-            for xj in sol[0]:
-                coords = self.parity_coordinates(xj)
-                if coords is None:
-                    break
-                locators.append(coords)
-            if len(locators) != t_try:
-                continue
-            error = [t.contract(col, values) for col in zip(*locators)]
-            codeword = tuple(t.sub(yi, ei) for yi, ei in zip(y, error))
-            if any(self.syndromes(codeword)):
-                continue
-            return codeword, tuple(error)
-        raise DecodingFailure(
-            f"no codeword within rank distance {self.capability}")
+        t, cap, r = self.tower, self.capability, self.d - 1
+        # Key equation sum_p sigma_p synd[l-p]^[p] = 0 for l = C..d-2.  The
+        # matrix factors as X E^T through the Moore matrices of the error
+        # locators and values, so for error rank <= C its rank is the error
+        # rank f and its lowest kernel vector is the monic error-span
+        # polynomial of q-degree f.
+        kernel = ext_nullspace(t, [[t.frobenius(synd[l - p], p) for p in range(cap + 1)]
+                                   for l in range(cap, r)])
+        if not kernel or not any(kernel[0][1:]):
+            raise DecodingFailure("key-equation",
+                                  f"no error of rank <= {cap} fits the syndromes")
+        sigma = LinearizedPoly(t, kernel[0])
+        values = sigma.root_space_basis()
+        if len(values) != sigma.q_degree:
+            raise DecodingFailure("root-space",
+                                  f"{len(values)} roots for q-degree {sigma.q_degree}")
+        # Solve sum_j values_j^[-l] x_j = synd_l^[-l]; x_j is the h-expansion
+        # of the error locator combination for value j.
+        sol = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(r)],
+                        [t.frobenius(synd[l], -l) for l in range(r)])
+        if sol is None:
+            raise DecodingFailure("locator", "locator system is inconsistent")
+        locators = [self.parity_coordinates(xj) for xj in sol[0]]
+        if None in locators:
+            raise DecodingFailure("locator", "error locator outside the span of h")
+        error = tuple(t.contract(col, values) for col in zip(*locators))
+        codeword = tuple(t.sub(yi, ei) for yi, ei in zip(y, error))
+        if any(self.syndromes(codeword)):
+            raise DecodingFailure("residual", "corrected word has nonzero syndromes")
+        return codeword, error
 
     # -- exhaustive oracles (tiny codes only) --------------------------------
 

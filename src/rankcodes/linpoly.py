@@ -58,19 +58,6 @@ class LinearizedPoly:
         t = self.tower
         return LinearizedPoly(t, (t.mul(c, v) for v in self.coeffs))
 
-    def compose(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        """Symbolic composition, so evaluate(compose(f,g), x) = f(g(x))."""
-        t = self.tower
-        if self.is_zero or other.is_zero:
-            return LinearizedPoly.zero(t)
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, fi in enumerate(self.coeffs):
-            if fi:
-                for j, gj in enumerate(other.coeffs):
-                    if gj:
-                        out[i + j] = t.add(out[i + j], t.mul(fi, t.frobenius(gj, i)))
-        return LinearizedPoly(t, out)
-
     def root_space_basis(self):
         """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree."""
         if self.is_zero:

@@ -151,7 +151,7 @@ class SubspaceSubcode:
             self.basis.decompose(received)  # enforce the V^n precondition
             codeword, error = self.code.decode(received)
             if not all(self.basis.contains(x) for x in codeword):
-                raise DecodingFailure("nearest codeword leaves the subspace")
+                raise DecodingFailure("subspace", "nearest codeword leaves the subspace")
             return codeword, error
         if self.is_trivial:
             raise TrivialSubcodeError("trivial subcode has no parent decoder")

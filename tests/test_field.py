@@ -43,6 +43,18 @@ def test_non_prime_base_rejected():
         FieldTower(4, 2)
 
 
+@pytest.mark.parametrize("modulus", [
+    (1.7, 1, 0, 0, 1),  # int() would truncate this to a valid modulus
+    5,
+    "11001",
+    (True, 1, 0, 0, 1),
+    [1, 1, 0, 0, [1]],
+])
+def test_malformed_modulus_rejected(modulus):
+    with pytest.raises(ValueError, match="integer coefficients"):
+        FieldTower(2, 4, modulus=modulus)
+
+
 def test_non_monic_modulus_rejected():
     with pytest.raises(ValueError, match="monic"):
         FieldTower(3, 2, modulus=(1, 1, 2))

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-from rankcodes import (DecodingFailure, GabidulinCode, default_generator,
-                       dual_vector, ext_nullspace, ext_rank, moore_matrix,
-                       random_error, rank_of_vector)
+from rankcodes import (DecodingFailure, FieldTower, GabidulinCode,
+                       default_generator, dual_vector, ext_nullspace, ext_rank,
+                       moore_matrix, random_error, rank_of_vector)
 
 
 def _orthogonal(tower, g_rows, h_rows):
@@ -172,3 +172,53 @@ def test_enumeration_guard(gf4096):
     code = GabidulinCode(gf4096, 8, g=default_generator(gf4096))
     with pytest.raises(ValueError, match="enumerate"):
         list(code.codewords())
+
+
+def _code(q, n, length, k):
+    tower = FieldTower(q, n)
+    return GabidulinCode(tower, k, g=default_generator(tower)[:length])
+
+
+def test_decode_failure_names_its_stage():
+    # errors of rank C + 1 fail at different stages on different shapes:
+    # [8,5,4] has a 2 x 2 key equation, [6,2,5] has L < n
+    stages = set()
+    for shape in [(2, 8, 8, 5), (2, 12, 12, 8), (2, 8, 6, 2)]:
+        code = _code(*shape)
+        tower, rng = code.tower, random.Random(48)
+        for _ in range(30):
+            c = code.encode(tuple(tower.random_element(rng) for _ in range(code.k)))
+            e = random_error(tower, code.length, code.capability + 1, rng)
+            y = tuple(tower.add(a, b) for a, b in zip(c, e))
+            try:
+                code.decode(y)
+            except DecodingFailure as exc:
+                assert str(exc).startswith(f"{exc.stage}: ")
+                stages.add(exc.stage)
+    assert {"key-equation", "root-space", "locator"} <= stages
+    assert stages <= {"key-equation", "root-space", "locator", "residual"}
+
+
+@pytest.mark.parametrize("shape", [(2, 4, 4, 2), (2, 5, 5, 1), (3, 3, 3, 1)])
+def test_decode_matches_exhaustive_nearest_codeword(shape):
+    # [4,2,3] over GF(2^4), [5,1,5] over GF(2^5), [3,1,3] over GF(3^3)
+    code = _code(*shape)
+    tower, length, rng = code.tower, code.length, random.Random(49)
+    codewords = list(code.codewords())
+    words = [tuple(tower.random_element(rng) for _ in range(length)) for _ in range(40)]
+    for t in range(length + 1):
+        for _ in range(8):
+            c = rng.choice(codewords)
+            e = random_error(tower, length, t, rng)
+            words.append(tuple(tower.add(a, b) for a, b in zip(c, e)))
+    for y in words:
+        near = [c for c in codewords
+                if rank_of_vector(tower, [tower.sub(a, b) for a, b in zip(y, c)])
+                <= code.capability]
+        assert len(near) <= 1
+        if near:
+            c = near[0]
+            assert code.decode(y) == (c, tuple(tower.sub(a, b) for a, b in zip(y, c)))
+        else:
+            with pytest.raises(DecodingFailure):
+                code.decode(y)

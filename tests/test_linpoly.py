@@ -31,27 +31,6 @@ def test_evaluation_is_gfq_linear(gf16, gf27):
                 assert f.evaluate(tower.mul(lam, x)) == tower.mul(lam, f.evaluate(x))
 
 
-def test_compose_identities(gf16):
-    rng = random.Random(17)
-    ident = LinearizedPoly.identity(gf16)
-    g = LinearizedPoly(gf16, [gf16.random_element(rng) for _ in range(3)])
-    assert ident.compose(g) == g
-    assert g.compose(LinearizedPoly.zero(gf16)).is_zero
-
-
-def test_compose_evaluation_homomorphism(gf16):
-    rng = random.Random(18)
-    for _ in range(20):
-        f = LinearizedPoly(gf16, [gf16.random_element(rng) for _ in range(3)])
-        g = LinearizedPoly(gf16, [gf16.random_element(rng) for _ in range(3)])
-        fg = f.compose(g)
-        for _ in range(100):
-            x = gf16.random_element(rng)
-            assert fg.evaluate(x) == f.evaluate(g.evaluate(x))
-        if not f.is_zero and not g.is_zero:
-            assert fg.q_degree == f.q_degree + g.q_degree
-
-
 def test_root_space_identity_and_fixed_field(gf16):
     assert LinearizedPoly.identity(gf16).root_space_basis() == []
     # x^[1] - x vanishes exactly on the base field

@@ -5,9 +5,10 @@ from functools import cache
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rankcodes import (CoordinateSolver, FieldTower, LinearizedPoly,
-                       min_subspace_poly, nullspace_q, random_rows,
-                       rank_of_vector, rank_q, rank_rows)
+from rankcodes import (CoordinateSolver, DecodingFailure, FieldTower,
+                       GabidulinCode, LinearizedPoly, default_generator,
+                       min_subspace_poly, nullspace_q, random_error,
+                       random_rows, rank_of_vector, rank_q, rank_rows)
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -220,3 +221,43 @@ def test_root_space_matches_digit_nullspace(f):
     assert all(f.evaluate(x) == 0 for x in kernel)
     images = [f.evaluate(b) for b in tower.basis]
     assert len(kernel) == tower.n - rank_rows(images, tower.q, tower.n)
+
+
+# largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)
+DECODE_MAX_N = {2: 10, 3: 6, 5: 4}
+
+
+@cache
+def _code(q, n, length, k):
+    tower = _tower(q, n)
+    return GabidulinCode(tower, k, g=default_generator(tower)[:length])
+
+
+@st.composite
+def decode_cases(draw):
+    q = draw(st.sampled_from(sorted(DECODE_MAX_N)))
+    n = draw(st.integers(2, DECODE_MAX_N[q]))
+    length = draw(st.integers(2, n))
+    code = _code(q, n, length, draw(st.integers(1, length - 1)))
+    rng = draw(st.randoms(use_true_random=False))
+    c = code.encode([code.tower.random_element(rng) for _ in range(code.k)])
+    e = random_error(code.tower, length, draw(st.integers(0, length)), rng)
+    return code, c, e
+
+
+@settings(max_examples=300, deadline=None)
+@given(decode_cases())
+def test_decode_roundtrip_and_beyond_capability(case):
+    code, c, e = case
+    tower = code.tower
+    y = tuple(tower.add(a, b) for a, b in zip(c, e))
+    if rank_of_vector(tower, e) <= code.capability:
+        assert code.decode(y) == (c, e)
+        return
+    try:
+        got_c, got_e = code.decode(y)
+    except DecodingFailure:
+        return
+    assert code.is_codeword(got_c)
+    assert got_e == tuple(tower.sub(a, b) for a, b in zip(y, got_c))
+    assert rank_of_vector(tower, got_e) <= code.capability

@@ -235,6 +235,14 @@ def test_decode_route_validation(tiny_sub):
         tiny_sub.decode((0, 0, 0, 0), route="bogus")
 
 
+def test_ambient_route_failure_names_the_subspace_stage(tiny_sub):
+    # the full-length code decodes this word of V^4, but to a codeword
+    # with a component outside V
+    with pytest.raises(DecodingFailure, match="^subspace: ") as info:
+        tiny_sub.decode((0, 0, 1, 6), route="ambient")
+    assert info.value.stage == "subspace"
+
+
 def test_decode_failure_beyond_capability(medium_sub, gf4096):
     rng = random.Random(54)
     failures = 0
