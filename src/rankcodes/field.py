@@ -242,8 +242,13 @@ class FieldTower:
     `basis` is the polynomial basis (1, alpha, ..., alpha^(n-1)), whose
     coordinates are `digits`.
 
-    Fields of order <= 2^16 multiply through discrete-log tables.  Larger
-    ones are table-less: `mul` is shift-and-add (q = 2) or polynomial
+    Fields of order <= 2^16 work through tables fixed at construction
+    with the generator g: `_exp` and `_log` for `mul`, `inv`, `pow` and
+    `frobenius`, and for odd q `_zech`, zech[i] = log(1 + g^i) (None where
+    1 + g^i = 0), which makes `add`, `neg` and `sub` lookups.  Odd q
+    builds `_exp` by stepping x -> x * g as a GF(q)-linear map through
+    `linear_map_tables`.  Larger fields are table-less: odd-q `add` goes
+    digit by digit, `mul` is shift-and-add (q = 2) or polynomial
     multiplication, `inv` is extended Euclid (on ints for q = 2), and
     `frobenius(x, i)` is the GF(q)-linear map x -> x^(q^i) read through
     `linear_map_tables`.  Those tables are the one lazily filled state:
@@ -284,9 +289,10 @@ class FieldTower:
 
         self._exp = None
         self._log = None
+        self._zech = None
+        self.basis = tuple(q**i for i in range(n))
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-        self.basis = tuple(q**i for i in range(n))
         self._frob = {}  # power i -> linear_map_tables, table-less only
 
     # -- encoding ----------------------------------------------------------
@@ -325,6 +331,10 @@ class FieldTower:
             return a ^ b
         if not a or not b:
             return a or b
+        if self._zech is not None:  # g^i + g^j = g^(i + zech[j - i])
+            log = self._log
+            z = self._zech[log[b] - log[a]]
+            return 0 if z is None else self._exp[log[a] + z]
         q, v, shift = self.q, 0, 1
         for _ in range(self.n):
             v += ((a + b) % q) * shift
@@ -336,6 +346,8 @@ class FieldTower:
     def neg(self, a: int) -> int:
         if self.q == 2:
             return a
+        if self._zech is not None:  # -1 = g^((q^n - 1) / 2)
+            return self._exp[self._log[a] + (self.order - 1) // 2] if a else 0
         q, v, shift = self.q, 0, 1
         for _ in range(self.n):
             v += (-a % q) * shift
@@ -445,13 +457,20 @@ class FieldTower:
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
         if not 0 <= x < self.order:
             raise self._outside(x)
-        radix, lane, tables = self._frob.get(i) or self._frobenius_tables(i)
+        built = self._frob.get(i) or self._frobenius_tables(i)
+        if self.q != 2:
+            return self._linear_image(x, built)
         w = 0
-        if self.q == 2:
-            for table in tables:
-                w ^= table[x & 255]
-                x >>= 8
-            return w
+        for table in built[2]:
+            w ^= table[x & 255]
+            x >>= 8
+        return w
+
+    def _linear_image(self, x: int, built) -> int:
+        """Image of x under an odd-q map built by `linear_map_tables`,
+        its lanes repacked into a base-q element."""
+        radix, lane, tables = built
+        w = 0
         for table in tables:
             x, r = divmod(x, radix)
             w += table[r]
@@ -521,26 +540,29 @@ class FieldTower:
             self.generator = 1
             return
         for gen in range(2, self.order):
-            exp = [0] * (2 * size)
-            exp[0] = 1
-            x = 1
-            ok = True
-            for i in range(1, size):
-                x = self._mul_raw(x, gen)
-                if x == 1:
-                    ok = False
-                    break
-                exp[i] = x
-            if not ok or self._mul_raw(x, gen) != 1:
+            if self.q == 2:
+                step, by = self._mul_raw, gen
+            else:  # x -> x * gen is GF(q)-linear: read it through tables
+                step, by = self._linear_image, linear_map_tables(
+                    self.q, [self.digits(self._mul_raw(b, gen)) for b in self.basis])
+            exp, x = [1], step(1, by)
+            while x != 1:  # the powers of gen, until they cycle
+                exp.append(x)
+                x = step(x, by)
+            if len(exp) < size:
                 continue
-            for i in range(size):
-                exp[size + i] = exp[i]
             log = [0] * self.order
-            for i in range(size):
-                log[exp[i]] = i
+            for i, v in enumerate(exp):
+                log[v] = i
+            exp += exp
             self._exp = exp
             self._log = log
             self.generator = gen
+            if self.q != 2:
+                # zech[i] = log(1 + g^i); adding 1 changes digit 0 only
+                q = self.q
+                self._zech = [log[w] if w else None for w in
+                              (v - v % q + (v + 1) % q for v in exp[:size])]
             return
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 

@@ -340,3 +340,12 @@ def test_config_fuzz(cfg):
                 code = main(argv)
             assert code in (0, 2), cfg
             event(f"{command} exit {code}")
+
+
+def test_code_info_table_less_default_generator(tmp_path, capsys):
+    path = tmp_path / "n20.json"
+    path.write_text(json.dumps({"field": {"q": 2, "n": 20}, "code": {"k": 12}}))
+    with bounded(5):
+        assert main(["code-info", "--config", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["d"] == 9 and record["generator_rank"] == 20

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from conftest import bounded
 
 from rankcodes import (DecodingFailure, FieldTower, GabidulinCode,
                        default_generator, dual_vector, ext_nullspace, ext_rank,
@@ -222,3 +223,27 @@ def test_decode_matches_exhaustive_nearest_codeword(shape):
         else:
             with pytest.raises(DecodingFailure):
                 code.decode(y)
+
+
+def _orbit_rank_scan(tower):
+    """The smallest normal element's orbit by testing every candidate."""
+    for cand in range(1, tower.order):
+        orbit = tuple(tower.frobenius(cand, i) for i in range(tower.n))
+        if rank_of_vector(tower, orbit) == tower.n:
+            return orbit
+
+
+# (2, 8), (2, 16) and (3, 9) have n a power of the characteristic
+@pytest.mark.parametrize("q, n", [(2, 6), (2, 8), (2, 12), (2, 16), (3, 3), (3, 4),
+                                  (3, 6), (3, 9), (5, 4), (5, 5), (7, 2)])
+def test_default_generator_matches_orbit_rank_scan(q, n):
+    tower = FieldTower(q, n)
+    assert default_generator(tower) == _orbit_rank_scan(tower)
+
+
+def test_default_generator_table_less_n20():
+    with bounded(2):
+        tower = FieldTower(2, 20)
+        g = default_generator(tower)
+    assert g == tuple(tower.frobenius(1 << 17, i) for i in range(20))
+    assert rank_of_vector(tower, g) == 20

@@ -1,4 +1,4 @@
-"""Property-based tests over random shapes for q in {2, 3, 5}."""
+"""Property-based tests over random shapes for q in {2, 3, 5, 7}."""
 
 from functools import cache
 
@@ -261,3 +261,57 @@ def test_decode_roundtrip_and_beyond_capability(case):
     assert code.is_codeword(got_c)
     assert got_e == tuple(tower.sub(a, b) for a, b in zip(y, got_c))
     assert rank_of_vector(tower, got_e) <= code.capability
+
+
+# table-backed odd-q towers: add, neg and sub through the Zech logarithms
+ZECH_SHAPES = [(3, 2), (3, 9), (5, 4), (7, 2), (5, 1)]
+
+
+@st.composite
+def zech_cases(draw):
+    q, n = draw(st.sampled_from(ZECH_SHAPES))
+    tower = _tower(q, n)
+    element = st.one_of(st.just(0), st.integers(1, tower.order - 1))
+    a = draw(element)
+    minus_a = tower.from_digits([-d for d in tower.digits(a)])
+    # b = -a hits the Zech sentinel, a + (-a) = 0
+    return tower, a, draw(st.one_of(element, st.just(minus_a)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(zech_cases())
+def test_odd_q_add_neg_sub_match_digitwise(case):
+    tower, a, b = case
+    assert tower._zech is not None
+    da, db = tower.digits(a), tower.digits(b)
+    assert tower.add(a, b) == tower.from_digits([x + y for x, y in zip(da, db)])
+    assert tower.sub(a, b) == tower.from_digits([x - y for x, y in zip(da, db)])
+    assert tower.neg(a) == tower.from_digits([-x for x in da])
+    assert tower.add(a, tower.neg(a)) == 0
+
+
+@cache
+def _raw_tables(q, n):
+    """Generator, exp and log of GF(q^n) from the first candidate whose
+    powers, by uncounted polynomial products, run through all of GF(q^n)*."""
+    tower = _tower(q, n)
+    for gen in range(2, tower.order):
+        powers, x = [1], tower._mul_raw(1, gen)
+        while x != 1:
+            powers.append(x)
+            x = tower._mul_raw(x, gen)
+        if len(powers) == tower.order - 1:
+            log = [0] * tower.order
+            for i, v in enumerate(powers):
+                log[v] = i
+            return gen, powers + powers, log
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.sampled_from(ZECH_SHAPES), st.data())
+def test_log_tables_match_raw_powering(shape, data):
+    tower = _tower(*shape)
+    gen, exp, log = _raw_tables(*shape)
+    assert (tower.generator, tower._exp, tower._log) == (gen, exp, log)
+    i = data.draw(st.integers(0, len(exp) - 1))
+    assert tower._log[tower._exp[i]] == i % (tower.order - 1)
