@@ -11,9 +11,8 @@ from .gabidulin import (DecodingFailure, GabidulinCode, default_generator,
                         dual_vector, moore_matrix)
 from .linpoly import LinearizedPoly, min_subspace_poly
 from .qlinalg import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                      ext_rank, ext_solve, mat_inv_q, mat_mul_q, nullspace_q,
-                      random_error, random_rows, rank_of_vector, rank_q,
-                      rank_rows, solve_q)
+                      ext_rank, ext_solve, nullspace_q, random_error,
+                      random_rows, rank_of_vector, rank_q, rank_rows)
 from .subfield import (SubfieldEmbedding, SubfieldFactorization, annihilates,
                        block_diagonal, compute_factorization, expand_parity,
                        subfield_success_probability, verify_uniqueness)
@@ -48,8 +47,6 @@ __all__ = [
     "find_irreducible",
     "is_irreducible",
     "is_prime",
-    "mat_inv_q",
-    "mat_mul_q",
     "min_subspace_poly",
     "moore_matrix",
     "nullspace_q",
@@ -61,7 +58,6 @@ __all__ = [
     "rank_q",
     "rank_rows",
     "sample_channel_error",
-    "solve_q",
     "subfield_success_probability",
     "success_probability",
     "verify_uniqueness",

@@ -15,6 +15,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .field import _prime_factors, is_prime
 from .gabidulin import DecodingFailure, GabidulinCode
 from .qlinalg import (CoordinateSolver, count_rank_matrices, random_error,
                       random_rows, rank_of_vector, rank_rows)
@@ -173,18 +174,18 @@ class DirectSumCode:
             return DirectSumDecodeResult(False, None, None, outcomes)
         return DirectSumDecodeResult(True, tuple(total_c), tuple(total_e), outcomes)
 
-    def success_probability(self, t: int, form: str = "exact"):
-        return success_probability(self.tower.q, self.dims, self.capability,
-                                   t, form=form)
-
-    def rank_event_rate(self, t, trials, seed, channel="uniform-matrix",
-                        chunks=1) -> MonteCarloResult:
-        return rank_event_rate(self.tower.q, self.dims, self.capability,
-                               t, trials, seed, channel=channel, chunks=chunks)
-
 
 # ---------------------------------------------------------------------------
 # success probability of per-part decodability
+
+def _check_shape(q, dims, capability, t):
+    """ValueError unless q is a prime power and t, capability and dims are ints >= 0."""
+    if not (isinstance(q, int) and len(_prime_factors(q)) == 1):
+        raise ValueError(f"q = {q!r} is not a prime power")
+    for what, v in [("t", t), ("capability", capability), *(("part dimension", m) for m in dims)]:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"{what} must be a nonnegative integer, got {v!r}")
+
 
 def rank_leq_probability(q: int, m: int, t: int, cap: int) -> Fraction:
     """Probability that a uniform t x m q-ary matrix has rank <= cap."""
@@ -206,6 +207,7 @@ def success_probability(q: int, dims, capability: int, t: int,
     (N - C)(t - C) with N = sum(dims) agrees with it only for one part;
     for u parts it is larger by (u - 1) * C * (t - C).
     """
+    _check_shape(q, dims, capability, t)
     if form == "exact":
         p = Fraction(1)
         for m in dims:
@@ -239,6 +241,9 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     seeded by (seed, chunk index), so a parallel run with the same
     assignment reproduces the sequential result.
     """
+    _check_shape(q, dims, capability, t)
+    if not is_prime(q):  # the draws and their ranks are taken mod q
+        raise ValueError(f"q = {q} is not a prime")
     if channel not in ("uniform-matrix", "exact-rank"):
         raise ValueError(f"unknown channel {channel!r}")
     if trials < 1:
@@ -293,6 +298,8 @@ def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,
     """End-to-end seeded experiment: encode a random message, add a channel
     error, decode per component, and count exact recoveries.  Also counts
     the per-part rank event, which coincides with exact recovery."""
+    if trials < 1:
+        raise ValueError("need at least one trial")
     tower = M.tower
     rng = random.Random(f"{seed}:decode")
     successes = 0
@@ -309,6 +316,5 @@ def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,
         result = M.decode(received)
         if result.ok and result.codeword == codeword and result.error == error:
             successes += 1
-    return DecodeExperiment(successes, event, trials,
-                            successes / trials if trials else 0.0,
+    return DecodeExperiment(successes, event, trials, successes / trials,
                             tower.mul_count - muls0)

@@ -312,11 +312,11 @@ class FieldTower:
         return range(self.order)
 
     def check_elements(self, elements, what: str = "element") -> tuple:
-        """The elements as a tuple; ValueError unless each is an int in
-        [0, q^n).  The one element check at the library boundary."""
+        """The elements as a tuple; ValueError unless each is an int, not a
+        bool, in [0, q^n).  The one element check at the library boundary."""
         elements = tuple(elements)
         for x in elements:
-            if not (isinstance(x, int) and 0 <= x < self.order):
+            if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < self.order):
                 raise ValueError(
                     f"{what} {x!r} is not an element of GF({self.q}^{self.n})")
         return elements

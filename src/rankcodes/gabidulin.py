@@ -135,12 +135,6 @@ class GabidulinCode:
             raise ValueError("generator and parity vectors are not dual")
 
     @property
-    def generator_matrix(self):
-        if self._gen_rows is None:
-            raise ValueError("code was built from a parity vector only")
-        return [list(r) for r in self._gen_rows]
-
-    @property
     def parity_matrix(self):
         return [list(r) for r in self._par_rows]
 

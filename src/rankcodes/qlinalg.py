@@ -77,53 +77,6 @@ def nullspace_q(matrix, q: int):
     return _free_basis(rows, pivots, len(rows[0]), lambda v: -v % q)
 
 
-def solve_q(matrix, rhs, q: int):
-    """Solve matrix * x = rhs over GF(q).
-
-    Returns (particular_solution, nullspace_basis), or None when the
-    system is inconsistent.
-    """
-    if not matrix:
-        return ([], []) if not any(v % q for v in rhs) else None
-    ncols = len(matrix[0])
-    rows = [[v % q for v in row] + [b % q] for row, b in zip(matrix, rhs)]
-    pivots = _rref_q(rows, q)
-    if ncols in pivots:
-        return None
-    x = [0] * ncols
-    for r, col in enumerate(pivots):
-        x[col] = rows[r][ncols]
-    return x, _free_basis(rows, pivots, ncols, lambda v: -v % q)
-
-
-def mat_mul_q(a, b, q: int):
-    nk = len(b)
-    ncols = len(b[0]) if b else 0
-    out = []
-    for row in a:
-        acc = [0] * ncols
-        for k in range(nk):
-            c = row[k] % q
-            if c:
-                bk = b[k]
-                for j in range(ncols):
-                    acc[j] = (acc[j] + c * bk[j]) % q
-        out.append(acc)
-    return out
-
-
-def mat_inv_q(matrix, q: int):
-    """Inverse of a square q-ary matrix; raises ValueError if singular."""
-    n = len(matrix)
-    rows = [[v % q for v in row] + [1 if i == j else 0 for j in range(n)]
-            for i, row in enumerate(matrix)]
-    pivots = _rref_q(rows, q)
-    # a singular left block lets elimination pivot into the identity columns
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular over GF(q)")
-    return [row[n:] for row in rows]
-
-
 class CoordinateSolver:
     """Repeated GF(q)-coordinates of field elements over fixed independent
     elements b_1..b_r: solve(x) is the u with sum u_j b_j = x.

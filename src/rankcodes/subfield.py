@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .field import FieldTower
 from .gabidulin import ENUM_GUARD, GabidulinCode, moore_matrix
 from .linpoly import LinearizedPoly
-from .qlinalg import CoordinateSolver, mat_inv_q, mat_mul_q, rank_of_vector, solve_q
+from .qlinalg import CoordinateSolver, nullspace_q, rank_of_vector
 
 
 class SubfieldEmbedding:
@@ -102,14 +102,10 @@ def _qary_expansion(emb: SubfieldEmbedding, rows):
     GF(q) coordinate column over the subfield polynomial basis."""
     out = []
     for row in rows:
-        coords = []
-        for x in row:
-            c = emb.subfield_coords(x)
-            if c is None:
-                raise ValueError("entry is not a subfield element")  # pragma: no cover
-            coords.append(c)
-        for e in range(emb.s):
-            out.append([c[e] for c in coords])
+        coords = [emb.subfield_coords(x) for x in row]
+        if None in coords:
+            raise ValueError("entry is not a subfield element")
+        out.extend([c[e] for c in coords] for e in range(emb.s))
     return out
 
 
@@ -126,13 +122,13 @@ class SubfieldFactorization:
     embedding: SubfieldEmbedding = field(repr=False)
 
 
-def block_diagonal(block, copies: int, zero=0):
+def block_diagonal(block, copies: int):
     rows = len(block)
     cols = len(block[0]) if block else 0
     out = []
     for b in range(copies):
         for r in range(rows):
-            row = [zero] * (cols * copies)
+            row = [0] * (cols * copies)
             row[b * cols:(b + 1) * cols] = block[r]
             out.append(row)
     return out
@@ -144,10 +140,10 @@ def compute_factorization(code: GabidulinCode, s: int,
     choices, so blockdiag(A,...,A) * S annihilates exactly the subfield
     subcode among subfield vectors.
 
-    Requires s | n and d - 2 < s.  The construction expands the parity
-    vector over the extension basis, views the result as an invertible
-    n x n q-ary matrix, and composes with the expansion of the target
-    block-diagonal shape.
+    Requires s | n and d - 2 < s.  Column j of S holds the GF(q)
+    coordinates of h_j over the combined basis a_e * gamma_r, block-major
+    in r, so the first row of block r of blockdiag(A,...,A) * S holds the
+    coordinates of h over gamma_r.
     """
     tower = code.tower
     if code.length != tower.n:
@@ -158,15 +154,10 @@ def compute_factorization(code: GabidulinCode, s: int,
     if code.d - 2 >= s:
         raise ValueError(f"need d - 2 < s (d = {code.d}, s = {s})")
 
-    h_rows = expand_parity(code, emb)
-    m_h = _qary_expansion(emb, h_rows)
-    target = block_diagonal([list(emb.poly_basis)], emb.blocks)
-    t_exp = _qary_expansion(emb, target)
-    transform = mat_mul_q(mat_inv_q(t_exp, tower.q), m_h, tower.q)
-
+    cols = [emb._full_solver.solve(x) for x in code.h]
+    transform = [list(row) for row in zip(*cols)]
     block = moore_matrix(tower, emb.poly_basis, code.d - 1)
     big = block_diagonal(block, emb.blocks)
-    cols = list(zip(*transform))
     parity = [[tower.contract(col, row) for col in cols] for row in big]
     return SubfieldFactorization(s, emb.poly_basis, emb.ext_basis,
                                  block, transform, parity, emb)
@@ -174,29 +165,28 @@ def compute_factorization(code: GabidulinCode, s: int,
 
 def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     """Check that the q-ary system blockdiag(A,...,A) * X = parity has the
-    single solution X = transform.
-
-    Returns (True, None) on success, else (False, description); a distinct
-    solution would contradict the uniqueness theorem and must fail loudly.
+    single solution X = transform, by one elimination of [coeff | rhs]:
+    its kernel is spanned by the columns of (-S; I) exactly when S is the
+    unique solution.  Returns (True, None) on success, else (False,
+    description); a distinct solution would contradict the uniqueness
+    theorem and must fail loudly.
     """
     emb = factz.embedding
-    tower = code.tower
-    big = block_diagonal(factz.block, emb.blocks)
-    coeff = _qary_expansion(emb, big)
-    for c in range(tower.n):
-        rhs_col = [row[c] for row in factz.parity]
-        rhs = []
-        for x in rhs_col:
-            rhs.extend(emb.subfield_coords(x))
-        sol = solve_q(coeff, rhs, tower.q)
-        if sol is None:
-            return False, f"column {c}: system inconsistent"
-        x_col, null = sol
-        if null:
-            return False, f"column {c}: solution space has dimension {len(null)}"
-        expect = [factz.transform[j][c] for j in range(tower.n)]
-        if x_col != expect:
-            return False, f"column {c}: distinct solution found"
+    q, n = code.tower.q, code.tower.n
+    coeff = _qary_expansion(emb, block_diagonal(factz.block, emb.blocks))
+    rhs = _qary_expansion(emb, factz.parity)
+    kernel = nullspace_q([a + b for a, b in zip(coeff, rhs)], q)
+    # each basis vector ends in a 1 at its free column
+    free = [max(i for i, v in enumerate(vec) if v) for vec in kernel]
+    null = sum(1 for f in free if f < n)
+    if null:
+        return False, f"solution space has dimension {null}"
+    for j in range(n):
+        if n + j not in free:  # the first such column is inconsistent
+            return False, f"column {j}: system inconsistent"
+    for j, vec in enumerate(kernel):
+        if vec[:n] != [-factz.transform[i][j] % q for i in range(n)]:
+            return False, f"column {j}: distinct solution found"
     return True, None
 
 

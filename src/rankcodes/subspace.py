@@ -22,8 +22,7 @@ class SubspaceBasis:
     """Ordered basis (beta_1, ..., beta_m) of a subspace of GF(q^n)."""
 
     def __init__(self, tower: FieldTower, elements):
-        elements = tower.check_elements((int(b) for b in elements),
-                                        "basis element")
+        elements = tower.check_elements(elements, "basis element")
         if rank_of_vector(tower, elements) != len(elements):
             raise ValueError("basis elements are linearly dependent over GF(q)")
         self.tower = tower

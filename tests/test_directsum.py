@@ -325,3 +325,25 @@ def test_decode_experiment_agrees_with_rank_event(gf64):
     assert exp.successes == exp.event_successes
     assert 0 < exp.successes < exp.trials
     assert exp.field_muls > 0
+
+
+def test_direct_sum_entry_points_fail_fast(gf64):
+    with pytest.raises(ValueError, match="not a prime"):
+        rank_event_rate(4, [2, 2], 1, 1, 10, seed=1)
+    with pytest.raises(ValueError, match="part dimension"):
+        rank_event_rate(2, [-1, 2], 1, 1, 10, seed=1)
+    with pytest.raises(ValueError, match="part dimension"):
+        success_probability(2, [2, 2.5], 1, 1)
+    with pytest.raises(ValueError, match="^t must"):
+        success_probability(2, [2, 2], 1, -1)
+    with pytest.raises(ValueError, match="capability"):
+        success_probability(3, [2], -1, 1, form="leading-order")
+    with pytest.raises(ValueError, match="not a prime power"):
+        success_probability(6, [2], 1, 1)
+    with pytest.raises(ValueError, match="not a prime power"):
+        success_probability(True, [2], 1, 1)
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3] C=1
+    dsc = DirectSumCode(code, [(1, 2, 4), (8, 16, 32)])
+    for trials in (-1, 0):
+        with pytest.raises(ValueError, match="trial"):
+            decode_experiment(dsc, 1, trials, 0)

@@ -250,3 +250,10 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
         with pytest.raises(ValueError, match="element 2.0"):
             CoordinateSolver(gf16, [1, 2.0])
     assert gf16.check_elements(iter([0, 15])) == (0, 15)
+
+
+def test_check_elements_rejects_bools(gf16):
+    with pytest.raises(ValueError, match="element True"):
+        gf16.check_elements([1, True])
+    with pytest.raises(ValueError, match="parity component False"):
+        GabidulinCode(gf16, 2, h=(1, 2, 4, False))

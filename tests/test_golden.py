@@ -22,8 +22,9 @@ The subfield factorization has its own records, written by
 
     rankcodes subfield  --config <name>.json --s <s> --output <name>.subfield.jsonl
 
-for oddq-q3n9 and for subfield-q2n6, the [6,4,3] code over GF(2^6) with
-its s=3 subfield.
+for oddq-q3n9, for subfield-q2n6, the [6,4,3] code over GF(2^6) with
+its s=3 subfield, and for subfield-q5n4, the [4,2,3] code over GF(5^4)
+with its s=2 subfield.
 """
 
 import json
@@ -41,7 +42,7 @@ WORKLOADS = {"paper-q2n12": 2, "tableless-q2n20": 4, "oddq-q3n9": 1,
              "paper-q2n12-exact": None, "oddq-q3n9-exact": None,
              "rejection-q2n12-exact": None}
 # config name -> subfield degree s
-SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3}
+SUBFIELDS = {"oddq-q3n9": 3, "subfield-q2n6": 3, "subfield-q5n4": 2}
 OP_COUNT_KEYS = ("field_mul_count",)
 
 

@@ -4,9 +4,8 @@ import random
 import pytest
 
 from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                       ext_solve, mat_inv_q, mat_mul_q, nullspace_q,
-                       random_error, random_rows, rank_of_vector, rank_q,
-                       solve_q)
+                       ext_solve, nullspace_q, random_error, random_rows,
+                       rank_of_vector, rank_q)
 from rankcodes.qlinalg import kernel_rows
 
 
@@ -37,40 +36,6 @@ def test_kernel_rows_examples():
         assert kernel_rows([1, 1, q, q], q, 2) == [q + q - 1, q**3 + (q - 1) * q**2]
         # rows of width 0: the map is zero
         assert kernel_rows([0, 0], q, 0) == [1, q]
-
-
-def test_solve_q_roundtrip_and_inconsistent():
-    rng = random.Random(11)
-    for q in (2, 3, 5):
-        for _ in range(50):
-            n = rng.randrange(1, 5)
-            m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            x = [rng.randrange(q) for _ in range(n)]
-            b = [sum(m[i][j] * x[j] for j in range(n)) % q for i in range(n)]
-            sol = solve_q(m, b, q)
-            assert sol is not None
-            got, kernel = sol
-            back = [sum(m[i][j] * got[j] for j in range(n)) % q for i in range(n)]
-            assert back == b
-            assert kernel == nullspace_q(m, q)
-            for v in kernel:
-                assert all(sum(a * c for a, c in zip(row, v)) % q == 0 for row in m)
-    assert solve_q([[1, 1], [1, 1]], [0, 1], 2) is None
-
-
-def test_mat_inv_q():
-    rng = random.Random(4)
-    for q in (2, 3):
-        for _ in range(30):
-            n = rng.randrange(1, 5)
-            m = [[rng.randrange(q) for _ in range(n)] for _ in range(n)]
-            if rank_q(m, q) < n:
-                with pytest.raises(ValueError):
-                    mat_inv_q(m, q)
-                continue
-            inv = mat_inv_q(m, q)
-            prod = mat_mul_q(m, inv, q)
-            assert prod == [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
 # -- rank of extension vectors --------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 
@@ -10,6 +11,7 @@ from rankcodes import (FieldTower, GabidulinCode, SubfieldEmbedding,
                        expand_parity, ext_nullspace, ext_rank,
                        rank_of_vector, rank_q, success_probability,
                        verify_uniqueness)
+from rankcodes.subfield import _qary_expansion
 
 
 @pytest.fixture(scope="module")
@@ -151,6 +153,56 @@ def test_factorization_requires_full_length(gf64):
 def test_uniqueness_of_transform(code64, factz):
     ok, problem = verify_uniqueness(code64, factz)
     assert ok, problem
+
+
+@pytest.mark.parametrize("q, n, s, k", [
+    (2, 6, 3, 4), (3, 9, 3, 7), (5, 4, 2, 2), (3, 6, 2, 4), (2, 12, 4, 8)])
+def test_transform_is_the_coordinate_matrix_of_h(q, n, s, k):
+    # S read off h agrees with expanding h over the extension basis and
+    # then each subfield entry over the subfield basis
+    tower = FieldTower(q, n)
+    code = GabidulinCode(tower, k, g=default_generator(tower))
+    emb = SubfieldEmbedding(tower, s)
+    factz = compute_factorization(code, s, embedding=emb)
+    assert factz.transform == _qary_expansion(emb, expand_parity(code, emb))
+    assert verify_uniqueness(code, factz) == (True, None)
+
+
+def test_transform_matches_expansion_over_another_ext_basis(code64, gf64):
+    emb = SubfieldEmbedding(gf64, 3, ext_basis=(2, 1))
+    factz = compute_factorization(code64, 3, embedding=emb)
+    assert factz.transform == _qary_expansion(emb, expand_parity(code64, emb))
+
+
+@pytest.mark.parametrize("q, n, s, k", [(2, 6, 3, 4), (5, 4, 2, 2)])
+def test_uniqueness_check_rejects_a_tampered_system(q, n, s, k):
+    tower = FieldTower(q, n)
+    code = GabidulinCode(tower, k, g=default_generator(tower))
+    emb = SubfieldEmbedding(tower, s)
+    factz = compute_factorization(code, s, embedding=emb)
+    rng = random.Random(q * n)
+    for _ in range(6):
+        # one entry of S changed: the true solution now differs from it
+        i, j = rng.randrange(n), rng.randrange(n)
+        bad = [row[:] for row in factz.transform]
+        bad[i][j] = (bad[i][j] + rng.randrange(1, q)) % q
+        ok, problem = verify_uniqueness(code, dataclasses.replace(factz, transform=bad))
+        assert not ok and problem == f"column {j}: distinct solution found"
+        # one parity entry moved by a nonzero subfield element
+        r, c = rng.randrange(len(factz.parity)), rng.randrange(n)
+        parity = [row[:] for row in factz.parity]
+        parity[r][c] = tower.add(parity[r][c], rng.choice(emb.elements[1:]))
+        ok, problem = verify_uniqueness(code, dataclasses.replace(factz, parity=parity))
+        assert not ok and problem.startswith(f"column {c}: ")
+    # a parity entry outside the subfield is no system over it
+    parity = [row[:] for row in factz.parity]
+    parity[0][0] = next(x for x in range(tower.order) if not emb.contains(x))
+    with pytest.raises(ValueError, match="not a subfield element"):
+        verify_uniqueness(code, dataclasses.replace(factz, parity=parity))
+    # a zero block leaves every unknown free
+    zero = [[0] * s for _ in factz.block]
+    ok, problem = verify_uniqueness(code, dataclasses.replace(factz, block=zero))
+    assert (ok, problem) == (False, f"solution space has dimension {n}")
 
 
 def test_perturbed_transform_breaks_annihilation(factz, subcode_words, gf64, emb3):

@@ -32,6 +32,13 @@ def test_subspace_basis_validation(gf16):
     assert basis.contains(6) and not basis.contains(8)
 
 
+def test_subspace_basis_rejects_non_integer_elements(gf16):
+    # elements are checked as given, not coerced by int() first
+    for bad in ([1.7, 2], ["4", True], [True], [None]):
+        with pytest.raises(ValueError, match="basis element"):
+            SubspaceBasis(gf16, bad)
+
+
 def test_empty_subspace_holds_only_zero(gf16, gf27):
     for tower in (gf16, gf27):
         empty = SubspaceBasis(tower, [])
