@@ -162,6 +162,19 @@ def test_decode_component_failure_reported(pair66, gf4096):
     assert result.components[1].ok
 
 
+def test_decode_trivial_part_raises_trivial_subcode_error(gf64):
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3]
+    dsc = DirectSumCode(code, [(1, 2, 4, 8), (16, 32)])  # m = 2 < d = 3
+    rng = random.Random(68)
+    for _ in range(20):
+        w = tuple(gf64.random_element(rng) for _ in range(6))
+        with pytest.raises(TrivialSubcodeError, match="no parent decoder"):
+            dsc.decode(w)
+        # the transfer needs no parent code, so it covers trivial parts too
+        assert dsc.to_parents(w) == tuple(
+            sub.to_parent(part) for sub, part in zip(dsc.subcodes, dsc.project(w)))
+
+
 # -- probabilities ----------------------------------------------------------------
 
 def test_rank_leq_probability_enumerated():

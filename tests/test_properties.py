@@ -1,14 +1,16 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}."""
 
+import random
 from functools import cache
 
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rankcodes import (CoordinateSolver, DecodingFailure, FieldTower,
-                       GabidulinCode, LinearizedPoly, default_generator,
-                       min_subspace_poly, nullspace_q, random_error,
-                       random_rows, rank_of_vector, rank_q, rank_rows)
+from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
+                       FieldTower, GabidulinCode, LinearizedPoly,
+                       default_generator, min_subspace_poly, nullspace_q,
+                       random_error, random_rows, rank_of_vector, rank_q,
+                       rank_rows, sample_channel_error)
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -315,3 +317,94 @@ def test_log_tables_match_raw_powering(shape, data):
     assert (tower.generator, tower._exp, tower._log) == (gen, exp, log)
     i = data.draw(st.integers(0, len(exp) - 1))
     assert tower._log[tower._exp[i]] == i % (tower.order - 1)
+
+
+# largest extension degree drawn per q for direct sums: GF(2^8), GF(3^7),
+# GF(5^5); every shape leaves room for two parts of dimension >= d = 2
+DIRECT_SUM_MAX_N = {2: 8, 3: 7, 5: 5}
+
+
+@st.composite
+def direct_sum_cases(draw):
+    q = draw(st.sampled_from(sorted(DIRECT_SUM_MAX_N)))
+    n = draw(st.integers(4, DIRECT_SUM_MAX_N[q]))
+    u = draw(st.integers(2, min(3, n // 2)))
+    d = draw(st.integers(2, n // u))
+    dims = [d] * u
+    for _ in range(draw(st.integers(0, n - u * d))):
+        dims[draw(st.integers(0, u - 1))] += 1
+    code = _code(q, n, n, n - d + 1)
+    tower = code.tower
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    concat = ()
+    while len(concat) < sum(dims):
+        x = tower.random_element(rng)
+        if rank_of_vector(tower, concat + (x,)) == len(concat) + 1:
+            concat += (x,)
+    offsets = [sum(dims[:i]) for i in range(u + 1)]
+    M = DirectSumCode(code, [concat[a:b] for a, b in zip(offsets, offsets[1:])])
+    message = [tower.random_element(rng) for _ in range(M.message_length)]
+    t = draw(st.integers(0, min(n, M.total_dim)))
+    error = sample_channel_error(M, t, rng, channel="exact-rank")
+    return M, message, error
+
+
+def _add_words(tower, words, length):
+    acc = (0,) * length
+    for w in words:
+        acc = tuple(tower.add(a, b) for a, b in zip(acc, w))
+    return acc
+
+
+def _per_part_decode(M, received):
+    """The per-part route: project, decode each part in its subspace
+    subcode through its parent, and sum the parts that decoded."""
+    outcomes, codewords, errors = [], [], []
+    for idx, (sub, part) in enumerate(zip(M.subcodes, M.project(received))):
+        try:
+            c, e = sub.decode(part, route="parent")
+        except DecodingFailure as exc:
+            outcomes.append((idx, False, str(exc)))
+            continue
+        outcomes.append((idx, True, ""))
+        codewords.append(c)
+        errors.append(e)
+    if len(codewords) < len(M.subcodes):
+        return False, None, None, outcomes
+    n = M.code.length
+    return (True, _add_words(M.tower, codewords, n),
+            _add_words(M.tower, errors, n), outcomes)
+
+
+@settings(max_examples=200, deadline=None)
+@given(direct_sum_cases())
+def test_direct_sum_codec_matches_per_part_route(case):
+    M, message, error = case
+    tower, n = M.tower, M.code.length
+    blocks, off = [], 0
+    for sub in M.subcodes:
+        blocks.append(message[off:off + sub.parent.k])
+        off += sub.parent.k
+    codeword = M.encode(message)
+    assert codeword == _add_words(
+        tower, [sub.encode(b) for sub, b in zip(M.subcodes, blocks)], n)
+    received = tuple(tower.add(a, b) for a, b in zip(codeword, error))
+
+    parts = M.project(received)
+    for part, basis in zip(parts, M.parts):
+        assert all(basis.contains(x) for x in part)
+    assert _add_words(tower, parts, n) == received
+
+    folded = M.to_parents(received)
+    assert [len(f) for f in folded] == M.dims
+    assert (rank_of_vector(tower, sum(folded, ()))
+            == rank_of_vector(tower, received))
+
+    result = M.decode(received)
+    ok, want_c, want_e, outcomes = _per_part_decode(M, received)
+    assert (result.ok, result.codeword, result.error) == (ok, want_c, want_e)
+    assert [(o.index, o.ok, o.reason) for o in result.components] == outcomes
+    event(f"q = {tower.q}, {len(M.parts)} parts, "
+          f"{'every part decodes' if ok else 'a part fails'}")
+    if ok and rank_of_vector(tower, error) <= M.capability:
+        assert (want_c, want_e) == (codeword, error)
