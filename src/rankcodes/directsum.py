@@ -1,15 +1,19 @@
 """Direct sums of subspace subcodes, decoded component by component.
 
-When the subspaces pairwise intersect only in zero, a received word splits
-uniquely into per-subspace parts and each part is decoded in its own
-parent code.  Decoding succeeds whenever every projected error has rank
-at most the capability C, which can happen for total error ranks well
-above C; the exact success probability of that event under the uniform
-matrix channel is a product over the parts.
+When the subspaces pairwise intersect only in zero, a word is
+w = sum_i beta^(i) U_i over the concatenated basis, and part i transfers
+to the word h U_i^t of its shorter MRD parent code.  One coordinate solve
+per position folds w into all u parent words; one combination of the
+concatenated basis per position unfolds parent codewords back.  Decoding
+succeeds whenever every projected error has rank at most the capability
+C, which can happen for total error ranks well above C; the exact success
+probability of that event under the uniform matrix channel is a product
+over the parts.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -50,8 +54,6 @@ def direct_sum_violations(parts) -> list:
 class ComponentOutcome:
     index: int
     ok: bool
-    codeword: tuple | None = None
-    error: tuple | None = None
     reason: str = ""
 
 
@@ -127,13 +129,25 @@ class DirectSumCode:
         return [tuple(v) for v in per_part]
 
     def to_parents(self, word):
-        """Project and transfer each part to its parent code; concatenated
-        rank equals the rank of the input."""
-        return tuple(sub.to_parent(part)
-                     for sub, part in zip(self.subcodes, self.project(word)))
+        """Transfer each part to its parent code: for word = sum_i beta^(i) U_i
+        part i goes to h U_i^t, every U_i read off one coordinate solve per
+        position.  Concatenated rank equals the rank of the input."""
+        cols = [self._solver.solve(x) for x in word]
+        if None in cols:
+            raise ValueError(f"component {cols.index(None)} lies outside the subspace sum")
+        t, h = self.tower, self.code.h
+        flat = iter([t.contract(row, h) for row in zip(*cols)])
+        return tuple(tuple(itertools.islice(flat, m)) for m in self.dims)
+
+    def _unfold(self, parent_words):
+        """The word whose part i transfers to parent_words[i]: U_i holds the
+        h-coordinates of those components, one combination per position."""
+        rows = [self.code.parity_coordinates(x) for w in parent_words for x in w]
+        return tuple(self.tower.contract(col, self.concat) for col in zip(*rows))
 
     def encode(self, message):
-        """Encode u blocks of lengths m_i - d + 1, one per part, and sum."""
+        """Encode u blocks of lengths m_i - d + 1, one per part, each in its
+        parent code, and unfold the parent codewords in one pass."""
         for idx, sub in enumerate(self.subcodes):
             if sub.is_trivial:
                 raise TrivialSubcodeError(
@@ -142,37 +156,31 @@ class DirectSumCode:
         if len(message) != self.message_length:
             raise ValueError(
                 f"message length {len(message)} != {self.message_length}")
-        t = self.tower
-        acc = [0] * self.code.length
-        off = 0
-        for sub in self.subcodes:
-            block = message[off:off + sub.parent.k]
-            off += sub.parent.k
-            part = sub.encode(block)
-            acc = [t.add(a, b) for a, b in zip(acc, part)]
-        return tuple(acc)
+        blocks = iter(message)
+        return self._unfold([sub.parent.encode(itertools.islice(blocks, sub.parent.k))
+                             for sub in self.subcodes])
 
     def decode(self, received) -> DirectSumDecodeResult:
-        """Per-component decoding via the parent route; succeeds exactly
-        when every projected error rank is within capability."""
-        t = self.tower
-        outcomes = []
-        total_c = [0] * self.code.length
-        total_e = [0] * self.code.length
-        ok = True
-        for idx, (sub, part) in enumerate(zip(self.subcodes, self.project(received))):
+        """Per-component decoding: fold into the parent words, decode each,
+        unfold the parent codewords.  The error is received - codeword, as
+        each transfer is GF(q)-linear with the unfold as inverse, so the
+        parts' errors sum to it.  Succeeds exactly when every projected
+        error rank is within capability."""
+        received = tuple(received)
+        outcomes, parent_words = [], []
+        for idx, (sub, folded) in enumerate(zip(self.subcodes, self.to_parents(received))):
+            if sub.is_trivial:
+                raise TrivialSubcodeError("trivial subcode has no parent decoder")
             try:
-                c_i, e_i = sub.decode(part, route="parent")
+                parent_words.append(sub.parent.decode(folded)[0])
+                outcomes.append(ComponentOutcome(idx, True))
             except DecodingFailure as exc:
                 outcomes.append(ComponentOutcome(idx, False, reason=str(exc)))
-                ok = False
-                continue
-            outcomes.append(ComponentOutcome(idx, True, c_i, e_i))
-            total_c = [t.add(a, b) for a, b in zip(total_c, c_i)]
-            total_e = [t.add(a, b) for a, b in zip(total_e, e_i)]
-        if not ok:
+        if len(parent_words) < len(self.subcodes):
             return DirectSumDecodeResult(False, None, None, outcomes)
-        return DirectSumDecodeResult(True, tuple(total_c), tuple(total_e), outcomes)
+        codeword = self._unfold(parent_words)
+        error = tuple(self.tower.sub(y, c) for y, c in zip(received, codeword))
+        return DirectSumDecodeResult(True, codeword, error, outcomes)
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 import functools
 import itertools
 
-from .field import FieldTower, linear_map_tables
+from .field import FieldTower
 from .linpoly import LinearizedPoly
 from .qlinalg import CoordinateSolver, ext_nullspace, ext_solve, rank_of_vector
 
@@ -65,22 +65,13 @@ def dual_vector(tower: FieldTower, g, k: int):
 
 def default_generator(tower: FieldTower):
     """Canonical generator vector: the Frobenius orbit of the smallest
-    normal element, falling back to the polynomial basis.
-
-    A normal element has nonzero trace, the sum of its orbit (a basis).
-    Tr is GF(q)-linear, so it is read off the traces of the polynomial
-    basis, and only candidates with nonzero trace get the rank test."""
-    q, n = tower.q, tower.n
-    traces = [functools.reduce(tower.add, [tower.frobenius(b, i) for i in range(n)])
-              for b in tower.basis]
-    if q == 2:
-        mask = tower.from_digits(traces)
-        cands = (c for c in range(1, tower.order) if (c & mask).bit_count() & 1)
-    else:
-        radix, _, tables = linear_map_tables(q, [(t,) for t in traces])
-        cands = (c for c in range(1, tower.order)
-                 if sum([tab[c // radix**j % radix] for j, tab in enumerate(tables)]) % q)
-    for cand in cands:
+    normal element.  A normal element has nonzero trace, the sum of its
+    orbit (a basis).  With k the first index where Tr(alpha^k) != 0, every
+    element below q^k has trace 0, so the orbit-rank scan starts at q^k."""
+    n = tower.n
+    k = next(i for i, b in enumerate(tower.basis)
+             if functools.reduce(tower.add, [tower.frobenius(b, j) for j in range(n)]))
+    for cand in range(tower.q**k, tower.order):
         orbit = tuple(tower.frobenius(cand, i) for i in range(n))
         if rank_of_vector(tower, orbit) == n:
             return orbit

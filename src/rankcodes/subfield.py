@@ -53,7 +53,7 @@ class SubfieldEmbedding:
             alpha = q if n > 1 else 1
             ext_basis = tuple(tower.pow(alpha, r) for r in range(self.blocks))
         else:
-            ext_basis = tuple(ext_basis)
+            ext_basis = tower.check_elements(ext_basis, "extension basis element")
             if len(ext_basis) != self.blocks:
                 raise ValueError(f"extension basis needs {self.blocks} elements")
         self.ext_basis = ext_basis

@@ -349,3 +349,15 @@ def test_code_info_table_less_default_generator(tmp_path, capsys):
         assert main(["code-info", "--config", str(path)]) == 0
     record = json.loads(capsys.readouterr().out)
     assert record["d"] == 9 and record["generator_rank"] == 20
+
+
+# sparse moduli put the first basis element of nonzero trace near n (index
+# 61 of 64 for q = 2), so no candidate below q^61 may be visited one by one
+@pytest.mark.parametrize("q, n, k", [(2, 64, 32), (5, 20, 10), (3, 30, 15), (2, 33, 17)])
+def test_code_info_top_of_accepted_range(tmp_path, capsys, q, n, k):
+    path = tmp_path / "top.json"
+    path.write_text(json.dumps({"field": {"q": q, "n": n}, "code": {"k": k}}))
+    with bounded(30):
+        assert main(["code-info", "--config", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["d"] == n - k + 1 and record["generator_rank"] == n

@@ -235,7 +235,8 @@ def _orbit_rank_scan(tower):
 
 # (2, 8), (2, 16) and (3, 9) have n a power of the characteristic
 @pytest.mark.parametrize("q, n", [(2, 6), (2, 8), (2, 12), (2, 16), (3, 3), (3, 4),
-                                  (3, 6), (3, 9), (5, 4), (5, 5), (7, 2)])
+                                  (3, 6), (3, 9), (5, 4), (5, 5), (7, 2),
+                                  (2, 17), (2, 33), (3, 11), (5, 7)])
 def test_default_generator_matches_orbit_rank_scan(q, n):
     tower = FieldTower(q, n)
     assert default_generator(tower) == _orbit_rank_scan(tower)

@@ -68,6 +68,18 @@ def test_embedding_too_large_to_enumerate_fails_at_once():
             SubfieldEmbedding(tower, 32)
 
 
+@pytest.mark.parametrize("ext_basis", [(2.5, 1), (64, 1), (-1, 2), (True, 2)])
+def test_embedding_rejects_ext_basis_outside_the_field(gf64, ext_basis):
+    with pytest.raises(ValueError, match="extension basis element"):
+        SubfieldEmbedding(gf64, 3, ext_basis=ext_basis)
+
+
+def test_embedding_rejects_ext_basis_dependent_over_the_subfield(gf64, emb3):
+    # 1 and theta both lie in GF(2^3), so they span only the subfield
+    with pytest.raises(ValueError, match="rank 3 < 6"):
+        SubfieldEmbedding(gf64, 3, ext_basis=(1, emb3.generator))
+
+
 def test_trivial_embedding_s_equals_n(gf16):
     emb = SubfieldEmbedding(gf16, 4)
     assert len(emb.ext_basis) == 1 and emb.ext_basis == (1,)
