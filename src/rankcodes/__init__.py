@@ -11,8 +11,8 @@ from .gabidulin import (DecodingFailure, GabidulinCode, default_generator,
                         dual_vector, moore_matrix)
 from .linpoly import LinearizedPoly, min_subspace_poly
 from .qlinalg import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                      ext_rank, ext_solve, nullspace_q, random_error,
-                      random_rows, rank_of_vector, rank_q, rank_rows)
+                      ext_rank, ext_solve, random_error, random_rows,
+                      rank_of_vector, rank_q, rank_rows)
 from .subfield import (SubfieldEmbedding, SubfieldFactorization, annihilates,
                        block_diagonal, compute_factorization, expand_parity,
                        subfield_success_probability, verify_uniqueness)
@@ -49,7 +49,6 @@ __all__ = [
     "is_prime",
     "min_subspace_poly",
     "moore_matrix",
-    "nullspace_q",
     "random_error",
     "random_rows",
     "rank_event_rate",

@@ -113,30 +113,32 @@ class DirectSumCode:
     def message_length(self) -> int:
         return sum(m - self.code.d + 1 for m in self.dims)
 
+    def _coordinates(self, word):
+        """Coordinates over the concatenated basis, one list per position;
+        ValueError unless the word lies in (V_1 + ... + V_u)^L, L the length."""
+        word = tuple(word)
+        if len(word) != self.code.length:
+            raise ValueError(f"word length {len(word)} != {self.code.length}")
+        cols = [self._solver.solve(x) for x in word]
+        if None in cols:
+            raise ValueError(f"component {cols.index(None)} lies outside the subspace sum")
+        return cols
+
     def project(self, word):
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
         parts, which sum back to the word componentwise."""
-        per_part = [[] for _ in self.parts]
-        for i, x in enumerate(word):
-            coords = self._solver.solve(x)
-            if coords is None:
-                raise ValueError(f"component {i} lies outside the subspace sum")
-            off = 0
-            for p, basis in enumerate(self.parts):
-                chunk = coords[off:off + basis.m]
-                per_part[p].append(basis.element(chunk))
-                off += basis.m
-        return [tuple(v) for v in per_part]
+        cols, off, out = self._coordinates(word), 0, []
+        for basis in self.parts:
+            out.append(tuple(basis.element(c[off:off + basis.m]) for c in cols))
+            off += basis.m
+        return out
 
     def to_parents(self, word):
         """Transfer each part to its parent code: for word = sum_i beta^(i) U_i
         part i goes to h U_i^t, every U_i read off one coordinate solve per
         position.  Concatenated rank equals the rank of the input."""
-        cols = [self._solver.solve(x) for x in word]
-        if None in cols:
-            raise ValueError(f"component {cols.index(None)} lies outside the subspace sum")
         t, h = self.tower, self.code.h
-        flat = iter([t.contract(row, h) for row in zip(*cols)])
+        flat = iter([t.contract(row, h) for row in zip(*self._coordinates(word))])
         return tuple(tuple(itertools.islice(flat, m)) for m in self.dims)
 
     def _unfold(self, parent_words):

@@ -1,109 +1,168 @@
 """Linear algebra over GF(q) and GF(q^n).
 
-q-ary matrices are plain lists of row lists with entries in [0, q);
-vectors over the extension field are tuples of integer-encoded elements.
-Random q-ary matrices are lists of packed rows: a row of width w is the
-base-q int sum row[j] * q**j, the encoding field elements use (an element
-is a row of width n).  Everything here is exact Gaussian elimination at
-desk scale, plus the rank-matrix counting formula and the rank-t error
-sampler used by the decoding experiments.
+q-ary matrices are lists of packed rows: a row of width w is the base-q
+int sum row[j] * q**j, as field elements are rows of width n.  One
+elimination, `kernel_rows`, gives every GF(q) rank, kernel and coordinate
+map; `_rref_ext` eliminates matrices over GF(q^n), whose entries are
+integer-encoded elements.  Also here: the rank-matrix counting formula and
+the rank-t error sampler used by the decoding experiments.
 """
 
 from __future__ import annotations
+
+from functools import cache
 
 from .field import FieldTower, int_digits, linear_map_tables
 
 
 # ---------------------------------------------------------------------------
-# GF(q) matrices
+# packed q-ary rows
 
-def _rref_q(rows, q):
-    """In-place reduced row echelon form; returns the pivot column list."""
-    if not rows:
-        return []
-    nrows = len(rows)
-    pivots = []
-    r = 0
-    for col in range(len(rows[0])):
-        for piv in range(r, nrows):
-            if rows[piv][col]:
-                break
+@cache
+def _lane_format(q: int):
+    """(bits, table) of odd-q elimination rows: a lane of `bits` bits per
+    digit holds a + (q - c) * b without carry (4 bits for q = 3, 8 up to
+    q = 13), and bytes.translate(table) takes every lane of a byte mod q.
+    No table fits for q >= 17, whose lanes are wider than a byte."""
+    bits = (q * (q - 1)).bit_length()
+    if bits > 8:
+        return bits, None
+    bits = 4 if bits <= 4 else 8
+    mask = (1 << bits) - 1
+    return bits, bytes(sum((b >> s & mask) % q << s for s in range(0, 8, bits))
+                       for b in range(256))
+
+
+def _mod_lanes(v: int, q: int, bits: int, table) -> int:
+    """v with every `bits`-bit lane taken mod q."""
+    if table is not None:
+        raw = v.to_bytes((v.bit_length() + 7) >> 3, "little")
+        return int.from_bytes(raw.translate(table), "little")
+    mask = (1 << bits) - 1
+    return sum((v >> s & mask) % q << s for s in range(0, v.bit_length(), bits))
+
+
+def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
+    """`rows` uniform q-ary rows of the given width, packed.  For q = 2
+    each row is one getrandbits(width); otherwise entries are drawn with
+    randrange(q) in row-major order, entry j becoming digit j.  With
+    full_rank the draw is repeated until the rank is min(rows, width)."""
+    if rows < 0 or width < 0:
+        raise ValueError(f"negative shape {rows} x {width}")
+    while True:
+        if q == 2:
+            out = [rng.getrandbits(width) for _ in range(rows)]
         else:
-            continue
-        prow = rows[piv]
-        rows[piv] = rows[r]
-        inv = pow(prow[col], q - 2, q)
-        if inv != 1:
-            prow = [v * inv % q for v in prow]
-        rows[r] = prow
-        for i in range(nrows):
-            c = rows[i][col]
-            if c and i != r:
-                rows[i] = [(a - c * b) % q for a, b in zip(rows[i], prow)]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
+            powers = [q**j for j in range(width)]
+            out = [sum([rng.randrange(q) * p for p in powers])
+                   for _ in range(rows)]
+        if not full_rank or rank_rows(out, q, width) == min(rows, width):
+            return out
+
+
+def rank_rows(rows, q: int, width: int) -> int:
+    """Rank over GF(q) of packed rows of the given width.  For q = 2 the
+    rows are reduced by XOR against one pivot per leading bit; otherwise
+    the rank is the number of rows less the dimension of `kernel_rows`."""
+    # inline, not shared with kernel_rows: a helper slowed rank_event_rate 4-18%
+    if q == 2:
+        pivots = {}
+        for v in rows:
+            while v:
+                h = v.bit_length()
+                p = pivots.get(h)
+                if p is None:
+                    pivots[h] = v
+                    break
+                v ^= p
+        return len(pivots)
+    return len(rows) - len(kernel_rows(rows, q, width))
+
+
+def kernel_rows(images, q: int, width: int):
+    """Packed kernel basis of the GF(q)-linear map e_j -> images[j], rows of
+    the given width: the RREF free-column basis, in ascending free column.
+
+    Each row [image_j | e_j] is reduced against one pivot row per leading
+    image digit, and leaves a kernel vector if its image part vanishes: 1
+    at j, the rest at earlier pivot columns.  For q = 2 a row is the int
+    image_j << m | 1 << j, reduced by XOR.  For odd q a digit takes a lane
+    of `_lane_format(q)`, pivot rows lead with 1, and v - c * p is
+    v + (q - c) * p with every lane then taken mod q.
+    """
+    m = len(images)
+    pivots, kernel = {}, []
+    if q == 2:
+        for j, image in enumerate(images):
+            v = image << m | 1 << j
+            while v >> m:
+                p = pivots.get(v.bit_length())
+                if p is None:
+                    pivots[v.bit_length()] = v
+                    break
+                v ^= p
+            else:
+                kernel.append(v)
+        return kernel
+    bits, table = _lane_format(q)
+    shift, mask = m * bits, (1 << bits) - 1
+    for j, image in enumerate(images):
+        v, at = 1 << j * bits, shift
+        while image:
+            image, d = divmod(image, q)
+            v |= d << at
+            at += bits
+        while v >> shift:
+            top = (v.bit_length() - 1) // bits
+            c = v >> top * bits & mask
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = v if c == 1 else _mod_lanes(v * pow(c, q - 2, q), q, bits, table)
+                break
+            v = _mod_lanes(v + (q - c) * p, q, bits, table)
+        else:
+            kernel.append(sum((v >> i * bits & mask) * q**i for i in range(m)))
+    return kernel
 
 
 def rank_q(matrix, q: int) -> int:
-    rows = [[v % q for v in row] for row in matrix]
-    return len(_rref_q(rows, q))
+    """Rank over GF(q) of a matrix given as row lists, by `rank_rows`."""
+    rows = [sum(v % q * q**j for j, v in enumerate(row)) for row in matrix]
+    return rank_rows(rows, q, len(matrix[0]) if matrix else 0)
 
 
-def _free_basis(rows, pivots, ncols, neg):
-    """Nullspace basis of the first ncols columns of a reduced matrix whose
-    pivots all lie among them: one vector per free column f, with 1 at f
-    and neg(rows[r][f]) at the r-th pivot column."""
-    basis = []
-    for f in range(ncols):
-        if f in pivots:
-            continue
-        vec = [0] * ncols
-        vec[f] = 1
-        for r, col in enumerate(pivots):
-            vec[col] = neg(rows[r][f])
-        basis.append(vec)
-    return basis
-
-
-def nullspace_q(matrix, q: int):
-    """Basis of the right nullspace of a q-ary matrix, as row vectors."""
-    if not matrix:
-        return []
-    rows = [[v % q for v in row] for row in matrix]
-    pivots = _rref_q(rows, q)
-    return _free_basis(rows, pivots, len(rows[0]), lambda v: -v % q)
+def rank_of_vector(tower: FieldTower, vec) -> int:
+    """q-ary rank of (the expansion of) a vector over GF(q^n)."""
+    return rank_rows(vec, tower.q, tower.n)
 
 
 class CoordinateSolver:
     """Repeated GF(q)-coordinates of field elements over fixed independent
     elements b_1..b_r: solve(x) is the u with sum u_j b_j = x.
 
-    [B | I], with B the n x r digit matrix of the b_j, is eliminated once.
-    The right block is then an invertible E with E B = [I; 0], so E
-    digits(x) holds u in its first r entries and is zero below them
-    exactly when x lies in the span.  E is stored as the sliced lookup
-    tables of `linear_map_tables`, one lane per row of E.
+    One `kernel_rows` over [b_1..b_r, alpha^0..alpha^(n-1)] completes the
+    b_j by the pivot powers alpha^p to a basis and writes each free power
+    over it.  E, the coordinate map of that basis, holds u in the first r
+    entries of E x and zeros below exactly when x lies in the span.  E is
+    stored as the sliced lookup tables of `linear_map_tables`.
     """
 
     def __init__(self, tower: FieldTower, elements):
         q, n = tower.q, tower.n
-        cols = [tower.digits(x) for x in tower.check_elements(elements)]
-        ncols = len(cols)
-        rows = [[c[i] for c in cols] + [0] * n for i in range(n)]
-        for i in range(n):
-            rows[i][ncols + i] = 1
-        # pivots beyond the left block land in the identity columns
-        pivots = _rref_q(rows, q)
-        rank = sum(1 for p in pivots if p < ncols)
-        if rank != ncols:
-            raise ValueError(f"columns have rank {rank} < {ncols} over GF({q})")
+        elements = tower.check_elements(elements)
+        r = len(elements)
+        # each kernel vector keyed by its free column, its top nonzero digit
+        kernel = [int_digits(v, q, r + n) for v in kernel_rows(elements + tower.basis, q, n)]
+        free = {max(i for i, d in enumerate(vec) if d): vec for vec in kernel}
+        rank = r - sum(1 for f in free if f < r)
+        if rank != r:
+            raise ValueError(f"columns have rank {rank} < {r} over GF({q})")
+        basis = [c for c in range(r + n) if c not in free]
+        images = [[-free[r + i][c] % q for c in basis] if r + i in free
+                  else [int(c == r + i) for c in basis] for i in range(n)]
         self.q, self.n, self.rank = q, n, rank
         # radix 256 for q = 2, read off x a byte at a time
-        self._radix, self._lane, self._tables = linear_map_tables(
-            q, list(zip(*rows))[ncols:])
+        self._radix, self._lane, self._tables = linear_map_tables(q, images)
 
     def solve(self, x: int):
         """The coordinates of x over the elements as a list, or None if x
@@ -128,75 +187,23 @@ class CoordinateSolver:
 
 
 # ---------------------------------------------------------------------------
-# packed q-ary rows
-
-def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
-    """`rows` uniform q-ary rows of the given width, packed.  For q = 2
-    each row is one getrandbits(width); otherwise entries are drawn with
-    randrange(q) in row-major order, entry j becoming digit j.  With
-    full_rank the draw is repeated until the rank is min(rows, width)."""
-    if rows < 0 or width < 0:
-        raise ValueError(f"negative shape {rows} x {width}")
-    while True:
-        if q == 2:
-            out = [rng.getrandbits(width) for _ in range(rows)]
-        else:
-            powers = [q**j for j in range(width)]
-            out = [sum([rng.randrange(q) * p for p in powers])
-                   for _ in range(rows)]
-        if not full_rank or rank_rows(out, q, width) == min(rows, width):
-            return out
-
-
-def rank_rows(rows, q: int, width: int) -> int:
-    """Rank over GF(q) of packed rows of the given width.  For q = 2 the
-    rows are reduced by XOR against one pivot per leading bit."""
-    # inline, not shared with kernel_rows: a helper slowed rank_event_rate 4-18%
-    if q == 2:
-        pivots = {}
-        for v in rows:
-            while v:
-                h = v.bit_length()
-                p = pivots.get(h)
-                if p is None:
-                    pivots[h] = v
-                    break
-                v ^= p
-        return len(pivots)
-    return len(_rref_q([int_digits(v, q, width) for v in rows if v], q))
-
-
-def kernel_rows(images, q: int, width: int):
-    """Packed kernel basis of the GF(q)-linear map e_j -> images[j], rows of
-    the given width: `nullspace_q`'s free-column basis, in its order.  For
-    q = 2, rows image_j << m | 1 << j whose image part XORs to 0 leave kernel
-    vectors, already reduced: pivot rows hold only pivot columns' bits."""
-    m = len(images)
-    if q != 2:
-        matrix = list(zip(*(int_digits(v, q, width) for v in images)))
-        return [sum(d * q**j for j, d in enumerate(vec))
-                for vec in nullspace_q(matrix or [[0] * m], q)]
-    pivots, kernel = {}, []
-    for j, image in enumerate(images):
-        v = image << m | 1 << j
-        while v >> m:
-            p = pivots.get(v.bit_length())
-            if p is None:
-                pivots[v.bit_length()] = v
-                break
-            v ^= p
-        else:
-            kernel.append(v)
-    return kernel
-
-
-def rank_of_vector(tower: FieldTower, vec) -> int:
-    """q-ary rank of (the expansion of) a vector over GF(q^n)."""
-    return rank_rows(vec, tower.q, tower.n)
-
-
-# ---------------------------------------------------------------------------
 # matrices over GF(q^n)
+
+def _free_basis(rows, pivots, ncols, neg):
+    """Nullspace basis of the first ncols columns of a reduced matrix whose
+    pivots all lie among them: one vector per free column f, with 1 at f
+    and neg(rows[r][f]) at the r-th pivot column."""
+    basis = []
+    for f in range(ncols):
+        if f in pivots:
+            continue
+        vec = [0] * ncols
+        vec[f] = 1
+        for r, col in enumerate(pivots):
+            vec[col] = neg(rows[r][f])
+        basis.append(vec)
+    return basis
+
 
 def _rref_ext(tower: FieldTower, rows):
     if not rows:

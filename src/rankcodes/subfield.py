@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from .field import FieldTower
 from .gabidulin import ENUM_GUARD, GabidulinCode, moore_matrix
 from .linpoly import LinearizedPoly
-from .qlinalg import CoordinateSolver, nullspace_q, rank_of_vector
+from .qlinalg import CoordinateSolver, kernel_rows, rank_of_vector
 
 
 class SubfieldEmbedding:
@@ -171,21 +171,22 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     description); a distinct solution would contradict the uniqueness
     theorem and must fail loudly.
     """
-    emb = factz.embedding
-    q, n = code.tower.q, code.tower.n
+    emb, tower = factz.embedding, code.tower
+    q, n = tower.q, tower.n
     coeff = _qary_expansion(emb, block_diagonal(factz.block, emb.blocks))
     rhs = _qary_expansion(emb, factz.parity)
-    kernel = nullspace_q([a + b for a, b in zip(coeff, rhs)], q)
-    # each basis vector ends in a 1 at its free column
-    free = [max(i for i, v in enumerate(vec) if v) for vec in kernel]
-    null = sum(1 for f in free if f < n)
+    # the columns of [coeff | rhs], packed with digit i from row i
+    cols = [tower.from_digits(col) for col in zip(*(a + b for a, b in zip(coeff, rhs)))]
+    # one basis vector per free column, in ascending order, with 1 there
+    kernel = kernel_rows(cols, q, len(coeff))
+    null = sum(1 for v in kernel if v < q**n)
     if null:
         return False, f"solution space has dimension {null}"
-    for j in range(n):
-        if n + j not in free:  # the first such column is inconsistent
+    for j in range(n):  # the first column n + j that is not free is inconsistent
+        if j == len(kernel) or kernel[j] // q**n != q**j:
             return False, f"column {j}: system inconsistent"
-    for j, vec in enumerate(kernel):
-        if vec[:n] != [-factz.transform[i][j] % q for i in range(n)]:
+    for j, v in enumerate(kernel):
+        if v % q**n != tower.from_digits(-row[j] for row in factz.transform):
             return False, f"column {j}: distinct solution found"
     return True, None
 

@@ -114,6 +114,8 @@ class SubspaceSubcode:
     def to_parent(self, vector):
         """Transfer a vector with components in V onto GF(q^n)^m: with
         vector = basis * U this is h * U^t.  Preserves q-ary rank."""
+        if len(vector) != self.code.length:
+            raise ValueError(f"word length {len(vector)} != {self.code.length}")
         u = self.basis.decompose(vector)
         t = self.tower
         return tuple(t.contract(row, self.code.h) for row in u)

@@ -175,6 +175,18 @@ def test_decode_trivial_part_raises_trivial_subcode_error(gf64):
             sub.to_parent(part) for sub, part in zip(dsc.subcodes, dsc.project(w)))
 
 
+def test_transfers_reject_wrong_word_length(gf64):
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3]
+    dsc = DirectSumCode(code, [(1, 2, 4), (8, 16, 32)])
+    sub = dsc.subcodes[0]
+    # every component lies in V_1, so only the length is wrong
+    for word in [(1, 2, 3), (1, 2, 3, 0, 0, 0, 0)]:
+        for call in (dsc.project, dsc.to_parents, dsc.decode, sub.to_parent,
+                     sub.decode, lambda w: sub.decode(w, route="ambient")):
+            with pytest.raises(ValueError, match="word length"):
+                call(word)
+
+
 # -- probabilities ----------------------------------------------------------------
 
 def test_rank_leq_probability_enumerated():

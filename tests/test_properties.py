@@ -1,6 +1,9 @@
-"""Property-based tests over random shapes for q in {2, 3, 5, 7}."""
+"""Property-based tests over random shapes for q in {2, 3, 5, 7}, and up to
+q = 31 for the GF(q) elimination."""
 
+import itertools
 import random
+from fractions import Fraction
 from functools import cache
 
 from hypothesis import event, given, settings
@@ -8,9 +11,12 @@ from hypothesis import strategies as st
 
 from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        FieldTower, GabidulinCode, LinearizedPoly,
-                       default_generator, min_subspace_poly, nullspace_q,
-                       random_error, random_rows, rank_of_vector, rank_q,
-                       rank_rows, sample_channel_error)
+                       default_generator, min_subspace_poly, random_error,
+                       random_rows, rank_of_vector, rank_q, rank_rows,
+                       sample_channel_error, success_probability)
+from rankcodes.qlinalg import kernel_rows
+
+import gfq_reference as ref
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -23,8 +29,8 @@ def _tower(q, n):
 
 
 @st.composite
-def solver_cases(draw):
-    q, n = draw(st.sampled_from(SOLVER_SHAPES))
+def solver_cases(draw, shapes=SOLVER_SHAPES):
+    q, n = draw(st.sampled_from(shapes))
     tower = _tower(q, n)
     element = st.integers(0, tower.order - 1)
     elements = ()
@@ -51,6 +57,22 @@ def test_coordinate_solver_matches_span_membership(case):
         assert tower.contract(u, elements) == x
     else:
         assert u is None
+
+
+# one shape per lane format of the odd-q kernel: 4-bit lanes (q = 3), 8-bit
+# lanes (5 <= q <= 13) and lane-by-lane reduction (q >= 17)
+LANE_SHAPES = [(2, 9), (3, 4), (3, 7), (5, 3), (7, 3), (13, 2), (17, 2), (31, 2)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(solver_cases(LANE_SHAPES))
+def test_coordinate_solver_matches_reference_solve(case):
+    tower, elements, x = case
+    q, n = tower.q, tower.n
+    columns = [ref.digits(b, q, n) for b in elements]
+    matrix = [[col[i] for col in columns] for i in range(n)]
+    want = ref.solve(matrix, ref.digits(x, q, n), q)
+    assert CoordinateSolver(tower, elements).solve(x) == want
 
 
 # table-backed and table-less (2^17) towers for each q
@@ -96,14 +118,9 @@ def test_contract_and_dot_equal_explicit_fold(case):
     assert tower.mul_count - before == sum(1 for x, y in zip(xs, ys) if x and y)
 
 
-def _digit_lists(rows, q, width):
-    """Packed rows as digit lists, entry j = digit j, by plain arithmetic."""
-    return [[v // q**j % q for j in range(width)] for v in rows]
-
-
 @st.composite
 def packed_row_cases(draw):
-    q = draw(st.sampled_from([2, 3, 5]))
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 31]))
     width = draw(st.integers(0, 20))
     row = st.one_of(st.just(0), st.integers(0, q**width - 1))
     rows = draw(st.lists(row, max_size=8))
@@ -116,7 +133,20 @@ def packed_row_cases(draw):
 @given(packed_row_cases())
 def test_rank_rows_matches_rank_q(case):
     q, width, rows = case
-    assert rank_rows(rows, q, width) == rank_q(_digit_lists(rows, q, width), q)
+    matrix = [ref.digits(v, q, width) for v in rows]
+    want = ref.rank(matrix, q)
+    assert rank_rows(rows, q, width) == want
+    assert rank_q(matrix, q) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_row_cases())
+def test_kernel_rows_matches_reference_nullspace(case):
+    q, width, rows = case
+    # column j of the matrix is the digits of rows[j]; width 0 is the zero map
+    matrix = [list(col) for col in zip(*(ref.digits(v, q, width) for v in rows))]
+    want = ref.nullspace(matrix or [[0] * len(rows)], q)
+    assert kernel_rows(rows, q, width) == [ref.pack(v, q) for v in want]
 
 
 @settings(max_examples=100, deadline=None)
@@ -125,7 +155,7 @@ def test_rank_rows_matches_rank_q(case):
 def test_random_rows_full_rank(q, rows, width, rng):
     out = random_rows(q, rows, width, rng, full_rank=True)
     assert len(out) == rows and all(0 <= v < q**width for v in out)
-    assert rank_q(_digit_lists(out, q, width), q) == min(rows, width)
+    assert ref.rank([ref.digits(v, q, width) for v in out], q) == min(rows, width)
 
 
 # table-less towers, where inv is extended Euclid and frobenius reads the
@@ -207,11 +237,11 @@ def linpoly_cases(draw):
 
 def _root_space_reference(f):
     """Kernel of f by expanding its basis images into digits, transposing
-    and taking nullspace_q, packed back into field elements."""
+    and taking the reference nullspace, packed back into field elements."""
     tower = f.tower
     images = [tower.digits(f.evaluate(b)) for b in tower.basis]
     matrix = [[img[i] for img in images] for i in range(tower.n)]
-    return [tower.from_digits(v) for v in nullspace_q(matrix, tower.q)]
+    return [tower.from_digits(v) for v in ref.nullspace(matrix, tower.q)]
 
 
 @settings(max_examples=200, deadline=None)
@@ -408,3 +438,29 @@ def test_direct_sum_codec_matches_per_part_route(case):
           f"{'every part decodes' if ok else 'a part fails'}")
     if ok and rank_of_vector(tower, error) <= M.capability:
         assert (want_c, want_e) == (codeword, error)
+
+
+@st.composite
+def enumerable_shapes(draw):
+    """(q, dims, capability, t) with at most 4096 t x sum(dims) matrices."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    cells = {2: 12, 3: 7, 5: 5}[q]
+    t = draw(st.integers(0, 3))
+    dims = draw(st.lists(st.integers(1, 3), min_size=1, max_size=3)
+                .filter(lambda d: t * sum(d) <= cells))
+    return q, dims, draw(st.integers(0, 2)), t
+
+
+@settings(max_examples=60, deadline=None)
+@given(enumerable_shapes())
+def test_exact_success_probability_matches_enumeration(case):
+    q, dims, capability, t = case
+    width = sum(dims)
+    offsets = list(itertools.accumulate([0] + dims))
+    hits = 0
+    for flat in itertools.product(range(q), repeat=t * width):
+        rows = [flat[i * width:(i + 1) * width] for i in range(t)]
+        hits += all(ref.rank([row[lo:hi] for row in rows], q) <= capability
+                    for lo, hi in zip(offsets, offsets[1:]))
+    want = Fraction(hits, q ** (t * width))
+    assert success_probability(q, dims, capability, t, form="exact") == want

@@ -4,9 +4,11 @@ import random
 import pytest
 
 from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                       ext_solve, nullspace_q, random_error, random_rows,
-                       rank_of_vector, rank_q)
+                       ext_solve, random_error, random_rows, rank_of_vector,
+                       rank_q)
 from rankcodes.qlinalg import kernel_rows
+
+import gfq_reference as ref
 
 
 # -- q-ary elimination --------------------------------------------------------
@@ -18,10 +20,12 @@ def test_rank_basics():
 
 
 def test_nullspace_dimension():
-    m = [[1, 1, 0], [0, 0, 1]]
-    ns = nullspace_q(m, 2)
-    assert len(ns) == 1 and ns[0] == [1, 1, 0]
-    assert nullspace_q([[0, 0], [0, 0]], 5) == [[1, 0], [0, 1]]
+    # [[1, 1, 0], [0, 0, 1]] sends e_0, e_1 -> (1, 0) and e_2 -> (0, 1)
+    assert kernel_rows([1, 1, 2], 2, 2) == [0b011]
+    assert ref.nullspace([[1, 1, 0], [0, 0, 1]], 2) == [[1, 1, 0]]
+    # the zero 2 x 2 matrix over GF(5)
+    assert kernel_rows([0, 0], 5, 2) == [1, 5]
+    assert ref.nullspace([[0, 0], [0, 0]], 5) == [[1, 0], [0, 1]]
 
 
 def test_kernel_rows_examples():
@@ -67,7 +71,7 @@ def test_rank_of_vector_matches_generic_path(gf27):
     for _ in range(100):
         v = tuple(gf27.random_element(rng) for _ in range(4))
         rows = [list(gf27.digits(x)) for x in v]
-        assert rank_of_vector(gf27, v) == rank_q(rows, 3)
+        assert rank_of_vector(gf27, v) == ref.rank(rows, 3)
 
 
 # -- extension-field elimination ------------------------------------------------
