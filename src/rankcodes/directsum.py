@@ -116,7 +116,7 @@ class DirectSumCode:
     def _coordinates(self, word):
         """Coordinates over the concatenated basis, one list per position;
         ValueError unless the word lies in (V_1 + ... + V_u)^L, L the length."""
-        word = tuple(word)
+        word = self.tower.check_elements(word, "word symbol")
         if len(word) != self.code.length:
             raise ValueError(f"word length {len(word)} != {self.code.length}")
         cols = [self._solver.solve(x) for x in word]
@@ -272,7 +272,7 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
         for _ in range(size):
             rows = random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
             for low, span, m in blocks:
-                if rank_rows([r // low % span for r in rows], q, m) > capability:
+                if rank_rows([r // low % span for r in rows], q) > capability:
                     break
             else:
                 successes += 1

@@ -217,6 +217,14 @@ def linear_map_tables(q: int, images):
     return q**chunk, lane, tables
 
 
+def _comb_window(b: int) -> tuple:
+    """The unreduced carry-less products u * b for the 4-bit u = 0..15."""
+    b2, b4, b8 = b << 1, b << 2, b << 3
+    b3, b12 = b2 ^ b, b8 ^ b4
+    return (0, b, b2, b3, b4, b4 ^ b, b4 ^ b2, b4 ^ b3,
+            b8, b8 ^ b, b8 ^ b2, b8 ^ b3, b12, b12 ^ b, b12 ^ b2, b12 ^ b3)
+
+
 def find_irreducible(q: int, n: int):
     """Smallest monic irreducible polynomial of degree n over GF(q)
     in the base-q integer order of its low coefficients."""
@@ -245,24 +253,31 @@ class FieldTower:
     Fields of order <= 2^16 work through tables fixed at construction
     with the generator g: `_exp` and `_log` for `mul`, `inv`, `pow` and
     `frobenius`, and for odd q `_zech`, zech[i] = log(1 + g^i) (None where
-    1 + g^i = 0), which makes `add`, `neg` and `sub` lookups.  Odd q
-    builds `_exp` by stepping x -> x * g as a GF(q)-linear map through
-    `linear_map_tables`.  Larger fields are table-less: odd-q `add` goes
-    digit by digit, `mul` is shift-and-add (q = 2) or polynomial
-    multiplication, `inv` is extended Euclid (on ints for q = 2), and
-    `frobenius(x, i)` is the GF(q)-linear map x -> x^(q^i) read through
-    `linear_map_tables`.  Those tables are the one lazily filled state:
-    the set for power i is built on its first use and kept, at most
-    (n-1) * ceil(n/k) tables of at most 256 entries.  Each set is built
-    whole and then published by one dict assignment, so a tower can still
-    be shared across threads; a race only builds a set twice.
+    1 + g^i = 0), which makes `add`, `neg`, `sub` and `axpy` lookups;
+    both span two periods of i.  `_exp` is built by stepping x -> x * g as
+    a GF(q)-linear map through `linear_map_tables`.  Larger fields are
+    table-less: odd-q `add` goes digit by digit, `mul` is polynomial
+    multiplication for odd q and for q = 2 a comb over 4-bit windows whose
+    high half is reduced through `_reduce`, byte tables of x^(n+j) mod the
+    modulus built with every q = 2 tower, `inv` is extended Euclid (on ints
+    for q = 2), and `frobenius(x, i)` is the GF(q)-linear map x -> x^(q^i)
+    read through `linear_map_tables`.  Those tables are the one lazily
+    filled state: the set for power i is built on its first use and kept,
+    at most (n-1) * ceil(n/k) tables of at most 256 entries.  Each set is
+    built whole and then published by one dict assignment, so a tower can
+    still be shared across threads; a race only builds a set twice.
 
-    `mul_count` counts one per `mul`, one per `inv`, and one per
-    `frobenius` that is not the identity (i = 0 mod n, or x in {0, 1});
-    table-backed `pow` counts one and table-less `pow` one per `mul`.  It
-    depends only on the calls made: building tables never touches it.
-    Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
-    outside [0, q^n).
+    `axpy(ys, c, xs)` is the row primitive [y + c x]: table-backed towers
+    add log c once per row, table-less q = 2 builds c's comb window once
+    per row, and table-less odd q multiplies entry by entry.
+
+    `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
+    and one per `frobenius` that is not the identity (i = 0 mod n, or x in
+    {0, 1}); table-backed `pow` counts one and table-less `pow` one per
+    `mul`.  It depends only on the calls made: building tables never
+    touches it.  Table-less `mul`, `inv` and `frobenius` raise ValueError
+    on an operand outside [0, q^n); `axpy` checks nothing, so the library
+    checks words with `check_elements` where they come in.
     """
 
     def __init__(self, q: int, n: int, modulus=None):
@@ -291,6 +306,10 @@ class FieldTower:
         self._log = None
         self._zech = None
         self.basis = tuple(q**i for i in range(n))
+        if q == 2:  # the comb's reduction tables: images of x^(n+j) mod the modulus
+            self._nibbles = range(4 * ((n - 1) // 4), -1, -4)
+            self._reduce = linear_map_tables(
+                2, [_pmod((0,) * (n + j) + (1,), modulus, 2) for j in range(n - 1)])[2]
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         self._frob = {}  # power i -> linear_map_tables, table-less only
@@ -361,27 +380,29 @@ class FieldTower:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Polynomial product with modular reduction, no tables."""
+        """Product with modular reduction, no log tables and no count."""
         if a == 0 or b == 0:
             return 0
         if self.q == 2:
-            r = 0
-            top = 1 << self.n
-            while b:
-                if b & 1:
-                    r ^= a
-                b >>= 1
-                a <<= 1
-                if a & top:
-                    a ^= self._mod_int
-            return r
-        return self._mul_poly(a, b)
-
-    def _mul_poly(self, a: int, b: int) -> int:
+            return self._comb(_comb_window(b), a)
         if a < self.q or b < self.q:  # odd q: a GF(q) scalar scales digit-wise
             return self.from_digits([min(a, b) * d for d in self.digits(max(a, b))])
         prod = _pmul(self.digits(a), self.digits(b), self.q)
         return self.from_digits(_pmod(prod, self.modulus, self.q) + (0,) * self.n)
+
+    def _comb(self, window, a: int) -> int:
+        """a * b for window = _comb_window(b): a left-to-right comb over the
+        4-bit windows of a (Hankerson-Menezes-Vanstone, Alg. 2.36), its high
+        half reduced a byte at a time through `_reduce` (their section 2.3.5)."""
+        r = 0
+        for s in self._nibbles:
+            r = r << 4 ^ window[a >> s & 15]
+        high = r >> self.n
+        r ^= high << self.n
+        for table in self._reduce:
+            r ^= table[high & 255]
+            high >>= 8
+        return r
 
     def _outside(self, *xs):
         return ValueError(f"operand outside GF({self.q}^{self.n}): {xs}")
@@ -392,10 +413,7 @@ class FieldTower:
             if a == 0 or b == 0:
                 return 0
             return self._exp[self._log[a] + self._log[b]]
-        if self.q == 2:
-            if (a | b) >> self.n:
-                raise self._outside(a, b)
-        elif not (0 <= a < self.order and 0 <= b < self.order):
+        if not (0 <= a < self.order and 0 <= b < self.order):
             raise self._outside(a, b)
         return self._mul_raw(a, b)
 
@@ -457,20 +475,18 @@ class FieldTower:
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
         if not 0 <= x < self.order:
             raise self._outside(x)
-        built = self._frob.get(i) or self._frobenius_tables(i)
-        if self.q != 2:
-            return self._linear_image(x, built)
-        w = 0
-        for table in built[2]:
-            w ^= table[x & 255]
-            x >>= 8
-        return w
+        return self._linear_image(x, self._frob.get(i) or self._frobenius_tables(i))
 
     def _linear_image(self, x: int, built) -> int:
-        """Image of x under an odd-q map built by `linear_map_tables`,
-        its lanes repacked into a base-q element."""
+        """Image of x under a map built by `linear_map_tables`: for q = 2 an
+        XOR of byte lookups, otherwise lanes repacked into a base-q element."""
         radix, lane, tables = built
         w = 0
+        if self.q == 2:
+            for table in tables:
+                w ^= table[x & 255]
+                x >>= 8
+            return w
         for table in tables:
             x, r = divmod(x, radix)
             w += table[r]
@@ -516,15 +532,35 @@ class FieldTower:
                 acc = self.add(acc, self.mul(c, e))
         return acc
 
+    def axpy(self, ys, c: int, xs) -> list:
+        """[y + c x for y, x in zip(ys, xs)], one counted mul per entry as
+        through `mul`, with no element check (see the class docstring)."""
+        if self._exp is not None and c:
+            exp, log, lc = self._exp, self._log, self._log[c]
+            if self.q == 2:
+                out = [y ^ exp[lc + log[x]] if x else y for y, x in zip(ys, xs)]
+            else:  # y + g^v = g^(log y + zech[v - log y])
+                zech, out = self._zech, []
+                for y, x in zip(ys, xs):
+                    if x:
+                        v = lc + log[x]
+                        if not y:
+                            y = exp[v]
+                        else:
+                            z = zech[v - log[y]]
+                            y = 0 if z is None else exp[log[y] + z]
+                    out.append(y)
+        elif self.q == 2 and c:
+            comb, window = self._comb, _comb_window(c)
+            out = [y ^ comb(window, x) if x else y for y, x in zip(ys, xs)]
+        else:
+            out = [self.add(y, self._mul_raw(c, x)) for y, x in zip(ys, xs)]
+        self.mul_count += len(out)
+        return out
+
     def dot(self, xs, ys) -> int:
-        """sum x_i y_i over GF(q^n); each nonzero product is one counted mul.
-        For q = 2 the products are XORed without calling add."""
+        """sum x_i y_i over GF(q^n); each nonzero product is one counted mul."""
         acc = 0
-        if self.q == 2:
-            for x, y in zip(xs, ys):
-                if x and y:
-                    acc ^= self.mul(x, y)
-            return acc
         for x, y in zip(xs, ys):
             if x and y:
                 acc = self.add(acc, self.mul(x, y))
@@ -534,21 +570,14 @@ class FieldTower:
 
     def _build_tables(self):
         size = self.order - 1
-        if size == 1:  # GF(2): trivial multiplicative group
-            self._exp = [1, 1]
-            self._log = [0, 0]
-            self.generator = 1
-            return
-        for gen in range(2, self.order):
-            if self.q == 2:
-                step, by = self._mul_raw, gen
-            else:  # x -> x * gen is GF(q)-linear: read it through tables
-                step, by = self._linear_image, linear_map_tables(
-                    self.q, [self.digits(self._mul_raw(b, gen)) for b in self.basis])
-            exp, x = [1], step(1, by)
+        for gen in range(min(2, size), self.order):  # GF(2) has generator 1
+            # x -> x * gen is GF(q)-linear: read it through tables
+            by = linear_map_tables(
+                self.q, [self.digits(self._mul_raw(b, gen)) for b in self.basis])
+            exp, x = [1], self._linear_image(1, by)
             while x != 1:  # the powers of gen, until they cycle
                 exp.append(x)
-                x = step(x, by)
+                x = self._linear_image(x, by)
             if len(exp) < size:
                 continue
             log = [0] * self.order
@@ -561,8 +590,9 @@ class FieldTower:
             if self.q != 2:
                 # zech[i] = log(1 + g^i); adding 1 changes digit 0 only
                 q = self.q
-                self._zech = [log[w] if w else None for w in
-                              (v - v % q + (v + 1) % q for v in exp[:size])]
+                zech = [log[w] if w else None for w in
+                        (v - v % q + (v + 1) % q for v in exp[:size])]
+                self._zech = zech + zech
             return
         raise RuntimeError("no multiplicative generator found")  # pragma: no cover
 

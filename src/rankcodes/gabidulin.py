@@ -78,6 +78,15 @@ def default_generator(tower: FieldTower):
     return tower.basis  # pragma: no cover
 
 
+def _combine(tower: FieldTower, coeffs, rows, width: int) -> tuple:
+    """sum_i coeffs_i rows_i over GF(q^n), one `axpy` per nonzero coefficient."""
+    acc = [0] * width
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = tower.axpy(acc, c, row)
+    return tuple(acc)
+
+
 class GabidulinCode:
     """[L, k, d = L-k+1] maximum-rank-distance code over GF(q^n), L <= n.
 
@@ -111,37 +120,33 @@ class GabidulinCode:
         self.g = g
         self.h = h
         self._gen_rows = moore_matrix(tower, g, k) if g is not None else None
-        self._par_rows = moore_matrix(tower, h, self.d - 1)
+        self._par_cols = tuple(zip(*moore_matrix(tower, h, self.d - 1)))
         self._h_solver = CoordinateSolver(tower, h)
-        if g is not None:
-            self._check_orthogonal()
+        if g is not None and any(any(self.syndromes(grow)) for grow in self._gen_rows):
+            raise ValueError("generator and parity vectors are not dual")
 
     @classmethod
     def from_parity(cls, tower, h, k):
         return cls(tower, k, h=h)
 
-    def _check_orthogonal(self):
-        if any(self.tower.dot(grow, hrow)
-               for grow in self._gen_rows for hrow in self._par_rows):
-            raise ValueError("generator and parity vectors are not dual")
-
     @property
     def parity_matrix(self):
-        return [list(r) for r in self._par_rows]
+        return [list(r) for r in zip(*self._par_cols)]
 
     def encode(self, message):
         if self._gen_rows is None:
             raise ValueError("encoding needs a generator vector")
-        message = tuple(message)
+        message = self.tower.check_elements(message, "message symbol")
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        return tuple(self.tower.dot(message, col) for col in zip(*self._gen_rows))
+        return _combine(self.tower, message, self._gen_rows, self.length)
 
     def syndromes(self, word):
-        word = tuple(word)
+        """The syndromes word H^T, summed over the parity columns."""
+        word = self.tower.check_elements(word, "word symbol")
         if len(word) != self.length:
             raise ValueError(f"word length {len(word)} != {self.length}")
-        return tuple(self.tower.dot(word, hrow) for hrow in self._par_rows)
+        return _combine(self.tower, word, self._par_cols, self.d - 1)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(word))

@@ -59,11 +59,17 @@ class LinearizedPoly:
         return LinearizedPoly(t, (t.mul(c, v) for v in self.coeffs))
 
     def root_space_basis(self):
-        """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree."""
+        """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree.  The
+        basis images f(alpha^i) gather one `axpy` per coefficient f_p over
+        the Frobenius images alpha^(i q^p)."""
         if self.is_zero:
             raise ValueError("zero polynomial vanishes everywhere")
         t = self.tower
-        return kernel_rows([self.evaluate(b) for b in t.basis], t.q, t.n)
+        images = [0] * t.n
+        for p, c in enumerate(self.coeffs):
+            if c:
+                images = t.axpy(images, c, [t.frobenius(b, p) for b in t.basis])
+        return kernel_rows(images, t.q)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

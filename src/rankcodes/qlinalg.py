@@ -56,14 +56,14 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
             powers = [q**j for j in range(width)]
             out = [sum([rng.randrange(q) * p for p in powers])
                    for _ in range(rows)]
-        if not full_rank or rank_rows(out, q, width) == min(rows, width):
+        if not full_rank or rank_rows(out, q) == min(rows, width):
             return out
 
 
-def rank_rows(rows, q: int, width: int) -> int:
-    """Rank over GF(q) of packed rows of the given width.  For q = 2 the
-    rows are reduced by XOR against one pivot per leading bit; otherwise
-    the rank is the number of rows less the dimension of `kernel_rows`."""
+def rank_rows(rows, q: int) -> int:
+    """Rank over GF(q) of packed rows.  For q = 2 the rows are reduced by
+    XOR against one pivot per leading bit; otherwise the rank is the number
+    of rows less the dimension of `kernel_rows`."""
     # inline, not shared with kernel_rows: a helper slowed rank_event_rate 4-18%
     if q == 2:
         pivots = {}
@@ -76,12 +76,12 @@ def rank_rows(rows, q: int, width: int) -> int:
                     break
                 v ^= p
         return len(pivots)
-    return len(rows) - len(kernel_rows(rows, q, width))
+    return len(rows) - len(kernel_rows(rows, q))
 
 
-def kernel_rows(images, q: int, width: int):
-    """Packed kernel basis of the GF(q)-linear map e_j -> images[j], rows of
-    the given width: the RREF free-column basis, in ascending free column.
+def kernel_rows(images, q: int):
+    """Packed kernel basis of the GF(q)-linear map e_j -> images[j]: the
+    RREF free-column basis, in ascending free column.
 
     Each row [image_j | e_j] is reduced against one pivot row per leading
     image digit, and leaves a kernel vector if its image part vanishes: 1
@@ -128,12 +128,12 @@ def kernel_rows(images, q: int, width: int):
 def rank_q(matrix, q: int) -> int:
     """Rank over GF(q) of a matrix given as row lists, by `rank_rows`."""
     rows = [sum(v % q * q**j for j, v in enumerate(row)) for row in matrix]
-    return rank_rows(rows, q, len(matrix[0]) if matrix else 0)
+    return rank_rows(rows, q)
 
 
 def rank_of_vector(tower: FieldTower, vec) -> int:
     """q-ary rank of (the expansion of) a vector over GF(q^n)."""
-    return rank_rows(vec, tower.q, tower.n)
+    return rank_rows(vec, tower.q)
 
 
 class CoordinateSolver:
@@ -152,7 +152,7 @@ class CoordinateSolver:
         elements = tower.check_elements(elements)
         r = len(elements)
         # each kernel vector keyed by its free column, its top nonzero digit
-        kernel = [int_digits(v, q, r + n) for v in kernel_rows(elements + tower.basis, q, n)]
+        kernel = [int_digits(v, q, r + n) for v in kernel_rows(elements + tower.basis, q)]
         free = {max(i for i, d in enumerate(vec) if d): vec for vec in kernel}
         rank = r - sum(1 for f in free if f < r)
         if rank != r:
@@ -216,13 +216,10 @@ def _rref_ext(tower: FieldTower, rows):
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        inv = tower.inv(rows[r][col])
-        rows[r] = [tower.mul(inv, v) for v in rows[r]]
+        rows[r] = tower.axpy([0] * ncols, tower.inv(rows[r][col]), rows[r])
         for i in range(len(rows)):
-            if i != r and rows[i][col]:
-                c = rows[i][col]
-                rows[i] = [tower.sub(a, tower.mul(c, b))
-                           for a, b in zip(rows[i], rows[r])]
+            if i != r and rows[i][col]:  # row i - c * row r
+                rows[i] = tower.axpy(rows[i], tower.neg(rows[i][col]), rows[r])
         pivots.append(col)
         r += 1
         if r == len(rows):

@@ -178,7 +178,7 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     # the columns of [coeff | rhs], packed with digit i from row i
     cols = [tower.from_digits(col) for col in zip(*(a + b for a, b in zip(coeff, rhs)))]
     # one basis vector per free column, in ascending order, with 1 there
-    kernel = kernel_rows(cols, q, len(coeff))
+    kernel = kernel_rows(cols, q)
     null = sum(1 for v in kernel if v < q**n)
     if null:
         return False, f"solution space has dimension {null}"

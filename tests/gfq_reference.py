@@ -1,5 +1,6 @@
 """Digit-list Gauss-Jordan elimination over GF(q), the reference the packed
-kernel of rankcodes.qlinalg is checked against.
+kernel of rankcodes.qlinalg is checked against, and a schoolbook product
+in GF(q^n), the reference for the field multiplier.
 
 Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
@@ -79,3 +80,35 @@ def digits(v, q, width):
 def pack(vec, q):
     """The base-q int with digit j = vec[j]."""
     return sum(d * q**j for j, d in enumerate(vec))
+
+
+def field_mul(a, b, q, modulus):
+    """a * b in GF(q)[x] / (modulus), on base-q encoded elements; modulus is
+    monic, coefficients low-to-high.  For q = 2 a carry-less product, one
+    shifted XOR per set bit of b, reduced one bit at a time from the top;
+    otherwise the same schoolbook product and reduction on digit lists."""
+    n = len(modulus) - 1
+    if q == 2:
+        f = sum(c << i for i, c in enumerate(modulus))
+        p = 0
+        for i in range(b.bit_length()):
+            if b >> i & 1:
+                p ^= a << i
+        for i in range(p.bit_length() - 1, n - 1, -1):
+            if p >> i & 1:
+                p ^= f << i - n
+        return p
+    prod = [0] * (2 * n)
+    for i, x in enumerate(digits(a, q, n)):
+        for j, y in enumerate(digits(b, q, n)):
+            prod[i + j] = (prod[i + j] + x * y) % q
+    for i in range(2 * n - 1, n - 1, -1):
+        c = prod[i]
+        for j, m in enumerate(modulus):
+            prod[i - n + j] = (prod[i - n + j] - c * m) % q
+    return pack(prod[:n], q)
+
+
+def field_add(a, b, q, n):
+    """a + b in GF(q^n), digit by digit."""
+    return pack([(x + y) % q for x, y in zip(digits(a, q, n), digits(b, q, n))], q)

@@ -5,9 +5,11 @@ import threading
 import pytest
 from conftest import bounded
 
-from rankcodes import (CoordinateSolver, FieldTower, GabidulinCode, SubspaceBasis,
-                       find_irreducible, is_irreducible, random_error)
+from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
+                       SubspaceBasis, find_irreducible, is_irreducible, random_error)
 from rankcodes.field import _DEFAULT_MODULI
+
+import gfq_reference as ref
 
 
 def test_default_moduli_are_irreducible():
@@ -82,13 +84,13 @@ def test_field_axioms_random_triples(gf16, gf27):
 
 
 def test_slow_path_matches_tables():
-    # same modulus, one tower above the table limit knob via a bigger field
+    # one tower above the table limit, against the schoolbook reference
     big = FieldTower(2, 17)
     assert big._exp is None
     rng = random.Random(5)
     for _ in range(300):
         a, b = big.random_element(rng), big.random_element(rng)
-        assert big.mul(a, b) == big._mul_raw(a, b)
+        assert big.mul(a, b) == ref.field_mul(a, b, 2, big.modulus)
         if a:
             assert big.mul(a, big.inv(a)) == 1
 
@@ -250,6 +252,22 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
         with pytest.raises(ValueError, match="element 2.0"):
             CoordinateSolver(gf16, [1, 2.0])
     assert gf16.check_elements(iter([0, 15])) == (0, 15)
+    # words and messages, on table-backed and table-less towers: -1 would
+    # index the log tables from their end, and `axpy` checks no entry
+    for tower in (gf16, gf9, FieldTower(2, 17), FieldTower(3, 11)):
+        n = tower.n
+        with bounded(20):
+            code = GabidulinCode(tower, n - 1, g=tower.basis)
+            M = DirectSumCode(code, [tower.basis[:n // 2], tower.basis[n // 2:]])
+        for bad in (-1, tower.order, True, 2.0):
+            word = (1,) * (n - 1) + (bad,)
+            with bounded(5):
+                for call, what in ((code.decode, "word symbol"),
+                                   (code.is_codeword, "word symbol"),
+                                   (M.decode, "word symbol"),
+                                   (code.encode, "message symbol")):
+                    with pytest.raises(ValueError, match=f"{what} {bad!r} "):
+                        call(word[1:] if call == code.encode else word)
 
 
 def test_check_elements_rejects_bools(gf16):

@@ -7,7 +7,9 @@ Monte Carlo trials.  The .jsonl files next to it were written by
     rankcodes roundtrip --config <name>.json --seed 0 --trials 5 --t <C>
                         --output <name>.roundtrip.jsonl
 
-and every key except the op-count field `field_mul_count` must match.
+and every key except the op-count field `field_mul_count` must match;
+test_cli_op_counts_match_golden then pins that field as well, since the
+counts are deterministic and machine-independent.
 The -exact configs are copies of paper-q2n12 and oddq-q3n9 with the
 exact-rank channel and no decode trials; they have no roundtrip
 records, since roundtrip ignores the channel.
@@ -63,14 +65,24 @@ def _argv(name, command, out):
             "--t", str(WORKLOADS[name]), "--output", str(out)]
 
 
-@pytest.mark.parametrize("name, command", [
-    (name, command) for name in sorted(WORKLOADS)
-    for command in ("simulate", "roundtrip")
-    if command == "simulate" or WORKLOADS[name] is not None])
+CLI_CASES = [(name, command) for name in sorted(WORKLOADS)
+             for command in ("simulate", "roundtrip")
+             if command == "simulate" or WORKLOADS[name] is not None]
+
+
+@pytest.mark.parametrize("name, command", CLI_CASES)
 def test_cli_output_matches_golden(name, command, tmp_path):
     out = tmp_path / "out.jsonl"
     assert main(_argv(name, command, out)) == 0
     assert _records(out) == _records(GOLDEN / f"{name}.{command}.jsonl")
+
+
+@pytest.mark.parametrize("name, command", CLI_CASES)
+def test_cli_op_counts_match_golden(name, command, tmp_path):
+    out = tmp_path / "out.jsonl"
+    assert main(_argv(name, command, out)) == 0
+    with open(out) as got, open(GOLDEN / f"{name}.{command}.jsonl") as want:
+        assert [json.loads(line) for line in got] == [json.loads(line) for line in want]
 
 
 @pytest.mark.parametrize("name", sorted(SUBFIELDS))

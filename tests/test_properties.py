@@ -135,7 +135,7 @@ def test_rank_rows_matches_rank_q(case):
     q, width, rows = case
     matrix = [ref.digits(v, q, width) for v in rows]
     want = ref.rank(matrix, q)
-    assert rank_rows(rows, q, width) == want
+    assert rank_rows(rows, q) == want
     assert rank_q(matrix, q) == want
 
 
@@ -146,7 +146,7 @@ def test_kernel_rows_matches_reference_nullspace(case):
     # column j of the matrix is the digits of rows[j]; width 0 is the zero map
     matrix = [list(col) for col in zip(*(ref.digits(v, q, width) for v in rows))]
     want = ref.nullspace(matrix or [[0] * len(rows)], q)
-    assert kernel_rows(rows, q, width) == [ref.pack(v, q) for v in want]
+    assert kernel_rows(rows, q) == [ref.pack(v, q) for v in want]
 
 
 @settings(max_examples=100, deadline=None)
@@ -173,11 +173,11 @@ def frobenius_cases(draw, shapes=TABLELESS_SHAPES):
 
 
 def _raw_power(tower, x, i):
-    """x^(q^i) by i-fold q-th powering with uncounted products."""
+    """x^(q^i) by i-fold q-th powering with reference products."""
     for _ in range(i % tower.n):
         y = 1
         for _ in range(tower.q):
-            y = tower._mul_raw(y, x)
+            y = ref.field_mul(y, x, tower.q, tower.modulus)
         x = y
     return x
 
@@ -189,7 +189,7 @@ def test_tableless_inverse(case):
     a = x or 1
     inv = tower.inv(a)
     assert 0 <= inv < tower.order
-    assert tower._mul_raw(a, inv) == 1
+    assert ref.field_mul(a, inv, tower.q, tower.modulus) == 1
 
 
 @settings(max_examples=200, deadline=None)
@@ -213,6 +213,43 @@ def test_inv_and_frobenius_count_one_each(case):
     tower.frobenius(x, i)
     trivial = i % tower.n == 0 or x in (0, 1)
     assert tower.mul_count == before + (0 if trivial else 1)
+
+
+# a dense modulus of degree 33: 31 nonzero coefficients, where the default
+# has 3, so every byte table of the comb's reduction is dense
+DENSE_MODULUS = (1,) * 5 + (0,) * 3 + (1,) * 26
+
+
+@cache
+def _dense_tower():
+    return FieldTower(2, 33, modulus=DENSE_MODULUS)
+
+
+@st.composite
+def axpy_cases(draw):
+    """A table-less tower (or a table-backed one for q in {2, 3, 5}), a
+    multiplier and two rows, sparse so zero entries and c = 0 occur."""
+    shape = draw(st.sampled_from(COUNT_SHAPES + [(5, 3), "dense"]))
+    tower = _dense_tower() if shape == "dense" else _tower(*shape)
+    element = st.integers(0, tower.order - 1)
+    sparse = st.one_of(st.just(0), st.just(1), st.just(tower.order - 1), element)
+    length = draw(st.integers(0, 6))
+    xs = draw(st.lists(sparse, min_size=length, max_size=length))
+    ys = draw(st.lists(sparse, min_size=length, max_size=length))
+    return tower, draw(sparse), xs, ys
+
+
+@settings(max_examples=300, deadline=None)
+@given(axpy_cases())
+def test_mul_and_axpy_match_reference(case):
+    tower, c, xs, ys = case
+    q, n, modulus = tower.q, tower.n, tower.modulus
+    products = [ref.field_mul(c, x, q, modulus) for x in xs]
+    assert [tower.mul(c, x) for x in xs] == products
+    before = tower.mul_count
+    assert tower.axpy(ys, c, xs) == [ref.field_add(y, p, q, n) for y, p in zip(ys, products)]
+    assert tower.mul_count - before == len(xs)
+    event(f"q = {q}, {'table-less' if tower._exp is None else 'table-backed'}")
 
 
 # root spaces on table-backed and table-less (2^17, 3^11) towers
@@ -252,7 +289,7 @@ def test_root_space_matches_digit_nullspace(f):
     assert kernel == _root_space_reference(f)
     assert all(f.evaluate(x) == 0 for x in kernel)
     images = [f.evaluate(b) for b in tower.basis]
-    assert len(kernel) == tower.n - rank_rows(images, tower.q, tower.n)
+    assert len(kernel) == tower.n - rank_rows(images, tower.q)
 
 
 # largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)
@@ -325,22 +362,22 @@ def test_odd_q_add_neg_sub_match_digitwise(case):
 @cache
 def _raw_tables(q, n):
     """Generator, exp and log of GF(q^n) from the first candidate whose
-    powers, by uncounted polynomial products, run through all of GF(q^n)*."""
-    tower = _tower(q, n)
-    for gen in range(2, tower.order):
-        powers, x = [1], tower._mul_raw(1, gen)
+    powers, by reference products, run through all of GF(q^n)*."""
+    modulus = _tower(q, n).modulus
+    for gen in range(2, q**n):
+        powers, x = [1], ref.field_mul(1, gen, q, modulus)
         while x != 1:
             powers.append(x)
-            x = tower._mul_raw(x, gen)
-        if len(powers) == tower.order - 1:
-            log = [0] * tower.order
+            x = ref.field_mul(x, gen, q, modulus)
+        if len(powers) == q**n - 1:
+            log = [0] * q**n
             for i, v in enumerate(powers):
                 log[v] = i
             return gen, powers + powers, log
 
 
 @settings(max_examples=50, deadline=None)
-@given(st.sampled_from(ZECH_SHAPES), st.data())
+@given(st.sampled_from(ZECH_SHAPES + [(2, 6), (2, 12)]), st.data())
 def test_log_tables_match_raw_powering(shape, data):
     tower = _tower(*shape)
     gen, exp, log = _raw_tables(*shape)

@@ -21,10 +21,10 @@ def test_rank_basics():
 
 def test_nullspace_dimension():
     # [[1, 1, 0], [0, 0, 1]] sends e_0, e_1 -> (1, 0) and e_2 -> (0, 1)
-    assert kernel_rows([1, 1, 2], 2, 2) == [0b011]
+    assert kernel_rows([1, 1, 2], 2) == [0b011]
     assert ref.nullspace([[1, 1, 0], [0, 0, 1]], 2) == [[1, 1, 0]]
     # the zero 2 x 2 matrix over GF(5)
-    assert kernel_rows([0, 0], 5, 2) == [1, 5]
+    assert kernel_rows([0, 0], 5) == [1, 5]
     assert ref.nullspace([[0, 0], [0, 0]], 5) == [[1, 0], [0, 1]]
 
 
@@ -32,14 +32,14 @@ def test_kernel_rows_examples():
     for q in (2, 3, 5):
         basis = [q**j for j in range(4)]
         # the zero map: every basis vector lies in the kernel
-        assert kernel_rows([0] * 4, q, 4) == basis
+        assert kernel_rows([0] * 4, q) == basis
         # an injective map, e_j -> e_(3-j): the kernel is zero
-        assert kernel_rows(basis[::-1], q, 4) == []
+        assert kernel_rows(basis[::-1], q) == []
         # e_0, e_1 -> e_0 and e_2, e_3 -> e_1: the kernel is spanned by
         # e_1 - e_0 and e_3 - e_2, listed in ascending top-digit order
-        assert kernel_rows([1, 1, q, q], q, 2) == [q + q - 1, q**3 + (q - 1) * q**2]
-        # rows of width 0: the map is zero
-        assert kernel_rows([0, 0], q, 0) == [1, q]
+        assert kernel_rows([1, 1, q, q], q) == [q + q - 1, q**3 + (q - 1) * q**2]
+        # images of width 0: the map is zero
+        assert kernel_rows([0, 0], q) == [1, q]
 
 
 # -- rank of extension vectors --------------------------------------------------

@@ -1,0 +1,28 @@
+"""The package runs on the Python standard library alone: every import in
+src/rankcodes is a standard-library module or the package itself."""
+
+import ast
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "rankcodes"
+
+
+def _imported_modules(path):
+    """Top-level names of the absolute imports in a module; relative
+    imports (`from .field import ...`) stay inside the package."""
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            yield node.module.split(".")[0]
+
+
+def test_src_imports_only_the_standard_library():
+    sources = sorted(SRC.glob("*.py"))
+    assert sources
+    allowed = set(sys.stdlib_module_names) | {"rankcodes"}
+    outside = {f"{path.name}: {name}" for path in sources
+               for name in _imported_modules(path) if name not in allowed}
+    assert not outside, sorted(outside)
