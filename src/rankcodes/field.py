@@ -11,6 +11,9 @@ mutable state, the `mul_count` counter and the Frobenius table cache.
 
 from __future__ import annotations
 
+import functools
+import operator
+
 # Fixed table of default moduli, coefficients low-to-high, all monic.
 # The q=2 entries are the classic primitive trinomials/pentanomials; the
 # odd-q entries follow the usual Conway choices.  Every entry is re-checked
@@ -184,25 +187,40 @@ def int_digits(v: int, q: int, width: int) -> tuple:
     return tuple(out)
 
 
-def linear_map_tables(q: int, images):
-    """Sliced lookup tables of a GF(q)-linear map on packed elements.
+# Lookup tables hold at most this many entries.  Above it (q > 256) the
+# map keeps each digit's packed image and multiplies the digit in.
+_LOOKUP_MAX = 256
 
-    images[j] is the digit sequence of the image of digit j.  Digits of
-    the input are read k at a time, with q^k <= 256 (k = 8 for q = 2).
-    Returns (q^k, lane, tables): tables[c][r] is the image of the digit
-    chunk r at chunk c, packed with one `lane`-bit lane per output digit,
-    so the image of x is the sum over c of tables[c][chunk c of x].  For
-    q = 2 lanes are single bits combined by XOR; otherwise they are wide
-    enough to add len(images) (q-1)^2 without carry.
+
+def linear_map_tables(q: int, images, most: int = _LOOKUP_MAX):
+    """Sliced lookup tables of a GF(q)-linear map on packed digits.
+
+    images[j] is the image of digit j of the input, a base-q int.  Digits
+    of the input are read k at a time, k the largest with q^k <= most
+    (k = 8 for q = 2 by default), or one at a time when q > most.
+    Returns (radix, lane, tables) with radix = q^k: tables[c][r] is the
+    image of the digit chunk r at chunk c, packed with one `lane`-bit lane
+    per output digit, so the image of x is the sum over c of tables[c][chunk
+    c of x] (see `apply_linear_map`).  For q = 2 lanes are single bits
+    combined by XOR; otherwise they are wide enough to add len(images)
+    (q-1)^2 without carry, and at least a byte wide, so that `lane_digits`
+    reads lanes of up to 8 bits as bytes.  For q > 256 there are no tables:
+    tables[c] is the packed image of digit c, which the digit multiplies.
     """
-    lane = 1 if q == 2 else (len(images) * (q - 1) ** 2).bit_length()
-    packed = []
-    for img in images:
-        v = 0
-        for d in reversed(tuple(img)):
-            v = v << lane | d
-        packed.append(v)
-    chunk = next(k for k in range(8, 0, -1) if q**k <= 256 or k == 1)
+    if q == 2:
+        lane, packed = 1, list(images)
+    else:
+        lane, packed = max(8, (len(images) * (q - 1) ** 2).bit_length()), []
+        for img in images:
+            v, shift = 0, 0
+            while img:
+                img, d = divmod(img, q)
+                v |= d << shift
+                shift += lane
+            packed.append(v)
+    if q > _LOOKUP_MAX:
+        return q, lane, packed
+    chunk = next((k for k in range(8, 1, -1) if q**k <= most), 1)
     tables = []
     for lo in range(0, len(packed), chunk):
         table = [0]
@@ -215,6 +233,42 @@ def linear_map_tables(q: int, images):
                 table += block
         tables.append(table)
     return q**chunk, lane, tables
+
+
+def apply_linear_map(built, x: int) -> int:
+    """The lane-packed image of the base-q int x under a map built by
+    `linear_map_tables`: one lookup (q > 256: one product) per chunk."""
+    radix, lane, tables = built
+    w = 0
+    if lane == 1:  # q = 2: radix 2^k, lanes of one bit combined by XOR
+        bits, mask = radix.bit_length() - 1, radix - 1
+        for table in tables:
+            w ^= table[x & mask]
+            x >>= bits
+    elif radix > _LOOKUP_MAX:
+        for image in tables:
+            x, r = divmod(x, radix)
+            w += image * r
+    else:
+        for table in tables:
+            x, r = divmod(x, radix)
+            w += table[r]
+    return w
+
+
+def lane_digits(w: int, q: int, lane: int, count: int):
+    """The digits of an odd-q packed image with `count` lanes, each lane
+    taken mod q: byte lanes by one `bytes.translate`, wider ones one shift
+    at a time."""
+    if lane == 8:
+        return w.to_bytes(count, "little").translate(_mod_bytes(q))
+    mask = (1 << lane) - 1
+    return [(w >> lane * j & mask) % q for j in range(count)]
+
+
+@functools.cache
+def _mod_bytes(q: int) -> bytes:
+    return bytes(v % q for v in range(256))
 
 
 def _comb_window(b: int) -> tuple:
@@ -254,8 +308,10 @@ class FieldTower:
     with the generator g: `_exp` and `_log` for `mul`, `inv`, `pow` and
     `frobenius`, and for odd q `_zech`, zech[i] = log(1 + g^i) (None where
     1 + g^i = 0), which makes `add`, `neg`, `sub` and `axpy` lookups;
-    both span two periods of i.  `_exp` is built by stepping x -> x * g as
-    a GF(q)-linear map through `linear_map_tables`.  Larger fields are
+    both span two periods of i.  g is the smallest candidate with
+    g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order;
+    only g is then stepped, x -> x * g, as a GF(q)-linear map through
+    `linear_map_tables`, to fill `_exp`.  Larger fields are
     table-less: odd-q `add` goes digit by digit, `mul` is polynomial
     multiplication for odd q and for q = 2 a comb over 4-bit windows whose
     high half is reduced through `_reduce`, byte tables of x^(n+j) mod the
@@ -270,6 +326,10 @@ class FieldTower:
     `axpy(ys, c, xs)` is the row primitive [y + c x]: table-backed towers
     add log c once per row, table-less q = 2 builds c's comb window once
     per row, and table-less odd q multiplies entry by entry.
+
+    `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
+    words as sliced tables, and `map_word` applies it with no field
+    product: the encoder and the syndrome map of a Gabidulin code.
 
     `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
@@ -309,7 +369,8 @@ class FieldTower:
         if q == 2:  # the comb's reduction tables: images of x^(n+j) mod the modulus
             self._nibbles = range(4 * ((n - 1) // 4), -1, -4)
             self._reduce = linear_map_tables(
-                2, [_pmod((0,) * (n + j) + (1,), modulus, 2) for j in range(n - 1)])[2]
+                2, [self.from_digits(_pmod((0,) * (n + j) + (1,), modulus, 2))
+                    for j in range(n - 1)])[2]
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         self._frob = {}  # power i -> linear_map_tables, table-less only
@@ -389,6 +450,16 @@ class FieldTower:
             return self.from_digits([min(a, b) * d for d in self.digits(max(a, b))])
         prod = _pmul(self.digits(a), self.digits(b), self.q)
         return self.from_digits(_pmod(prod, self.modulus, self.q) + (0,) * self.n)
+
+    def _pow_raw(self, a: int, e: int) -> int:
+        """a**e for e >= 0 by square and multiply on `_mul_raw`, no count."""
+        r = 1
+        while e:
+            if e & 1:
+                r = self._mul_raw(r, a)
+            a = self._mul_raw(a, a)
+            e >>= 1
+        return r
 
     def _comb(self, window, a: int) -> int:
         """a * b for window = _comb_window(b): a left-to-right comb over the
@@ -475,38 +546,24 @@ class FieldTower:
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
         if not 0 <= x < self.order:
             raise self._outside(x)
-        return self._linear_image(x, self._frob.get(i) or self._frobenius_tables(i))
+        built = self._frob.get(i) or self._frobenius_tables(i)
+        return apply_linear_map(built, x) if self.q == 2 else self._linear_image(built, x)
 
-    def _linear_image(self, x: int, built) -> int:
-        """Image of x under a map built by `linear_map_tables`: for q = 2 an
-        XOR of byte lookups, otherwise lanes repacked into a base-q element."""
-        radix, lane, tables = built
-        w = 0
+    def _linear_image(self, built, x: int) -> int:
+        """Image of x under a map onto one element built by
+        `linear_map_tables`; for odd q its lanes repacked into base q."""
+        w = apply_linear_map(built, x)
         if self.q == 2:
-            for table in tables:
-                w ^= table[x & 255]
-                x >>= 8
             return w
-        for table in tables:
-            x, r = divmod(x, radix)
-            w += table[r]
-        q = self.q
-        mask = (1 << lane) - 1
-        return sum([(w >> (lane * j) & mask) % q * p
-                    for j, p in enumerate(self.basis)])
+        return sum(map(operator.mul, lane_digits(w, self.q, built[1], self.n), self.basis))
 
     def _frobenius_tables(self, i: int):
         """Tables of x -> x^(q^i) from the basis images beta^j, where
         beta = alpha^(q^i); uncounted products, published whole."""
-        beta, alpha, e = 1, self.q, self.q**i
-        while e:
-            if e & 1:
-                beta = self._mul_raw(beta, alpha)
-            alpha = self._mul_raw(alpha, alpha)
-            e >>= 1
+        beta = self._pow_raw(self.q, self.q**i)
         images, img = [], 1
         for _ in range(self.n):
-            images.append(self.digits(img))
+            images.append(img)
             img = self._mul_raw(img, beta)
         built = linear_map_tables(self.q, images)
         self._frob[i] = built
@@ -566,35 +623,103 @@ class FieldTower:
                 acc = self.add(acc, self.mul(x, y))
         return acc
 
+    # -- GF(q)-linear maps on words -------------------------------------------
+
+    def word_map(self, rows):
+        """Tables of the GF(q)-linear map u -> sum_i u_i rows_i, from words
+        of len(rows) symbols to words of len(rows[0]); read it with
+        `map_word`.  Digit j of u_i maps to alpha^j rows_i, stepped by
+        `_alpha_multiples` with no counted product.  Chunks of q^k <= 16
+        digits keep word-wide tables small."""
+        images = []
+        for row in rows:
+            images += self._alpha_multiples(row)
+        return linear_map_tables(self.q, images, most=16)
+
+    def map_word(self, built, word, width: int) -> tuple:
+        """The `width` symbols of the image of word under a map built by
+        `word_map`: symbol i packed at digit offset i*n into one int, one
+        `apply_linear_map`, then the output lanes unpacked.  Checks nothing."""
+        n, x = self.n, 0
+        if self.q == 2:
+            for s in reversed(word):
+                x = x << n | s
+            w, mask = apply_linear_map(built, x), self.order - 1
+            return tuple([w >> n * i & mask for i in range(width)])
+        for s in reversed(word):
+            x = x * self.order + s
+        digits = lane_digits(apply_linear_map(built, x), self.q, built[1], width * n)
+        basis = self.basis
+        return tuple([sum(map(operator.mul, digits[i:i + n], basis))
+                      for i in range(0, width * n, n)])
+
+    def _alpha_multiples(self, row) -> list:
+        """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
+        For q = 2 each step is one shift of the whole packed row and one
+        reduction of the bits that overflowed their entry; for odd q each
+        entry steps by `_times_alpha`."""
+        n = self.n
+        word = 0
+        if self.q == 2:
+            for x in reversed(row):
+                word = word << n | x
+            tops = sum(1 << n * l for l in range(1, len(row) + 1))
+            low = self._mod_int ^ 1 << n  # alpha^n
+            out = [word]
+            for _ in range(n - 1):
+                word <<= 1
+                over = word & tops
+                word ^= over ^ (over >> n) * low
+                out.append(word)
+            return out
+        out = []
+        for j in range(n):
+            if j:
+                row = [self._times_alpha(x) for x in row]
+            word = 0
+            for x in reversed(row):
+                word = word * self.order + x
+            out.append(word)
+        return out
+
+    def _times_alpha(self, x: int) -> int:
+        """alpha * x for odd q, n >= 2, uncounted: one log step when
+        table-backed, otherwise the digits shifted up one place and the top
+        one folded back through alpha^n = -(m_0 + ... + m_(n-1) alpha^(n-1))."""
+        if self._exp is not None:
+            return self._exp[self._log[x] + self._log[self.q]] if x else 0
+        top, rest = divmod(x, self.order // self.q)
+        return self.add(rest * self.q, self.from_digits([-top * m for m in self.modulus[:-1]]))
+
     # -- discrete-log tables --------------------------------------------------
 
     def _build_tables(self):
         size = self.order - 1
-        for gen in range(min(2, size), self.order):  # GF(2) has generator 1
-            # x -> x * gen is GF(q)-linear: read it through tables
-            by = linear_map_tables(
-                self.q, [self.digits(self._mul_raw(b, gen)) for b in self.basis])
-            exp, x = [1], self._linear_image(1, by)
-            while x != 1:  # the powers of gen, until they cycle
-                exp.append(x)
-                x = self._linear_image(x, by)
-            if len(exp) < size:
-                continue
-            log = [0] * self.order
-            for i, v in enumerate(exp):
-                log[v] = i
-            exp += exp
-            self._exp = exp
-            self._log = log
-            self.generator = gen
-            if self.q != 2:
-                # zech[i] = log(1 + g^i); adding 1 changes digit 0 only
-                q = self.q
-                zech = [log[w] if w else None for w in
-                        (v - v % q + (v + 1) % q for v in exp[:size])]
-                self._zech = zech + zech
-            return
-        raise RuntimeError("no multiplicative generator found")  # pragma: no cover
+        primes = _prime_factors(size)
+        # the smallest candidate of order q^n - 1, so g^(size/p) != 1 for
+        # every prime p | size (GF(2) has generator 1)
+        gen = next(c for c in range(min(2, size), self.order)
+                   if all(self._pow_raw(c, size // p) != 1 for p in primes))
+        # x -> x * gen is GF(q)-linear: step its powers through tables
+        by = linear_map_tables(self.q, [self._mul_raw(b, gen) for b in self.basis])
+        image = apply_linear_map if self.q == 2 else self._linear_image
+        exp, x = [1], image(by, 1)
+        while x != 1:
+            exp.append(x)
+            x = image(by, x)
+        log = [0] * self.order
+        for i, v in enumerate(exp):
+            log[v] = i
+        exp += exp
+        self._exp = exp
+        self._log = log
+        self.generator = gen
+        if self.q != 2:
+            # zech[i] = log(1 + g^i); adding 1 changes digit 0 only
+            q = self.q
+            zech = [log[w] if w else None for w in
+                    (v - v % q + (v + 1) % q for v in exp[:size])]
+            self._zech = zech + zech
 
     def __repr__(self):
         return f"FieldTower(q={self.q}, n={self.n})"

@@ -67,24 +67,17 @@ def default_generator(tower: FieldTower):
     """Canonical generator vector: the Frobenius orbit of the smallest
     normal element.  A normal element has nonzero trace, the sum of its
     orbit (a basis).  With k the first index where Tr(alpha^k) != 0, every
-    element below q^k has trace 0, so the orbit-rank scan starts at q^k."""
+    element below q^k has trace 0, so the orbit-rank scan starts at q^k;
+    for n > 1 it starts at q or above, since the orbit of an element of
+    GF(q) has rank 1."""
     n = tower.n
     k = next(i for i, b in enumerate(tower.basis)
              if functools.reduce(tower.add, [tower.frobenius(b, j) for j in range(n)]))
-    for cand in range(tower.q**k, tower.order):
+    for cand in range(max(tower.q**k, tower.q if n > 1 else 1), tower.order):
         orbit = tuple(tower.frobenius(cand, i) for i in range(n))
         if rank_of_vector(tower, orbit) == n:
             return orbit
     return tower.basis  # pragma: no cover
-
-
-def _combine(tower: FieldTower, coeffs, rows, width: int) -> tuple:
-    """sum_i coeffs_i rows_i over GF(q^n), one `axpy` per nonzero coefficient."""
-    acc = [0] * width
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = tower.axpy(acc, c, row)
-    return tuple(acc)
 
 
 class GabidulinCode:
@@ -92,6 +85,14 @@ class GabidulinCode:
 
     Built from a generator vector (the parity vector is derived), from a
     parity vector (decode-only), or from both (checked for consistency).
+
+    Encoding, m -> sum_i m_i g^[i], and the syndromes, w -> (sum_l w_l
+    h_l^[i])_i, are GF(q)-linear maps on the q-ary expansion of a word.
+    Both are built once, in the constructor, as sliced lookup tables
+    (`FieldTower.word_map`) and applied with no field product, so they
+    leave `mul_count` alone.  `encode`, `syndromes` and `is_codeword` check
+    their input with `check_elements`; the checks of words the code built
+    itself (the duality check and decode's residual check) skip it.
     """
 
     def __init__(self, tower: FieldTower, k: int, g=None, h=None):
@@ -119,10 +120,11 @@ class GabidulinCode:
                 raise ValueError("parity vector must have full q-ary rank")
         self.g = g
         self.h = h
-        self._gen_rows = moore_matrix(tower, g, k) if g is not None else None
-        self._par_cols = tuple(zip(*moore_matrix(tower, h, self.d - 1)))
+        gen_rows = moore_matrix(tower, g, k) if g is not None else None
+        self._encoder = tower.word_map(gen_rows) if g is not None else None
+        self._syndrome_map = tower.word_map(zip(*moore_matrix(tower, h, self.d - 1)))
         self._h_solver = CoordinateSolver(tower, h)
-        if g is not None and any(any(self.syndromes(grow)) for grow in self._gen_rows):
+        if g is not None and any(any(self._syndromes(row)) for row in gen_rows):
             raise ValueError("generator and parity vectors are not dual")
 
     @classmethod
@@ -131,22 +133,26 @@ class GabidulinCode:
 
     @property
     def parity_matrix(self):
-        return [list(r) for r in zip(*self._par_cols)]
+        return moore_matrix(self.tower, self.h, self.d - 1)
 
     def encode(self, message):
-        if self._gen_rows is None:
+        if self._encoder is None:
             raise ValueError("encoding needs a generator vector")
         message = self.tower.check_elements(message, "message symbol")
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        return _combine(self.tower, message, self._gen_rows, self.length)
+        return self.tower.map_word(self._encoder, message, self.length)
 
     def syndromes(self, word):
-        """The syndromes word H^T, summed over the parity columns."""
+        """The syndromes word H^T, the d - 1 sums sum_l word_l h_l^[i]."""
         word = self.tower.check_elements(word, "word symbol")
         if len(word) != self.length:
             raise ValueError(f"word length {len(word)} != {self.length}")
-        return _combine(self.tower, word, self._par_cols, self.d - 1)
+        return self._syndromes(word)
+
+    def _syndromes(self, word):
+        """`syndromes` of a word this code built, with no element check."""
+        return self.tower.map_word(self._syndrome_map, word, self.d - 1)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(word))
@@ -194,14 +200,14 @@ class GabidulinCode:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))
         codeword = tuple(t.sub(yi, ei) for yi, ei in zip(y, error))
-        if any(self.syndromes(codeword)):
+        if any(self._syndromes(codeword)):
             raise DecodingFailure("residual", "corrected word has nonzero syndromes")
         return codeword, error
 
     # -- exhaustive oracles (tiny codes only) --------------------------------
 
     def messages(self):
-        if self._gen_rows is None:
+        if self._encoder is None:
             raise ValueError("enumeration needs a generator vector")
         if self.tower.order**self.k > ENUM_GUARD:
             raise ValueError("code is too large to enumerate")

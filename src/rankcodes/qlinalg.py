@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .field import FieldTower, int_digits, linear_map_tables
+from .field import FieldTower, apply_linear_map, int_digits, lane_digits, linear_map_tables
 
 
 # ---------------------------------------------------------------------------
@@ -158,32 +158,23 @@ class CoordinateSolver:
         if rank != r:
             raise ValueError(f"columns have rank {rank} < {r} over GF({q})")
         basis = [c for c in range(r + n) if c not in free]
-        images = [[-free[r + i][c] % q for c in basis] if r + i in free
-                  else [int(c == r + i) for c in basis] for i in range(n)]
+        images = [tower.from_digits([-free[r + i][c] for c in basis]) if r + i in free
+                  else q**basis.index(r + i) for i in range(n)]
         self.q, self.n, self.rank = q, n, rank
-        # radix 256 for q = 2, read off x a byte at a time
-        self._radix, self._lane, self._tables = linear_map_tables(q, images)
+        self._map = linear_map_tables(q, images)
 
     def solve(self, x: int):
         """The coordinates of x over the elements as a list, or None if x
         is outside their span."""
-        w = 0
+        w = apply_linear_map(self._map, x)
         if self.q == 2:
-            for table in self._tables:
-                w ^= table[x & 255]
-                x >>= 8
             if w >> self.rank:
                 return None
             return [(w >> i) & 1 for i in range(self.rank)]
-        q, radix, lane = self.q, self._radix, self._lane
-        for table in self._tables:
-            x, r = divmod(x, radix)
-            w += table[r]
-        mask = (1 << lane) - 1
-        lanes = [(w >> (lane * i) & mask) % q for i in range(self.n)]
+        lanes = lane_digits(w, self.q, self._map[1], self.n)
         if any(lanes[self.rank:]):
             return None
-        return lanes[:self.rank]
+        return list(lanes[:self.rank])
 
 
 # ---------------------------------------------------------------------------

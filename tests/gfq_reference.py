@@ -1,6 +1,7 @@
 """Digit-list Gauss-Jordan elimination over GF(q), the reference the packed
 kernel of rankcodes.qlinalg is checked against, and a schoolbook product
-in GF(q^n), the reference for the field multiplier.
+in GF(q^n), the reference for the field multiplier, and the stepping scan
+for the multiplicative generator.
 
 Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
@@ -112,3 +113,21 @@ def field_mul(a, b, q, modulus):
 def field_add(a, b, q, n):
     """a + b in GF(q^n), digit by digit."""
     return pack([(x + y) % q for x, y in zip(digits(a, q, n), digits(b, q, n))], q)
+
+
+def log_tables(q, modulus):
+    """(g, exp, log) of GF(q^n) = GF(q)[x] / (modulus), by the stepping scan:
+    each candidate g = 2, 3, ... (1 for GF(2)) is multiplied by itself with
+    `field_mul` until its powers cycle, and the first whose cycle covers
+    all of GF(q^n)* is the generator.  exp spans two periods."""
+    order = q ** (len(modulus) - 1)
+    for gen in range(min(2, order - 1), order):
+        powers, x = [1], field_mul(1, gen, q, modulus)
+        while x != 1:
+            powers.append(x)
+            x = field_mul(x, gen, q, modulus)
+        if len(powers) == order - 1:
+            log = [0] * order
+            for i, v in enumerate(powers):
+                log[v] = i
+            return gen, powers + powers, log

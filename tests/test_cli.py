@@ -351,6 +351,27 @@ def test_code_info_table_less_default_generator(tmp_path, capsys):
     assert record["d"] == 9 and record["generator_rank"] == 20
 
 
+# q > 256: no lookup table may have q entries, and the normal-element scan
+# must not visit the q elements of GF(q), whose orbits have rank 1
+HUGE_Q_RECORDS = {
+    65537: {"capability": 0, "d": 2, "g": [65538, 4295032833], "generator_rank": 2,
+            "h": [1, 2147549185], "k": 1, "length": 2, "modulus": [3, 0, 1], "n": 2,
+            "parity_rank": 2, "q": 65537},
+    1000000007: {"capability": 0, "d": 2, "g": [1000000008, 1000000013000000043],
+                 "generator_rank": 2, "h": [1, 1000000013000000042], "k": 1, "length": 2,
+                 "modulus": [1, 0, 1], "n": 2, "parity_rank": 2, "q": 1000000007},
+}
+
+
+@pytest.mark.parametrize("q", sorted(HUGE_Q_RECORDS))
+def test_code_info_huge_q(tmp_path, capsys, q):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"field": {"q": q, "n": 2}, "code": {"k": 1}}))
+    with bounded(10):
+        assert main(["code-info", "--config", str(path)]) == 0
+    assert json.loads(capsys.readouterr().out) == HUGE_Q_RECORDS[q]
+
+
 # sparse moduli put the first basis element of nonzero trace near n (index
 # 61 of 64 for q = 2), so no candidate below q^61 may be visited one by one
 @pytest.mark.parametrize("q, n, k", [(2, 64, 32), (5, 20, 10), (3, 30, 15), (2, 33, 17)])

@@ -182,6 +182,30 @@ def test_tableless_operations_fail_fast_outside_the_field(q, n):
             tower.inv(0)
 
 
+# the generator is the smallest candidate of full order; these shapes
+# include GF(2), prime fields up to 65521 and fields whose generator is
+# not the first candidate (GF(3^7): 5, GF(5^5): 10, GF(7^3): 22, GF(13^2):
+# 15, GF(31^3): 34, GF(65521): 17)
+GENERATOR_SHAPES = [(2, 1), (2, 2), (2, 5), (2, 8), (2, 12), (2, 16), (3, 1), (3, 2),
+                    (3, 5), (3, 7), (5, 1), (5, 4), (5, 5), (5, 6), (7, 3), (7, 4),
+                    (11, 3), (13, 2), (17, 2), (17, 3), (31, 3), (257, 1), (65521, 1)]
+
+
+@pytest.mark.parametrize("q, n", GENERATOR_SHAPES)
+def test_generator_matches_stepping_scan(q, n):
+    tower = FieldTower(q, n)
+    gen, exp, log = ref.log_tables(q, tower.modulus)
+    assert tower.generator == gen
+    assert tower._exp == exp and tower._log == log
+
+
+def test_generator_order_test_is_bounded():
+    # the order test rejects a candidate with a few powers instead of
+    # stepping through its cycle: GF(3^10) rejects 33 candidates
+    with bounded(1):
+        assert FieldTower(3, 10).generator == 34
+
+
 def test_frobenius_tables_leave_mul_count_alone():
     # a fresh tower builds the tables for power 3 on the first call only,
     # and both calls count the same

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 from functools import cache
 
+import pytest
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -292,6 +293,90 @@ def test_root_space_matches_digit_nullspace(f):
     assert len(kernel) == tower.n - rank_rows(images, tower.q)
 
 
+# (q, n, length, k) for table-backed and table-less towers, q in {2, 3, 5},
+# with length < n and length = n; "dense" is GF(2^33) under DENSE_MODULUS.
+# Word-wide maps read 4 bits per table for q = 2, 2 digits for q = 3 and
+# 1 for q = 5, so for most shapes a message or a word ends inside a chunk
+CODEC_SHAPES = [(2, 6, 6, 3), (2, 12, 7, 4), (2, 17, 9, 4), (2, 20, 20, 12),
+                ("dense", 33, 33, 17), ("dense", 33, 10, 3), (3, 4, 4, 2),
+                (3, 9, 5, 2), (3, 11, 11, 5), (3, 11, 6, 3), (5, 3, 3, 1),
+                (5, 6, 4, 2), (5, 7, 7, 3)]
+
+
+def _ref_moore(tower, vector, rows):
+    """Rows vector^[0..rows-1], each the q-th power of the one before by q
+    reference products."""
+    q, modulus = tower.q, tower.modulus
+    out = [tuple(vector)]
+    while len(out) < rows:
+        nxt = []
+        for x in out[-1]:
+            y = 1
+            for _ in range(q):
+                y = ref.field_mul(y, x, q, modulus)
+            nxt.append(y)
+        out.append(tuple(nxt))
+    return out
+
+
+def _ref_combination(tower, coeffs, rows):
+    """sum_i coeffs_i rows_i by reference products and digit-wise sums."""
+    q, n, modulus = tower.q, tower.n, tower.modulus
+    acc = [0] * len(rows[0])
+    for c, row in zip(coeffs, rows):
+        acc = [ref.field_add(a, ref.field_mul(c, x, q, modulus), q, n)
+               for a, x in zip(acc, row)]
+    return tuple(acc)
+
+
+@cache
+def _codec(shape):
+    """The code of a CODEC_SHAPES entry (generator: the polynomial basis
+    on the dense tower, else the default generator, cut to the length),
+    its parity-only twin, and the reference Moore rows of g and h."""
+    q, n, length, k = shape
+    if q == "dense":
+        tower = _dense_tower()
+        g = tower.basis[:length]
+    else:
+        tower = _tower(q, n)
+        g = default_generator(tower)[:length]
+    code = GabidulinCode(tower, k, g=g)
+    parity = GabidulinCode.from_parity(tower, code.h, k)
+    return (code, parity, _ref_moore(tower, g, k),
+            list(zip(*_ref_moore(tower, code.h, code.d - 1))))
+
+
+@st.composite
+def codec_cases(draw):
+    code, parity, gen_rows, par_cols = _codec(draw(st.sampled_from(CODEC_SHAPES)))
+    tower = code.tower
+    element = st.integers(0, tower.order - 1)
+    sparse = st.one_of(st.just(0), st.just(1), st.just(tower.order - 1), element)
+    message = draw(st.lists(sparse, min_size=code.k, max_size=code.k))
+    word = draw(st.lists(sparse, min_size=code.length, max_size=code.length))
+    return code, parity, gen_rows, par_cols, message, word
+
+
+@settings(max_examples=200, deadline=None)
+@given(codec_cases())
+def test_encode_and_syndromes_match_reference_sums(case):
+    code, parity, gen_rows, par_cols, message, word = case
+    tower = code.tower
+    before = tower.mul_count
+    codeword = code.encode(message)
+    assert codeword == _ref_combination(tower, message, gen_rows)
+    synd = _ref_combination(tower, word, par_cols)
+    assert code.syndromes(word) == synd
+    assert parity.syndromes(word) == synd
+    assert not any(code.syndromes(codeword))
+    assert tower.mul_count == before
+    with pytest.raises(ValueError, match="encoding needs a generator vector"):
+        parity.encode(message)
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}, "
+          f"{'L = n' if code.length == tower.n else 'L < n'}")
+
+
 # largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)
 DECODE_MAX_N = {2: 10, 3: 6, 5: 4}
 
@@ -361,19 +446,8 @@ def test_odd_q_add_neg_sub_match_digitwise(case):
 
 @cache
 def _raw_tables(q, n):
-    """Generator, exp and log of GF(q^n) from the first candidate whose
-    powers, by reference products, run through all of GF(q^n)*."""
-    modulus = _tower(q, n).modulus
-    for gen in range(2, q**n):
-        powers, x = [1], ref.field_mul(1, gen, q, modulus)
-        while x != 1:
-            powers.append(x)
-            x = ref.field_mul(x, gen, q, modulus)
-        if len(powers) == q**n - 1:
-            log = [0] * q**n
-            for i, v in enumerate(powers):
-                log[v] = i
-            return gen, powers + powers, log
+    """Generator, exp and log of GF(q^n) by the reference stepping scan."""
+    return ref.log_tables(q, _tower(q, n).modulus)
 
 
 @settings(max_examples=50, deadline=None)
