@@ -550,11 +550,10 @@ class FieldTower:
         return apply_linear_map(built, x) if self.q == 2 else self._linear_image(built, x)
 
     def _linear_image(self, built, x: int) -> int:
-        """Image of x under a map onto one element built by
-        `linear_map_tables`; for odd q its lanes repacked into base q."""
+        """Image of x under an odd-q map onto one element built by
+        `linear_map_tables`, its lanes repacked into base q (for q = 2 the
+        image is `apply_linear_map` itself)."""
         w = apply_linear_map(built, x)
-        if self.q == 2:
-            return w
         return sum(map(operator.mul, lane_digits(w, self.q, built[1], self.n), self.basis))
 
     def _frobenius_tables(self, i: int):
