@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from conftest import bounded
@@ -248,3 +249,37 @@ def test_default_generator_table_less_n20():
         g = default_generator(tower)
     assert g == tuple(tower.frobenius(1 << 17, i) for i in range(20))
     assert rank_of_vector(tower, g) == 20
+
+
+def _table_bytes(built):
+    """Bytes held by the tables of a map from `linear_map_tables`: each
+    list and each distinct entry."""
+    seen, total = set(), sys.getsizeof(built[2])
+    for table in built[2]:
+        total += sys.getsizeof(table)
+        for entry in table:
+            if id(entry) not in seen:
+                seen.add(id(entry))
+                total += sys.getsizeof(entry)
+    return total
+
+
+@pytest.mark.parametrize("q, n, k", [(2, 64, 32), (3, 30, 15)])
+def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
+    # the word-wide maps read 4-bit chunks (q^k <= 16 digits), which keeps
+    # both codec tables of a code at n = 64 under 10 MB
+    tower = FieldTower(q, n)
+    g = default_generator(tower)
+    rng = random.Random(7)
+    with bounded(30):
+        code = GabidulinCode(tower, k, g=g)
+        message = [tower.random_element(rng) for _ in range(k)]
+        codeword = code.encode(message)
+    assert code.is_codeword(codeword)
+    # codeword_l = sum_i m_i g_l^[i], for the first and last position
+    for pos in (0, n - 1):
+        want = 0
+        for i, m in enumerate(message):
+            want = tower.add(want, tower.mul(m, tower.frobenius(g[pos], i)))
+        assert codeword[pos] == want
+    assert _table_bytes(code._encoder) + _table_bytes(code._syndrome_map) < 10 * 2**20
