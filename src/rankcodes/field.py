@@ -639,15 +639,11 @@ class FieldTower:
         """The `width` symbols of the image of word under a map built by
         `word_map`: symbol i packed at digit offset i*n into one int, one
         `apply_linear_map`, then the output lanes unpacked.  Checks nothing."""
-        n, x = self.n, 0
+        n, w = self.n, apply_linear_map(built, self._pack(word))
         if self.q == 2:
-            for s in reversed(word):
-                x = x << n | s
-            w, mask = apply_linear_map(built, x), self.order - 1
+            mask = self.order - 1
             return tuple([w >> n * i & mask for i in range(width)])
-        for s in reversed(word):
-            x = x * self.order + s
-        digits = lane_digits(apply_linear_map(built, x), self.q, built[1], width * n)
+        digits = lane_digits(w, self.q, built[1], width * n)
         basis = self.basis
         return tuple([sum(map(operator.mul, digits[i:i + n], basis))
                       for i in range(0, width * n, n)])
@@ -658,10 +654,8 @@ class FieldTower:
         reduction of the bits that overflowed their entry; for odd q each
         entry steps by `_times_alpha`."""
         n = self.n
-        word = 0
         if self.q == 2:
-            for x in reversed(row):
-                word = word << n | x
+            word = self._pack(row)
             tops = sum(1 << n * l for l in range(1, len(row) + 1))
             low = self._mod_int ^ 1 << n  # alpha^n
             out = [word]
@@ -675,11 +669,15 @@ class FieldTower:
         for j in range(n):
             if j:
                 row = [self._times_alpha(x) for x in row]
-            word = 0
-            for x in reversed(row):
-                word = word * self.order + x
-            out.append(word)
+            out.append(self._pack(row))
         return out
+
+    def _pack(self, word) -> int:
+        """The symbols of word in one base-q int, symbol i at digit i*n."""
+        x = 0
+        for s in reversed(word):
+            x = x * self.order + s
+        return x
 
     def _times_alpha(self, x: int) -> int:
         """alpha * x for odd q, n >= 2, uncounted: one log step when
