@@ -201,7 +201,7 @@ def test_generator_matches_stepping_scan(q, n):
 
 def test_generator_order_test_is_bounded():
     # the order test rejects a candidate with a few powers instead of
-    # stepping through its cycle: GF(3^10) rejects 33 candidates
+    # stepping through its cycle: GF(3^10) rejects the 32 candidates 2..33
     with bounded(1):
         assert FieldTower(3, 10).generator == 34
 
