@@ -2,9 +2,9 @@
 
 When the subspaces pairwise intersect only in zero, a word is
 w = sum_i beta^(i) U_i over the concatenated basis, and part i transfers
-to the word h U_i^t of its shorter MRD parent code.  One coordinate solve
-per position folds w into all u parent words; one combination of the
-concatenated basis per position unfolds parent codewords back.  Decoding
+to the word h U_i^t of its shorter MRD parent code.  Both transfers are
+GF(q)-linear on the q-ary expansion of w, so precomputed word maps fold w
+into all u parent words and unfold parent codewords back.  Decoding
 succeeds whenever every projected error has rank at most the capability
 C, which can happen for total error ranks well above C; the exact success
 probability of that event under the uniform matrix channel is a product
@@ -13,13 +13,14 @@ over the parts.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import _prime_factors, is_prime
+from .field import _prime_factors, apply_linear_map, int_digits, is_prime, linear_map_tables
 from .gabidulin import DecodingFailure, GabidulinCode
 from .qlinalg import (CoordinateSolver, count_rank_matrices, random_error,
                       random_rows, rank_of_vector, rank_rows)
@@ -82,8 +83,28 @@ class DecodeExperiment:
     field_muls: int
 
 
+def _spread_images(tower, columns, elements):
+    """Images of the map sending digit e of input symbol a to the word
+    (columns[e][j] * elements[a])_j, listed a-major: the symbols j where a
+    column holds digit d, spread once as 1 at digit j*n, times d * x."""
+    spreads = [{d: sum(tower.order**j for j, c in enumerate(col) if c == d)
+                for d in set(col) - {0}}.items() for col in columns]
+    held, images = set().union(*columns) - {0, 1}, []
+    for x in elements:
+        times = {1: x, **{d: tower.from_digits([d * c for c in tower.digits(x)]) for d in held}}
+        images += [sum(s * times[d] for d, s in spread) for spread in spreads]
+    return images
+
+
 class DirectSumCode:
-    """The sum of subspace subcodes over pairwise disjoint subspaces."""
+    """The sum of subspace subcodes over pairwise disjoint subspaces.
+
+    The transfers are word maps built here as sliced tables, read by
+    `FieldTower.map_word` with no field product or coordinate solve.  The
+    fold sends a word's L*n digits to its N parent symbols and, for N < n,
+    to L check symbols: each position's complement coordinates, all zero
+    exactly inside the sum.  Part i's unfold sends m_i*n digits to L symbols.
+    """
 
     def __init__(self, code: GabidulinCode, parts):
         parts = [p if isinstance(p, SubspaceBasis) else SubspaceBasis(code.tower, p)
@@ -91,14 +112,28 @@ class DirectSumCode:
         problems = direct_sum_violations(parts)
         if problems:
             raise ValueError("; ".join(problems))
+        t, n, L = code.tower, code.tower.n, code.length
         self.code = code
-        self.tower = code.tower
+        self.tower = t
         self.parts = parts
         self.subcodes = [SubspaceSubcode(code, p) for p in parts]
         self.dims = [p.m for p in parts]
-        self.total_dim = sum(self.dims)
+        self.total_dim = N = sum(self.dims)
         self.concat = tuple(x for p in parts for x in p.elements)
-        self._solver = CoordinateSolver(code.tower, self.concat)
+        self._slices = list(itertools.pairwise(itertools.accumulate(self.dims, initial=0)))
+        # column e: alpha^e's coordinates over concat, then over its complement
+        cols = [int_digits(c, t.q, n) for c in CoordinateSolver(t, self.concat).columns]
+        fold = _spread_images(t, [c[:N] for c in cols], code.h)
+        if N < n:
+            fold = [img + t.from_digits(cols[e][N:]) * t.order**(N + p)
+                    for img, (p, e) in zip(fold, itertools.product(range(L), range(n)))]
+        self._fold = linear_map_tables(t.q, fold, most=16)
+        self._fold_width = N + L if N < n else N
+        hcols = [code.parity_coordinates(b) for b in t.basis]
+        self._unfolds = [linear_map_tables(t.q, _spread_images(t, hcols, p.elements), most=16)
+                         for p in parts]
+        # x -> sum_p digit_p(x) h_p: a channel value's parent symbol
+        self._to_h = linear_map_tables(t.q, code.h)
 
     @property
     def capability(self) -> int:
@@ -113,39 +148,39 @@ class DirectSumCode:
     def message_length(self) -> int:
         return sum(m - self.code.d + 1 for m in self.dims)
 
-    def _coordinates(self, word):
-        """Coordinates over the concatenated basis, one list per position;
-        ValueError unless the word lies in (V_1 + ... + V_u)^L, L the length."""
-        word = self.tower.check_elements(word, "word symbol")
-        if len(word) != self.code.length:
-            raise ValueError(f"word length {len(word)} != {self.code.length}")
-        cols = [self._solver.solve(x) for x in word]
-        if None in cols:
-            raise ValueError(f"component {cols.index(None)} lies outside the subspace sum")
-        return cols
-
     def project(self, word):
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
-        parts, which sum back to the word componentwise."""
-        cols, off, out = self._coordinates(word), 0, []
-        for basis in self.parts:
-            out.append(tuple(basis.element(c[off:off + basis.m]) for c in cols))
-            off += basis.m
-        return out
+        parts, which sum back to the word componentwise: part i is the
+        unfold of the fold's part i."""
+        t, L = self.tower, self.code.length
+        return [t.map_word(built, folded, L)
+                for built, folded in zip(self._unfolds, self.to_parents(word))]
 
     def to_parents(self, word):
         """Transfer each part to its parent code: for word = sum_i beta^(i) U_i
-        part i goes to h U_i^t, every U_i read off one coordinate solve per
-        position.  Concatenated rank equals the rank of the input."""
-        t, h = self.tower, self.code.h
-        flat = iter([t.contract(row, h) for row in zip(*self._coordinates(word))])
-        return tuple(tuple(itertools.islice(flat, m)) for m in self.dims)
+        part i goes to h U_i^t, read off one fold; ValueError unless the word
+        lies in (V_1 + ... + V_u)^L.  Concatenated rank equals input rank."""
+        word = self.tower.check_elements(word, "word symbol")
+        if len(word) != self.code.length:
+            raise ValueError(f"word length {len(word)} != {self.code.length}")
+        folded = self.tower.map_word(self._fold, word, self._fold_width)
+        outside = [p for p, c in enumerate(folded[self.total_dim:]) if c]
+        if outside:
+            raise ValueError(f"component {outside[0]} lies outside the subspace sum")
+        return tuple(folded[a:b] for a, b in self._slices)
 
     def _unfold(self, parent_words):
-        """The word whose part i transfers to parent_words[i]: U_i holds the
-        h-coordinates of those components, one combination per position."""
-        rows = [self.code.parity_coordinates(x) for w in parent_words for x in w]
-        return tuple(self.tower.contract(col, self.concat) for col in zip(*rows))
+        """The word whose part i transfers to parent_words[i]: for q = 2 the
+        parts' packed unfolds XOR into one int, unpacked once; odd-q lanes
+        are sized per part, so each part unpacks and the symbols add."""
+        t, L = self.tower, self.code.length
+        if t.q == 2:
+            w = 0
+            for built, word in zip(self._unfolds, parent_words):
+                w ^= apply_linear_map(built, t.pack_word(word))
+            return t.unpack_word(w, 1, L)
+        images = [t.map_word(built, word, L) for built, word in zip(self._unfolds, parent_words)]
+        return tuple(functools.reduce(t.add, col) for col in zip(*images))
 
     def encode(self, message):
         """Encode u blocks of lengths m_i - d + 1, one per part, each in its
@@ -295,12 +330,10 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
-    # combined values, one per concatenated-basis coordinate
-    combined = random_error(tower, n_total, t, rng, mode=channel)
-    # error component at position pos collects digit pos of every value
-    digits = [tower.digits(value) for value in combined]
-    return tuple(tower.contract([d[pos] for d in digits], M.concat)
-                 for pos in range(M.code.length))
+    # combined values v_j, one per concatenated-basis coordinate: the error
+    # sum_j digit_p(v_j) beta_j at position p unfolds the v_j written over h
+    folded = tower.map_symbols(M._to_h, random_error(tower, n_total, t, rng, mode=channel))
+    return M._unfold([folded[a:b] for a, b in M._slices])
 
 
 def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,

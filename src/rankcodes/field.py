@@ -329,7 +329,9 @@ class FieldTower:
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as sliced tables, and `map_word` applies it with no field
-    product: the encoder and the syndrome map of a Gabidulin code.
+    product: the encoder and the syndrome map of a Gabidulin code.  The
+    direct-sum transfers (fold and unfold) are word maps of the same kind,
+    built by `directsum` from their own images and applied by `map_word`.
 
     `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
@@ -639,14 +641,24 @@ class FieldTower:
         """The `width` symbols of the image of word under a map built by
         `word_map`: symbol i packed at digit offset i*n into one int, one
         `apply_linear_map`, then the output lanes unpacked.  Checks nothing."""
-        n, w = self.n, apply_linear_map(built, self._pack(word))
+        return self.unpack_word(apply_linear_map(built, self.pack_word(word)), built[1], width)
+
+    def unpack_word(self, w: int, lane: int, width: int) -> tuple:
+        """The `width` symbols of a packed image with `lane`-bit lanes."""
+        n = self.n
         if self.q == 2:
             mask = self.order - 1
             return tuple([w >> n * i & mask for i in range(width)])
-        digits = lane_digits(w, self.q, built[1], width * n)
+        digits = lane_digits(w, self.q, lane, width * n)
         basis = self.basis
         return tuple([sum(map(operator.mul, digits[i:i + n], basis))
                       for i in range(0, width * n, n)])
+
+    def map_symbols(self, built, word) -> list:
+        """Each symbol of word under a map from `linear_map_tables` onto one
+        element.  Checks nothing."""
+        image = apply_linear_map if self.q == 2 else self._linear_image
+        return [image(built, x) for x in word]
 
     def _alpha_multiples(self, row) -> list:
         """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
@@ -655,7 +667,7 @@ class FieldTower:
         entry steps by `_times_alpha`."""
         n = self.n
         if self.q == 2:
-            word = self._pack(row)
+            word = self.pack_word(row)
             tops = sum(1 << n * l for l in range(1, len(row) + 1))
             low = self._mod_int ^ 1 << n  # alpha^n
             out = [word]
@@ -669,10 +681,10 @@ class FieldTower:
         for j in range(n):
             if j:
                 row = [self._times_alpha(x) for x in row]
-            out.append(self._pack(row))
+            out.append(self.pack_word(row))
         return out
 
-    def _pack(self, word) -> int:
+    def pack_word(self, word) -> int:
         """The symbols of word in one base-q int, symbol i at digit i*n."""
         x = 0
         for s in reversed(word):

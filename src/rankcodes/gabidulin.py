@@ -160,7 +160,7 @@ class GabidulinCode:
     def parity_coordinates(self, x: int):
         """q-ary coordinates of x over the parity basis (h_1, ..., h_L),
         or None when x lies outside their span (possible only for L < n)."""
-        return self._h_solver.solve(x)
+        return self._h_solver.solve(*self.tower.check_elements((x,)))
 
     def decode(self, received):
         """Return (codeword, error) with rank(error) <= capability.
@@ -195,7 +195,7 @@ class GabidulinCode:
                         [t.frobenius(synd[l], -l) for l in range(r)])
         if sol is None:
             raise DecodingFailure("locator", "locator system is inconsistent")
-        locators = [self.parity_coordinates(xj) for xj in sol[0]]
+        locators = [self._h_solver.solve(xj) for xj in sol[0]]
         if None in locators:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))

@@ -69,15 +69,19 @@ class SubfieldEmbedding:
         return out
 
     def contains(self, x: int) -> bool:
+        x, = self.tower.check_elements((x,))
         return self.tower.frobenius(x, self.s) == x
 
     def subfield_coords(self, x: int):
         """GF(q) coordinates of a subfield element over the polynomial
         basis, or None when x is not in the subfield."""
-        return self._sub_solver.solve(x)
+        return self._sub_solver.solve(*self.tower.check_elements((x,)))
 
     def ext_coords(self, x: int):
         """Subfield coordinates of any x over the extension basis."""
+        return self._ext_coords(*self.tower.check_elements((x,)))
+
+    def _ext_coords(self, x: int):
         digits = self._full_solver.solve(x)
         t, s = self.tower, self.s
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
@@ -93,7 +97,7 @@ class SubfieldEmbedding:
 def expand_parity(code: GabidulinCode, emb: SubfieldEmbedding):
     """The (n/s) x n subfield matrix whose column j holds the coordinates
     of h_j over the extension basis; contracting a column restores h_j."""
-    cols = [emb.ext_coords(x) for x in code.h]
+    cols = [emb._ext_coords(x) for x in code.h]
     return [[cols[j][r] for j in range(code.length)] for r in range(emb.blocks)]
 
 
@@ -102,7 +106,7 @@ def _qary_expansion(emb: SubfieldEmbedding, rows):
     GF(q) coordinate column over the subfield polynomial basis."""
     out = []
     for row in rows:
-        coords = [emb.subfield_coords(x) for x in row]
+        coords = [emb._sub_solver.solve(x) for x in row]
         if None in coords:
             raise ValueError("entry is not a subfield element")
         out.extend([c[e] for c in coords] for e in range(emb.s))

@@ -32,7 +32,7 @@ class SubspaceBasis:
 
     def coords(self, x: int):
         """q-ary coordinates of x over the basis, or None if x is outside."""
-        return self._solver.solve(x)
+        return self._solver.solve(*self.tower.check_elements((x,)))
 
     def contains(self, x: int) -> bool:
         return self.coords(x) is not None
@@ -42,13 +42,10 @@ class SubspaceBasis:
 
     def decompose(self, vector):
         """The unique m x len(vector) q-ary matrix U with vector = basis * U."""
-        cols = []
-        for i, x in enumerate(vector):
-            u = self.coords(x)
-            if u is None:
-                raise ValueError(f"component {i} lies outside the subspace")
-            cols.append(u)
-        return [[cols[j][i] for j in range(len(cols))] for i in range(self.m)]
+        cols = [self._solver.solve(x) for x in self.tower.check_elements(vector, "word symbol")]
+        if None in cols:
+            raise ValueError(f"component {cols.index(None)} lies outside the subspace")
+        return [[col[i] for col in cols] for i in range(self.m)]
 
     def recompose(self, u_matrix):
         """Vector basis * U for an m x L coefficient matrix U."""
@@ -116,17 +113,14 @@ class SubspaceSubcode:
         vector = basis * U this is h * U^t.  Preserves q-ary rank."""
         if len(vector) != self.code.length:
             raise ValueError(f"word length {len(vector)} != {self.code.length}")
-        u = self.basis.decompose(vector)
-        t = self.tower
-        return tuple(t.contract(row, self.code.h) for row in u)
+        return tuple(self.tower.contract(row, self.code.h) for row in self.basis.decompose(vector))
 
     def from_parent(self, vector):
         """Inverse transfer: expand each component over the parity basis h
         to recover U, then return basis * U."""
         if len(vector) != self.basis.m:
             raise ValueError(f"expected length {self.basis.m}")
-        u = [self.code.parity_coordinates(x) for x in vector]
-        return self.basis.recompose(u)
+        return self.basis.recompose([self.code.parity_coordinates(x) for x in vector])
 
     # -- coding ---------------------------------------------------------------
 
@@ -147,7 +141,7 @@ class SubspaceSubcode:
         """
         if route not in ("parent", "ambient"):
             raise ValueError(f"unknown decoding route {route!r}")
-        received = tuple(received)
+        received = self.tower.check_elements(received, "word symbol")
         if route == "ambient":
             self.basis.decompose(received)  # enforce the V^n precondition
             codeword, error = self.code.decode(received)

@@ -1,5 +1,6 @@
 import contextlib
 import signal
+import sys
 
 import pytest
 
@@ -20,6 +21,19 @@ def bounded(seconds: float):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def table_bytes(built):
+    """Bytes held by the tables of a map from `linear_map_tables`: each
+    list and each distinct entry."""
+    seen, total = set(), sys.getsizeof(built[2])
+    for table in built[2]:
+        total += sys.getsizeof(table)
+        for entry in table:
+            if id(entry) not in seen:
+                seen.add(id(entry))
+                total += sys.getsizeof(entry)
+    return total
 
 
 @pytest.fixture(scope="session")

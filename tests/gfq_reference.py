@@ -1,7 +1,9 @@
 """Digit-list Gauss-Jordan elimination over GF(q), the reference the packed
 kernel of rankcodes.qlinalg is checked against, and a schoolbook product
-in GF(q^n), the reference for the field multiplier, and the stepping scan
-for the multiplicative generator.
+in GF(q^n), the reference for the field multiplier, the stepping scan
+for the multiplicative generator, and the per-position direct-sum
+transfers, the reference for the precomputed word maps of
+rankcodes.directsum.
 
 Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
@@ -131,3 +133,70 @@ def log_tables(q, modulus):
             for i, v in enumerate(powers):
                 log[v] = i
             return gen, powers + powers, log
+
+
+# ---------------------------------------------------------------------------
+# direct-sum transfers, one position at a time
+#
+# A direct sum has parts (lists of independent elements of GF(q^n)) whose
+# concatenation beta_1..beta_N is independent, and the parity vector h of
+# the ambient code.  A word w transfers to part i's parent word h U_i^t,
+# where column p of U = (U_1; ...; U_u) holds w_p's coordinates over beta.
+
+
+def combine(coeffs, elements, q, n):
+    """sum c_j e_j in GF(q^n) for GF(q) coefficients c_j, digit by digit."""
+    acc = 0
+    for c, e in zip(coeffs, elements):
+        acc = field_add(acc, pack([c * d % q for d in digits(e, q, n)], q), q, n)
+    return acc
+
+
+def coordinates(x, elements, q, n):
+    """The GF(q) coordinates of x over independent elements, or None."""
+    matrix = [[digits(e, q, n)[i] for e in elements] for i in range(n)]
+    return solve(matrix, digits(x, q, n), q)
+
+
+def _columns(word, parts, q, n):
+    concat = [x for part in parts for x in part]
+    cols = []
+    for p, x in enumerate(word):
+        c = coordinates(x, concat, q, n)
+        if c is None:
+            raise ValueError(f"component {p} lies outside the subspace sum")
+        cols.append(c)
+    return cols
+
+
+def _offsets(parts):
+    return [sum(len(part) for part in parts[:i]) for i in range(len(parts))]
+
+
+def fold(word, parts, h, q, n):
+    """Each part's parent word: symbol a of part i is sum_p U_i[a][p] h_p."""
+    cols = _columns(word, parts, q, n)
+    return tuple(tuple(combine([c[off + a] for c in cols], h, q, n) for a in range(len(part)))
+                 for off, part in zip(_offsets(parts), parts))
+
+
+def project(word, parts, q, n):
+    """The per-part words part_i U_i, recomposed position by position."""
+    cols = _columns(word, parts, q, n)
+    return [tuple(combine(c[off:off + len(part)], part, q, n) for c in cols)
+            for off, part in zip(_offsets(parts), parts)]
+
+
+def unfold(parent_words, parts, h, q, n):
+    """The word whose part i folds to parent_words[i]: row a of U_i holds
+    the coordinates over h of parent symbol a."""
+    rows = [coordinates(x, h, q, n) for word in parent_words for x in word]
+    concat = [x for part in parts for x in part]
+    return tuple(combine([r[p] for r in rows], concat, q, n) for p in range(len(h)))
+
+
+def spread(values, parts, q, n, length):
+    """The channel error sum_j digit_p(v_j) beta_j at each position p."""
+    concat = [x for part in parts for x in part]
+    return tuple(combine([digits(v, q, n)[p] for v in values], concat, q, n)
+                 for p in range(length))

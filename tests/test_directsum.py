@@ -1,14 +1,19 @@
 import math
 import random
+import re
+import sys
 from fractions import Fraction
 
+import gfq_reference as ref
 import pytest
+from conftest import bounded, table_bytes
 
-from rankcodes import (DirectSumCode, GabidulinCode, SubspaceBasis,
-                       TrivialSubcodeError, decode_experiment,
+from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
+                       SubspaceBasis, TrivialSubcodeError, decode_experiment,
                        default_generator, direct_sum_violations,
-                       rank_event_rate, rank_leq_probability, rank_of_vector,
-                       sample_channel_error, success_probability)
+                       random_error, rank_event_rate, rank_leq_probability,
+                       rank_of_vector, sample_channel_error, success_probability)
+from rankcodes import directsum
 
 
 @pytest.fixture(scope="module")
@@ -372,3 +377,101 @@ def test_direct_sum_entry_points_fail_fast(gf64):
     for trials in (-1, 0):
         with pytest.raises(ValueError, match="trial"):
             decode_experiment(dsc, 1, trials, 0)
+
+
+# -- the transfer maps against the per-position reference ----------------------
+
+def _independent(tower, count, rng):
+    while True:
+        els = [tower.random_element(rng) for _ in range(count)]
+        if ref.rank([tower.digits(x) for x in els], tower.q) == count:
+            return els
+
+
+# (q, n, k, part dimensions): q in {2, 3, 5}, table-backed and table-less
+# (2^17, 2^18, 3^11 and 5^7 exceed 2^16), N = n and N < n
+@pytest.mark.parametrize("q, n, k, dims", [
+    (2, 6, 4, [3, 3]), (2, 8, 6, [3, 3]), (2, 18, 14, [9, 9]), (2, 17, 13, [6, 6]),
+    (3, 6, 4, [3, 3]), (3, 9, 7, [3, 3, 3]), (3, 11, 9, [5, 6]), (3, 11, 9, [4, 4]),
+    (5, 6, 4, [3, 3]), (5, 4, 2, [3]), (5, 7, 5, [3, 4])])
+def test_transfers_match_per_position_reference(q, n, k, dims):
+    rng = random.Random(f"transfers:{q}:{n}:{dims}")
+    tower = FieldTower(q, n)
+    code = GabidulinCode(tower, k, g=default_generator(tower))
+    els = _independent(tower, sum(dims), rng)
+    parts = [els[sum(dims[:i]):sum(dims[:i + 1])] for i in range(len(dims))]
+    M = DirectSumCode(code, parts)
+    h = code.h
+    for _ in range(3):
+        message = [tower.random_element(rng) for _ in range(M.message_length)]
+        codeword = M.encode(message)
+        blocks, off = [], 0
+        for sub in M.subcodes:
+            blocks.append(sub.parent.encode(message[off:off + sub.parent.k]))
+            off += sub.parent.k
+        assert codeword == ref.unfold(blocks, parts, h, q, n)
+        t = rng.randrange(min(n, sum(dims)) + 1)
+        channel = rng.choice(["uniform-matrix", "exact-rank"])
+        twin = random.Random()
+        twin.setstate(rng.getstate())
+        error = sample_channel_error(M, t, rng, channel=channel)
+        values = random_error(tower, sum(dims), t, twin, mode=channel)
+        assert rng.getstate() == twin.getstate()
+        assert error == ref.spread(values, parts, q, n, n)
+        received = tuple(tower.add(a, b) for a, b in zip(codeword, error))
+        assert M.to_parents(received) == ref.fold(received, parts, h, q, n)
+        assert M.project(received) == ref.project(received, parts, q, n)
+    if sum(dims) < n:
+        outside = next(b for b in tower.basis
+                       if ref.coordinates(b, els, q, n) is None)
+        pos = rng.randrange(n)
+        bad = received[:pos] + (outside,) + received[pos + 1:]
+        message = f"component {pos} lies outside the subspace sum"
+        with pytest.raises(ValueError, match=message):
+            ref.fold(bad, parts, h, q, n)
+        for call in (M.to_parents, M.project, M.decode):
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                call(bad)
+
+
+# (q, n, k): parents [32, 16, 17] and [15, 9, 7]
+@pytest.mark.parametrize("q, n, k", [(2, 64, 48), (3, 30, 24)])
+def test_direct_sum_maps_bounded_at_the_top_of_the_range(q, n, k):
+    # the fold and each part's unfold read 4-bit chunks (q^k <= 16 digits),
+    # which keeps each map at n = 64 under 10 MB
+    tower = FieldTower(q, n)
+    rng = random.Random(11)
+    with bounded(30):
+        code = GabidulinCode(tower, k, g=default_generator(tower))
+        M = DirectSumCode(code, [tower.basis[:n // 2], tower.basis[n // 2:]])
+        message = [tower.random_element(rng) for _ in range(M.message_length)]
+        codeword = M.encode(message)
+        error = sample_channel_error(M, M.capability, rng)
+        result = M.decode(tuple(tower.add(a, b) for a, b in zip(codeword, error)))
+    assert result.ok and result.codeword == codeword and result.error == error
+    for built in (M._fold, *M._unfolds, M._to_h):
+        assert table_bytes(built) < 10 * 2**20
+
+
+def test_direct_sum_trial_makes_no_solve_or_contract(monkeypatch, pair66, gf4096):
+    """A paper-q2n12 trial (encode, sample, project, decode) runs the
+    direct-sum transfers on their word maps alone: directsum.py calls
+    neither CoordinateSolver.solve nor FieldTower.contract."""
+    callers = []
+
+    def spy(original):
+        def wrapped(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_filename)
+            return original(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(CoordinateSolver, "solve", spy(CoordinateSolver.solve))
+    monkeypatch.setattr(FieldTower, "contract", spy(FieldTower.contract))
+    rng = random.Random(3)
+    message = [gf4096.random_element(rng) for _ in range(pair66.message_length)]
+    codeword = pair66.encode(message)
+    error = sample_channel_error(pair66, 4, rng)
+    pair66.project(error)
+    pair66.decode(tuple(a ^ b for a, b in zip(codeword, error)))
+    assert callers  # the spies are live: the sampler and the parent decoders use both
+    assert directsum.__file__ not in callers

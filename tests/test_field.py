@@ -6,7 +6,8 @@ import pytest
 from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
-                       SubspaceBasis, find_irreducible, is_irreducible, random_error)
+                       SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, find_irreducible,
+                       is_irreducible, random_error)
 from rankcodes.field import _DEFAULT_MODULI
 
 import gfq_reference as ref
@@ -283,6 +284,9 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
         with bounded(20):
             code = GabidulinCode(tower, n - 1, g=tower.basis)
             M = DirectSumCode(code, [tower.basis[:n // 2], tower.basis[n // 2:]])
+            basis = SubspaceBasis(tower, tower.basis[:max(2, n // 2)])
+            sub = SubspaceSubcode(code, basis)
+            emb = SubfieldEmbedding(tower, 1)
         for bad in (-1, tower.order, True, 2.0):
             word = (1,) * (n - 1) + (bad,)
             with bounded(5):
@@ -292,6 +296,17 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
                                    (code.encode, "message symbol")):
                     with pytest.raises(ValueError, match=f"{what} {bad!r} "):
                         call(word[1:] if call == code.encode else word)
+                # single symbols at the subspace and subfield boundary
+                for call in (basis.coords, basis.contains, code.parity_coordinates,
+                             emb.contains, emb.subfield_coords, emb.ext_coords):
+                    with pytest.raises(ValueError, match=f"^element {bad!r} "):
+                        call(bad)
+                for call in (basis.decompose, sub.to_parent, sub.decode,
+                             lambda w: sub.decode(w, route="ambient")):
+                    with pytest.raises(ValueError, match=f"^word symbol {bad!r} "):
+                        call(word)
+                with pytest.raises(ValueError, match=f"^element {bad!r} "):
+                    sub.from_parent(word[-basis.m:])
 
 
 def test_check_elements_rejects_bools(gf16):

@@ -1,8 +1,7 @@
 import random
-import sys
 
 import pytest
-from conftest import bounded
+from conftest import bounded, table_bytes
 
 from rankcodes import (DecodingFailure, FieldTower, GabidulinCode,
                        default_generator, dual_vector, ext_nullspace, ext_rank,
@@ -251,19 +250,6 @@ def test_default_generator_table_less_n20():
     assert rank_of_vector(tower, g) == 20
 
 
-def _table_bytes(built):
-    """Bytes held by the tables of a map from `linear_map_tables`: each
-    list and each distinct entry."""
-    seen, total = set(), sys.getsizeof(built[2])
-    for table in built[2]:
-        total += sys.getsizeof(table)
-        for entry in table:
-            if id(entry) not in seen:
-                seen.add(id(entry))
-                total += sys.getsizeof(entry)
-    return total
-
-
 @pytest.mark.parametrize("q, n, k", [(2, 64, 32), (3, 30, 15)])
 def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
     # the word-wide maps read 4-bit chunks (q^k <= 16 digits), which keeps
@@ -282,4 +268,4 @@ def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
         for i, m in enumerate(message):
             want = tower.add(want, tower.mul(m, tower.frobenius(g[pos], i)))
         assert codeword[pos] == want
-    assert _table_bytes(code._encoder) + _table_bytes(code._syndrome_map) < 10 * 2**20
+    assert table_bytes(code._encoder) + table_bytes(code._syndrome_map) < 10 * 2**20
