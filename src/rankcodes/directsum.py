@@ -87,12 +87,13 @@ def _spread_images(tower, columns, elements):
     """Images of the map sending digit e of input symbol a to the word
     (columns[e][j] * elements[a])_j, listed a-major: the symbols j where a
     column holds digit d, spread once as 1 at digit j*n, times d * x."""
-    spreads = [{d: sum(tower.order**j for j, c in enumerate(col) if c == d)
-                for d in set(col) - {0}}.items() for col in columns]
+    powers = [tower.order**j for j in range(len(columns[0]))]
+    spreads = [[(d, sum([p for p, c in zip(powers, col) if c == d])) for d in set(col) - {0}]
+               for col in columns]
     held, images = set().union(*columns) - {0, 1}, []
     for x in elements:
         times = {1: x, **{d: tower.from_digits([d * c for c in tower.digits(x)]) for d in held}}
-        images += [sum(s * times[d] for d, s in spread) for spread in spreads]
+        images += [sum([s * times[d] for d, s in spread]) for spread in spreads]
     return images
 
 
@@ -129,9 +130,9 @@ class DirectSumCode:
                     for img, (p, e) in zip(fold, itertools.product(range(L), range(n)))]
         self._fold = linear_map_tables(t.q, fold, most=16)
         self._fold_width = N + L if N < n else N
-        hcols = [code.parity_coordinates(b) for b in t.basis]
-        self._unfolds = [linear_map_tables(t.q, _spread_images(t, hcols, p.elements), most=16)
-                         for p in parts]
+        unfold = _spread_images(t, [code.parity_coordinates(b) for b in t.basis], self.concat)
+        self._unfolds = [linear_map_tables(t.q, unfold[a * n:b * n], most=16)
+                         for a, b in self._slices]
         # x -> sum_p digit_p(x) h_p: a channel value's parent symbol
         self._to_h = linear_map_tables(t.q, code.h)
 
@@ -152,8 +153,7 @@ class DirectSumCode:
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
         parts, which sum back to the word componentwise: part i is the
         unfold of the fold's part i."""
-        t, L = self.tower, self.code.length
-        return [t.map_word(built, folded, L)
+        return [self.tower.map_word(built, folded, self.code.length)
                 for built, folded in zip(self._unfolds, self.to_parents(word))]
 
     def to_parents(self, word):

@@ -179,7 +179,7 @@ def int_digits(v: int, q: int, width: int) -> tuple:
     """The low `width` base-q digits of v, least significant first: the
     entries of a q-ary row packed as v = sum row[j] * q**j."""
     if q == 2:
-        return tuple((v >> i) & 1 for i in range(width))
+        return tuple([v >> i & 1 for i in range(width)])
     out = []
     for _ in range(width):
         out.append(v % q)
