@@ -13,14 +13,13 @@ over the parts.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import _prime_factors, apply_linear_map, int_digits, is_prime, linear_map_tables
+from .field import LinearMap, _prime_factors, int_digits, is_prime
 from .gabidulin import DecodingFailure, GabidulinCode
 from .qlinalg import (CoordinateSolver, count_rank_matrices, random_error,
                       random_rows, rank_of_vector, rank_rows)
@@ -100,11 +99,12 @@ def _spread_images(tower, columns, elements):
 class DirectSumCode:
     """The sum of subspace subcodes over pairwise disjoint subspaces.
 
-    The transfers are word maps built here as sliced tables, read by
-    `FieldTower.map_word` with no field product or coordinate solve.  The
-    fold sends a word's L*n digits to its N parent symbols and, for N < n,
-    to L check symbols: each position's complement coordinates, all zero
-    exactly inside the sum.  Part i's unfold sends m_i*n digits to L symbols.
+    The transfers are `LinearMap`s built here, applied with no field
+    product or coordinate solve.  The fold sends a word's L*n digits to its
+    N parent symbols and, for N < n, to L check symbols: each position's
+    complement coordinates, all zero exactly inside the sum.  The unfold
+    sends the N*n digits of the concatenated parent words to L symbols, the
+    sum of each part's transfer back.
     """
 
     def __init__(self, code: GabidulinCode, parts):
@@ -128,13 +128,11 @@ class DirectSumCode:
         if N < n:
             fold = [img + t.from_digits(cols[e][N:]) * t.order**(N + p)
                     for img, (p, e) in zip(fold, itertools.product(range(L), range(n)))]
-        self._fold = linear_map_tables(t.q, fold, most=16)
-        self._fold_width = N + L if N < n else N
+        self._fold = LinearMap(t.q, n, fold, N + L if N < n else N)
         unfold = _spread_images(t, [code.parity_coordinates(b) for b in t.basis], self.concat)
-        self._unfolds = [linear_map_tables(t.q, unfold[a * n:b * n], most=16)
-                         for a, b in self._slices]
+        self._unfold = LinearMap(t.q, n, unfold, L)
         # x -> sum_p digit_p(x) h_p: a channel value's parent symbol
-        self._to_h = linear_map_tables(t.q, code.h)
+        self._to_h = LinearMap(t.q, n, code.h)
 
     @property
     def capability(self) -> int:
@@ -152,9 +150,9 @@ class DirectSumCode:
     def project(self, word):
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
         parts, which sum back to the word componentwise: part i is the
-        unfold of the fold's part i."""
-        return [self.tower.map_word(built, folded, self.code.length)
-                for built, folded in zip(self._unfolds, self.to_parents(word))]
+        unfold of the fold's part i, the other parent words zero."""
+        return [self._unfold.word((0,) * a + folded)
+                for (a, _), folded in zip(self._slices, self.to_parents(word))]
 
     def to_parents(self, word):
         """Transfer each part to its parent code: for word = sum_i beta^(i) U_i
@@ -163,24 +161,11 @@ class DirectSumCode:
         word = self.tower.check_elements(word, "word symbol")
         if len(word) != self.code.length:
             raise ValueError(f"word length {len(word)} != {self.code.length}")
-        folded = self.tower.map_word(self._fold, word, self._fold_width)
+        folded = self._fold.word(word)
         outside = [p for p, c in enumerate(folded[self.total_dim:]) if c]
         if outside:
             raise ValueError(f"component {outside[0]} lies outside the subspace sum")
         return tuple(folded[a:b] for a, b in self._slices)
-
-    def _unfold(self, parent_words):
-        """The word whose part i transfers to parent_words[i]: for q = 2 the
-        parts' packed unfolds XOR into one int, unpacked once; odd-q lanes
-        are sized per part, so each part unpacks and the symbols add."""
-        t, L = self.tower, self.code.length
-        if t.q == 2:
-            w = 0
-            for built, word in zip(self._unfolds, parent_words):
-                w ^= apply_linear_map(built, t.pack_word(word))
-            return t.unpack_word(w, 1, L)
-        images = [t.map_word(built, word, L) for built, word in zip(self._unfolds, parent_words)]
-        return tuple(functools.reduce(t.add, col) for col in zip(*images))
 
     def encode(self, message):
         """Encode u blocks of lengths m_i - d + 1, one per part, each in its
@@ -194,8 +179,8 @@ class DirectSumCode:
             raise ValueError(
                 f"message length {len(message)} != {self.message_length}")
         blocks = iter(message)
-        return self._unfold([sub.parent.encode(itertools.islice(blocks, sub.parent.k))
-                             for sub in self.subcodes])
+        return self._unfold.word([s for sub in self.subcodes for s in
+                                  sub.parent.encode(itertools.islice(blocks, sub.parent.k))])
 
     def decode(self, received) -> DirectSumDecodeResult:
         """Per-component decoding: fold into the parent words, decode each,
@@ -204,18 +189,18 @@ class DirectSumCode:
         parts' errors sum to it.  Succeeds exactly when every projected
         error rank is within capability."""
         received = tuple(received)
-        outcomes, parent_words = [], []
+        outcomes, parent_words = [], []  # the parent codewords, concatenated
         for idx, (sub, folded) in enumerate(zip(self.subcodes, self.to_parents(received))):
             if sub.is_trivial:
                 raise TrivialSubcodeError("trivial subcode has no parent decoder")
             try:
-                parent_words.append(sub.parent.decode(folded)[0])
+                parent_words += sub.parent.decode(folded)[0]
                 outcomes.append(ComponentOutcome(idx, True))
             except DecodingFailure as exc:
                 outcomes.append(ComponentOutcome(idx, False, reason=str(exc)))
-        if len(parent_words) < len(self.subcodes):
+        if not all(o.ok for o in outcomes):
             return DirectSumDecodeResult(False, None, None, outcomes)
-        codeword = self._unfold(parent_words)
+        codeword = self._unfold.word(parent_words)
         error = tuple(self.tower.sub(y, c) for y, c in zip(received, codeword))
         return DirectSumDecodeResult(True, codeword, error, outcomes)
 
@@ -332,8 +317,7 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
             f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
     # combined values v_j, one per concatenated-basis coordinate: the error
     # sum_j digit_p(v_j) beta_j at position p unfolds the v_j written over h
-    folded = tower.map_symbols(M._to_h, random_error(tower, n_total, t, rng, mode=channel))
-    return M._unfold([folded[a:b] for a, b in M._slices])
+    return M._unfold.word([M._to_h(x) for x in random_error(tower, n_total, t, rng, mode=channel)])
 
 
 def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,

@@ -11,7 +11,6 @@ mutable state, the `mul_count` counter and the Frobenius table cache.
 
 from __future__ import annotations
 
-import functools
 import operator
 
 # Fixed table of default moduli, coefficients low-to-high, all monic.
@@ -187,88 +186,129 @@ def int_digits(v: int, q: int, width: int) -> tuple:
     return tuple(out)
 
 
-# Lookup tables hold at most this many entries.  Above it (q > 256) the
-# map keeps each digit's packed image and multiplies the digit in.
-_LOOKUP_MAX = 256
+def _to_lanes(images, q: int, lane: int, size: int) -> list:
+    """Each base-q int of at most `size` digits with digit i moved to bits
+    lane*i on: split at q^h for h = h0 * 2^j, top down, and spread each
+    leaf of h0 digits (h0 a power of two, q^h0 <= 1024) by one lookup
+    (Brent and Zimmermann, Modern Computer Arithmetic, section 1.7), not
+    one division of the whole per digit."""
+    h0 = 1
+    while q ** (2 * h0) <= 1024:
+        h0 *= 2
+    leaf = range(q)
+    for j in range(1, h0):
+        leaf = [s + (d << lane * j) for d in range(q) for s in leaf]
+    splits, h = [], h0  # (q^h, lane * h) for h = h0, 2 h0, ... below size
+    while h < size:
+        splits.append((q**h, lane * h))
+        h *= 2
+
+    def spread(v, i):
+        if i < 0:
+            return leaf[v]
+        p, s = splits[i]
+        hi, lo = divmod(v, p)
+        return spread(hi, i - 1) << s | spread(lo, i - 1) if hi else spread(lo, i - 1)
+
+    return [spread(v, len(splits) - 1) for v in images]
 
 
-def linear_map_tables(q: int, images, most: int = _LOOKUP_MAX):
-    """Sliced lookup tables of a GF(q)-linear map on packed digits.
+class LinearMap:
+    """A GF(q)-linear map from base-q ints to words of `width` symbols of
+    GF(q^n), as sliced lookup tables.
 
-    images[j] is the image of digit j of the input, a base-q int.  Digits
-    of the input are read k at a time, k the largest with q^k <= most
-    (k = 8 for q = 2 by default), or one at a time when q > most.
-    Returns (radix, lane, tables) with radix = q^k: tables[c][r] is the
-    image of the digit chunk r at chunk c, packed with one `lane`-bit lane
-    per output digit, so the image of x is the sum over c of tables[c][chunk
-    c of x] (see `apply_linear_map`).  For q = 2 lanes are single bits
-    combined by XOR; otherwise they are wide enough to add len(images)
-    (q-1)^2 without carry, and at least a byte wide, so that `lane_digits`
-    reads lanes of up to 8 bits as bytes.  For q > 256 there are no tables:
-    tables[c] is the packed image of digit c, which the digit multiplies.
+    images[j] is the image of input digit j, a base-q int with output
+    symbol i at digit i*n.  The input is read k digits at a time, k the
+    largest with q^k <= 256 for one symbol (k = 8 for q = 2) and q^k <= 16
+    for a word, or one digit when q > 256.  tables[c][r] is the image of
+    the chunk r at chunk c, packed with one `lane`-bit lane per output
+    digit, and the image of x sums tables[c][chunk c of x] over c.  For
+    q = 2 lanes are single bits combined by XOR; otherwise they are wide
+    enough to add len(images) (q-1)^2 without carry, and at least a byte
+    wide, so that lanes of 8 bits are taken mod q by one bytes.translate.
+    For q > 256 there are no tables: tables[c] is the packed image of digit
+    c, which the digit multiplies.
+
+    m(x) is the image of x as one element, m.word(word) the image of a
+    word (input symbol i at digit i*n) as `width` symbols, and m.digits(x)
+    the image's width*n digits.  None of them checks its input or counts a
+    field operation.
     """
-    if q == 2:
-        lane, packed = 1, list(images)
-    else:
-        lane, packed = max(8, (len(images) * (q - 1) ** 2).bit_length()), []
-        for img in images:
-            v, shift = 0, 0
-            while img:
-                img, d = divmod(img, q)
-                v |= d << shift
-                shift += lane
-            packed.append(v)
-    if q > _LOOKUP_MAX:
-        return q, lane, packed
-    chunk = next((k for k in range(8, 1, -1) if q**k <= most), 1)
-    tables = []
-    for lo in range(0, len(packed), chunk):
-        table = [0]
-        for img in packed[lo:lo + chunk]:
-            # extend by one digit: entry d*len + i = table[i] + d*img
-            block = table
-            for _ in range(q - 1):
-                block = ([b ^ img for b in block] if q == 2
-                         else [b + img for b in block])
-                table += block
-        tables.append(table)
-    return q**chunk, lane, tables
 
+    def __init__(self, q: int, n: int, images, width: int = 1):
+        self.q, self.n, self.width = q, n, width
+        self._order, self._basis = q**n, tuple(q**i for i in range(n))
+        if q == 2:
+            self.lane, packed = 1, images
+        else:
+            self.lane = max(8, (len(images) * (q - 1) ** 2).bit_length())
+            self._lane_mask, self._mod = (1 << self.lane) - 1, bytes(v % q for v in range(256))
+            packed = _to_lanes(images, q, self.lane, width * n)
+        k = next((k for k in range(8, 1, -1) if q**k <= (256 if width == 1 else 16)), 1)
+        self.radix, self._bits, self._mask = q**k, k, q**k - 1
+        if q > 256:
+            self.tables = packed
+            return
+        self.tables = []
+        for lo in range(0, len(packed), k):
+            table = [0]
+            for img in packed[lo:lo + k]:
+                # extend by one digit: entry d*len + i = table[i] + d*img
+                block = table
+                for _ in range(q - 1):
+                    block = [b ^ img for b in block] if q == 2 else [b + img for b in block]
+                    table += block
+            self.tables.append(table)
 
-def apply_linear_map(built, x: int) -> int:
-    """The lane-packed image of the base-q int x under a map built by
-    `linear_map_tables`: one lookup (q > 256: one product) per chunk."""
-    radix, lane, tables = built
-    w = 0
-    if lane == 1:  # q = 2: radix 2^k, lanes of one bit combined by XOR
-        bits, mask = radix.bit_length() - 1, radix - 1
-        for table in tables:
-            w ^= table[x & mask]
-            x >>= bits
-    elif radix > _LOOKUP_MAX:
-        for image in tables:
-            x, r = divmod(x, radix)
-            w += image * r
-    else:
-        for table in tables:
-            x, r = divmod(x, radix)
-            w += table[r]
-    return w
+    def __call__(self, x: int) -> int:
+        if self.lane == 1:  # q = 2, one call deep: frobenius and the exp table step per element
+            w, bits, mask = 0, self._bits, self._mask
+            for table in self.tables:
+                w ^= table[x & mask]
+                x >>= bits
+            return w
+        return sum(map(operator.mul, self._digits_of(self._lanes(x), self.n), self._basis))
 
+    def word(self, word) -> tuple:
+        x, order, n = 0, self._order, self.n
+        for s in reversed(word):
+            x = x * order + s
+        w = self._lanes(x)
+        if self.lane == 1:
+            mask = order - 1
+            return tuple([w >> n * i & mask for i in range(self.width)])
+        digits, basis = self._digits_of(w, self.width * n), self._basis
+        return tuple([sum(map(operator.mul, digits[i:i + n], basis))
+                      for i in range(0, self.width * n, n)])
 
-def lane_digits(w: int, q: int, lane: int, count: int):
-    """The digits of an odd-q packed image with `count` lanes, each lane
-    taken mod q: byte lanes by one `bytes.translate`, wider ones one shift
-    at a time."""
-    if lane == 8:
-        return w.to_bytes(count, "little").translate(_mod_bytes(q))
-    mask = (1 << lane) - 1
-    return [(w >> lane * j & mask) % q for j in range(count)]
+    def digits(self, x: int):
+        w, count = self._lanes(x), self.width * self.n
+        return [w >> i & 1 for i in range(count)] if self.lane == 1 else self._digits_of(w, count)
 
+    def _lanes(self, x: int) -> int:
+        """The lane-packed image of x: one lookup (q > 256: one product) per chunk."""
+        w, radix = 0, self.radix
+        if self.lane == 1:
+            bits, mask = self._bits, self._mask
+            for table in self.tables:
+                w ^= table[x & mask]
+                x >>= bits
+        elif radix > 256:
+            for image in self.tables:
+                x, r = divmod(x, radix)
+                w += image * r
+        else:
+            for table in self.tables:
+                x, r = divmod(x, radix)
+                w += table[r]
+        return w
 
-@functools.cache
-def _mod_bytes(q: int) -> bytes:
-    return bytes(v % q for v in range(256))
+    def _digits_of(self, w: int, count: int):
+        """The first `count` lanes of w, each taken mod q."""
+        if self.lane == 8:
+            return w.to_bytes(count, "little").translate(self._mod)
+        lane, mask, q = self.lane, self._lane_mask, self.q
+        return [(w >> lane * j & mask) % q for j in range(count)]
 
 
 def _comb_window(b: int) -> tuple:
@@ -310,28 +350,26 @@ class FieldTower:
     1 + g^i = 0), which makes `add`, `neg`, `sub` and `axpy` lookups;
     both span two periods of i.  g is the smallest candidate with
     g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order;
-    only g is then stepped, x -> x * g, as a GF(q)-linear map through
-    `linear_map_tables`, to fill `_exp`.  Larger fields are
+    only g is then stepped, x -> x * g, as a `LinearMap`, to fill `_exp`.
+    Larger fields are
     table-less: odd-q `add` goes digit by digit, `mul` is polynomial
     multiplication for odd q and for q = 2 a comb over 4-bit windows whose
     high half is reduced through `_reduce`, byte tables of x^(n+j) mod the
     modulus built with every q = 2 tower, `inv` is extended Euclid (on ints
-    for q = 2), and `frobenius(x, i)` is the GF(q)-linear map x -> x^(q^i)
-    read through `linear_map_tables`.  Those tables are the one lazily
-    filled state: the set for power i is built on its first use and kept,
-    at most (n-1) * ceil(n/k) tables of at most 256 entries.  Each set is
-    built whole and then published by one dict assignment, so a tower can
-    still be shared across threads; a race only builds a set twice.
+    for q = 2), and `frobenius(x, i)` is the `LinearMap` x -> x^(q^i).
+    Those maps are the one lazily filled state: the map for power i is
+    built on its first use and kept, at most n-1 maps of ceil(n/k) tables
+    of at most 256 entries.  Each map is built whole and then published by
+    one dict assignment, so a tower can still be shared across threads; a
+    race only builds a map twice.
 
     `axpy(ys, c, xs)` is the row primitive [y + c x]: table-backed towers
     add log c once per row, table-less q = 2 builds c's comb window once
     per row, and table-less odd q multiplies entry by entry.
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
-    words as sliced tables, and `map_word` applies it with no field
-    product: the encoder and the syndrome map of a Gabidulin code.  The
-    direct-sum transfers (fold and unfold) are word maps of the same kind,
-    built by `directsum` from their own images and applied by `map_word`.
+    words as a `LinearMap`, applied with no field product: the encoder and
+    the syndrome map of a Gabidulin code.
 
     `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
@@ -370,12 +408,11 @@ class FieldTower:
         self.basis = tuple(q**i for i in range(n))
         if q == 2:  # the comb's reduction tables: images of x^(n+j) mod the modulus
             self._nibbles = range(4 * ((n - 1) // 4), -1, -4)
-            self._reduce = linear_map_tables(
-                2, [self.from_digits(_pmod((0,) * (n + j) + (1,), modulus, 2))
-                    for j in range(n - 1)])[2]
+            self._reduce = LinearMap(2, n, [self.from_digits(_pmod(
+                (0,) * (n + j) + (1,), modulus, 2)) for j in range(n - 1)]).tables
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
-        self._frob = {}  # power i -> linear_map_tables, table-less only
+        self._frob = {}  # power i -> its LinearMap's bound image, table-less only
 
     # -- encoding ----------------------------------------------------------
 
@@ -388,10 +425,6 @@ class FieldTower:
         for d in reversed(tuple(digits)):
             v = v * self.q + d % self.q
         return v
-
-    def elements(self):
-        """All field elements in canonical integer order (tiny fields only)."""
-        return range(self.order)
 
     def check_elements(self, elements, what: str = "element") -> tuple:
         """The elements as a tuple; ValueError unless each is an int, not a
@@ -548,27 +581,20 @@ class FieldTower:
             return self._exp[(self._log[x] * pow(self.q, i, self.order - 1)) % (self.order - 1)]
         if not 0 <= x < self.order:
             raise self._outside(x)
-        built = self._frob.get(i) or self._frobenius_tables(i)
-        return apply_linear_map(built, x) if self.q == 2 else self._linear_image(built, x)
+        return (self._frob.get(i) or self._frobenius_map(i))(x)
 
-    def _linear_image(self, built, x: int) -> int:
-        """Image of x under an odd-q map onto one element built by
-        `linear_map_tables`, its lanes repacked into base q (for q = 2 the
-        image is `apply_linear_map` itself)."""
-        w = apply_linear_map(built, x)
-        return sum(map(operator.mul, lane_digits(w, self.q, built[1], self.n), self.basis))
-
-    def _frobenius_tables(self, i: int):
-        """Tables of x -> x^(q^i) from the basis images beta^j, where
-        beta = alpha^(q^i); uncounted products, published whole."""
+    def _frobenius_map(self, i: int):
+        """The image of the LinearMap x -> x^(q^i), built from the basis
+        images beta^j, where beta = alpha^(q^i); uncounted products,
+        published whole."""
         beta = self._pow_raw(self.q, self.q**i)
         images, img = [], 1
         for _ in range(self.n):
             images.append(img)
             img = self._mul_raw(img, beta)
-        built = linear_map_tables(self.q, images)
-        self._frob[i] = built
-        return built
+        # bound once: a call through the instance costs more than a bound method's
+        self._frob[i] = image = LinearMap(self.q, self.n, images).__call__
+        return image
 
     # -- linear combinations --------------------------------------------------
 
@@ -626,48 +652,23 @@ class FieldTower:
 
     # -- GF(q)-linear maps on words -------------------------------------------
 
-    def word_map(self, rows):
-        """Tables of the GF(q)-linear map u -> sum_i u_i rows_i, from words
-        of len(rows) symbols to words of len(rows[0]); read it with
-        `map_word`.  Digit j of u_i maps to alpha^j rows_i, stepped by
-        `_alpha_multiples` with no counted product.  Chunks of q^k <= 16
-        digits keep word-wide tables small."""
-        images = []
-        for row in rows:
-            images += self._alpha_multiples(row)
-        return linear_map_tables(self.q, images, most=16)
-
-    def map_word(self, built, word, width: int) -> tuple:
-        """The `width` symbols of the image of word under a map built by
-        `word_map`: symbol i packed at digit offset i*n into one int, one
-        `apply_linear_map`, then the output lanes unpacked.  Checks nothing."""
-        return self.unpack_word(apply_linear_map(built, self.pack_word(word)), built[1], width)
-
-    def unpack_word(self, w: int, lane: int, width: int) -> tuple:
-        """The `width` symbols of a packed image with `lane`-bit lanes."""
-        n = self.n
-        if self.q == 2:
-            mask = self.order - 1
-            return tuple([w >> n * i & mask for i in range(width)])
-        digits = lane_digits(w, self.q, lane, width * n)
-        basis = self.basis
-        return tuple([sum(map(operator.mul, digits[i:i + n], basis))
-                      for i in range(0, width * n, n)])
-
-    def map_symbols(self, built, word) -> list:
-        """Each symbol of word under a map from `linear_map_tables` onto one
-        element.  Checks nothing."""
-        image = apply_linear_map if self.q == 2 else self._linear_image
-        return [image(built, x) for x in word]
+    def word_map(self, rows) -> LinearMap:
+        """The GF(q)-linear map u -> sum_i u_i rows_i, from words of
+        len(rows) symbols to words of len(rows[0]).  Digit j of u_i maps to
+        alpha^j rows_i, stepped by `_alpha_multiples` with no counted
+        product."""
+        rows = [tuple(row) for row in rows]
+        images = [img for row in rows for img in self._alpha_multiples(row)]
+        return LinearMap(self.q, self.n, images, len(rows[0]))
 
     def _alpha_multiples(self, row) -> list:
         """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
         For q = 2 each step is one shift of the whole packed row and one
         reduction of the bits that overflowed their entry; for odd q each
         entry steps by `_times_alpha`."""
-        n = self.n
+        n, offsets = self.n, [self.order**l for l in range(len(row))]
         if self.q == 2:
-            word = self.pack_word(row)
+            word = sum(map(operator.mul, row, offsets))
             tops = sum(1 << n * l for l in range(1, len(row) + 1))
             low = self._mod_int ^ 1 << n  # alpha^n
             out = [word]
@@ -681,15 +682,8 @@ class FieldTower:
         for j in range(n):
             if j:
                 row = [self._times_alpha(x) for x in row]
-            out.append(self.pack_word(row))
+            out.append(sum(map(operator.mul, row, offsets)))
         return out
-
-    def pack_word(self, word) -> int:
-        """The symbols of word in one base-q int, symbol i at digit i*n."""
-        x = 0
-        for s in reversed(word):
-            x = x * self.order + s
-        return x
 
     def _times_alpha(self, x: int) -> int:
         """alpha * x for odd q, n >= 2, uncounted: one log step when
@@ -709,13 +703,12 @@ class FieldTower:
         # every prime p | size (GF(2) has generator 1)
         gen = next(c for c in range(min(2, size), self.order)
                    if all(self._pow_raw(c, size // p) != 1 for p in primes))
-        # x -> x * gen is GF(q)-linear: step its powers through tables
-        by = linear_map_tables(self.q, [self._mul_raw(b, gen) for b in self.basis])
-        image = apply_linear_map if self.q == 2 else self._linear_image
-        exp, x = [1], image(by, 1)
+        # x -> x * gen is GF(q)-linear: step its powers through its bound map
+        by = LinearMap(self.q, self.n, [self._mul_raw(b, gen) for b in self.basis]).__call__
+        exp, x = [1], by(1)
         while x != 1:
             exp.append(x)
-            x = image(by, x)
+            x = by(x)
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i

@@ -88,7 +88,7 @@ class GabidulinCode:
 
     Encoding, m -> sum_i m_i g^[i], and the syndromes, w -> (sum_l w_l
     h_l^[i])_i, are GF(q)-linear maps on the q-ary expansion of a word.
-    Both are built once, in the constructor, as sliced lookup tables
+    Both are built once, in the constructor, as `LinearMap`s
     (`FieldTower.word_map`) and applied with no field product, so they
     leave `mul_count` alone.  `encode`, `syndromes` and `is_codeword` check
     their input with `check_elements`; the checks of words the code built
@@ -141,7 +141,7 @@ class GabidulinCode:
         message = self.tower.check_elements(message, "message symbol")
         if len(message) != self.k:
             raise ValueError(f"message length {len(message)} != k = {self.k}")
-        return self.tower.map_word(self._encoder, message, self.length)
+        return self._encoder.word(message)
 
     def syndromes(self, word):
         """The syndromes word H^T, the d - 1 sums sum_l word_l h_l^[i]."""
@@ -152,7 +152,7 @@ class GabidulinCode:
 
     def _syndromes(self, word):
         """`syndromes` of a word this code built, with no element check."""
-        return self.tower.map_word(self._syndrome_map, word, self.d - 1)
+        return self._syndrome_map.word(word)
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(word))

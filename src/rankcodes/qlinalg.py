@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from functools import cache
 
-from .field import FieldTower, apply_linear_map, int_digits, lane_digits, linear_map_tables
+from .field import FieldTower, LinearMap, int_digits
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +144,8 @@ class CoordinateSolver:
     b_j by the pivot powers alpha^p to a basis and writes each free power
     over it.  E, the coordinate map of that basis, holds u in the first r
     entries of E x and zeros below exactly when x lies in the span.  E is
-    stored as the sliced lookup tables of `linear_map_tables`, and its
-    columns E alpha^i as base-q ints in `columns`.
+    stored as a `LinearMap`, and its columns E alpha^i as base-q ints in
+    `columns`.
     """
 
     def __init__(self, tower: FieldTower, elements):
@@ -161,17 +161,14 @@ class CoordinateSolver:
         basis = [c for c in range(r + n) if c not in free]
         images = [tower.from_digits([-free[r + i][c] for c in basis]) if r + i in free
                   else q**basis.index(r + i) for i in range(n)]
-        self.q, self.n, self.rank, self.columns = q, n, rank, images
-        self._map = linear_map_tables(q, images)
+        self.rank, self.columns = rank, images
+        self._map = LinearMap(q, n, images)
 
     def solve(self, x: int):
         """The coordinates of x over the elements as a list, or None if x
         is outside their span.  Checks nothing: x must be an element."""
-        w = apply_linear_map(self._map, x)
-        if self.q == 2:
-            return None if w >> self.rank else [(w >> i) & 1 for i in range(self.rank)]
-        lanes = lane_digits(w, self.q, self._map[1], self.n)
-        return None if any(lanes[self.rank:]) else list(lanes[:self.rank])
+        digits = self._map.digits(x)
+        return None if any(digits[self.rank:]) else list(digits[:self.rank])
 
 
 # ---------------------------------------------------------------------------

@@ -23,11 +23,11 @@ def bounded(seconds: float):
         signal.signal(signal.SIGALRM, previous)
 
 
-def table_bytes(built):
-    """Bytes held by the tables of a map from `linear_map_tables`: each
-    list and each distinct entry."""
-    seen, total = set(), sys.getsizeof(built[2])
-    for table in built[2]:
+def table_bytes(linear_map):
+    """Bytes held by the tables of a `LinearMap`: each list and each
+    distinct entry."""
+    seen, total = set(), sys.getsizeof(linear_map.tables)
+    for table in linear_map.tables:
         total += sys.getsizeof(table)
         for entry in table:
             if id(entry) not in seen:

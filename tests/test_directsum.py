@@ -437,8 +437,8 @@ def test_transfers_match_per_position_reference(q, n, k, dims):
 # (q, n, k): parents [32, 16, 17] and [15, 9, 7]
 @pytest.mark.parametrize("q, n, k", [(2, 64, 48), (3, 30, 24)])
 def test_direct_sum_maps_bounded_at_the_top_of_the_range(q, n, k):
-    # the fold and each part's unfold read 4-bit chunks (q^k <= 16 digits),
-    # which keeps each map at n = 64 under 10 MB
+    # the fold and the unfold read 4-bit chunks (q^k <= 16 digits), which
+    # keeps each map at n = 64 under 10 MB
     tower = FieldTower(q, n)
     rng = random.Random(11)
     with bounded(30):
@@ -449,8 +449,8 @@ def test_direct_sum_maps_bounded_at_the_top_of_the_range(q, n, k):
         error = sample_channel_error(M, M.capability, rng)
         result = M.decode(tuple(tower.add(a, b) for a, b in zip(codeword, error)))
     assert result.ok and result.codeword == codeword and result.error == error
-    for built in (M._fold, *M._unfolds, M._to_h):
-        assert table_bytes(built) < 10 * 2**20
+    for linear_map in (M._fold, M._unfold, M._to_h):
+        assert table_bytes(linear_map) < 10 * 2**20
 
 
 def test_direct_sum_trial_makes_no_solve_or_contract(monkeypatch, pair66, gf4096):

@@ -1,5 +1,6 @@
-"""Property-based tests over random shapes for q in {2, 3, 5, 7}, and up to
-q = 31 for the GF(q) elimination."""
+"""Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
+q = 31 for the GF(q) elimination, and up to q = 257 for the linear maps
+and the Gabidulin codec."""
 
 import itertools
 import random
@@ -15,6 +16,7 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        default_generator, min_subspace_poly, random_error,
                        random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability)
+from rankcodes.field import LinearMap
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -293,14 +295,17 @@ def test_root_space_matches_digit_nullspace(f):
     assert len(kernel) == tower.n - rank_rows(images, tower.q)
 
 
-# (q, n, length, k) for table-backed and table-less towers, q in {2, 3, 5},
-# with length < n and length = n; "dense" is GF(2^33) under DENSE_MODULUS.
-# Word-wide maps read 4 bits per table for q = 2, 2 digits for q = 3 and
-# 1 for q = 5, so for most shapes a message or a word ends inside a chunk
+# (q, n, length, k) for table-backed and table-less towers, q in {2, 3, 5,
+# 17, 31, 257}, with length < n and length = n; "dense" is GF(2^33) under
+# DENSE_MODULUS.  Word-wide maps read 4 bits per table for q = 2, 2 digits
+# for q = 3 and 1 for q >= 5, so for most shapes a message or a word ends
+# inside a chunk.  q = 17 and 31 have lanes wider than a byte, and q = 257
+# keeps no tables: each digit multiplies its image
 CODEC_SHAPES = [(2, 6, 6, 3), (2, 12, 7, 4), (2, 17, 9, 4), (2, 20, 20, 12),
                 ("dense", 33, 33, 17), ("dense", 33, 10, 3), (3, 4, 4, 2),
                 (3, 9, 5, 2), (3, 11, 11, 5), (3, 11, 6, 3), (5, 3, 3, 1),
-                (5, 6, 4, 2), (5, 7, 7, 3)]
+                (5, 6, 4, 2), (5, 7, 7, 3), (17, 3, 3, 1), (31, 4, 3, 2),
+                (257, 2, 2, 1)]
 
 
 def _ref_moore(tower, vector, rows):
@@ -375,6 +380,36 @@ def test_encode_and_syndromes_match_reference_sums(case):
         parity.encode(message)
     event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}, "
           f"{'L = n' if code.length == tower.n else 'L < n'}")
+
+
+@st.composite
+def linear_map_cases(draw):
+    q = draw(st.sampled_from([2, 3, 5, 13, 17, 31, 257]))
+    n, width, length = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
+    top = q ** (width * n) - 1
+    images = draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
+                           min_size=length * n, max_size=length * n))
+    symbol = st.one_of(st.just(q**n - 1), st.integers(0, q**n - 1))
+    return q, n, width, images, draw(st.lists(symbol, min_size=length, max_size=length))
+
+
+@settings(max_examples=200, deadline=None)
+@given(linear_map_cases())
+def test_linear_map_matches_reference_sum(case):
+    # byte lanes, wider ones (q >= 13, or many images) and no tables (q = 257);
+    # all-(q-1) images and symbols fill every lane the most
+    q, n, width, images, word = case
+    m = LinearMap(q, n, images, width)
+    x = ref.pack([d for s in word for d in ref.digits(s, q, n)], q)
+    want = [0] * (width * n)
+    for d, image in zip(ref.digits(x, q, len(images)), images):
+        want = [(w + d * e) % q for w, e in zip(want, ref.digits(image, q, width * n))]
+    assert list(m.digits(x)) == want
+    symbols = tuple(ref.pack(want[i:i + n], q) for i in range(0, width * n, n))
+    assert m.word(word) == symbols
+    if width == 1:
+        assert m(x) == symbols[0]
+    event(f"q = {q}, {'no tables' if q > 256 else f'{m.lane}-bit lanes'}")
 
 
 # largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)
