@@ -9,12 +9,12 @@ from .directsum import (DirectSumCode, DirectSumDecodeResult, MonteCarloResult,
 from .field import FieldTower, find_irreducible, is_irreducible, is_prime
 from .gabidulin import (DecodingFailure, GabidulinCode, default_generator,
                         dual_vector, moore_matrix)
-from .linpoly import LinearizedPoly, min_subspace_poly
+from .linpoly import LinearizedPoly
 from .qlinalg import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                      ext_rank, ext_solve, random_error, random_rows,
-                      rank_of_vector, rank_q, rank_rows)
+                      ext_solve, random_error, random_rows, rank_of_vector,
+                      rank_q, rank_rows)
 from .subfield import (SubfieldEmbedding, SubfieldFactorization, annihilates,
-                       block_diagonal, compute_factorization, expand_parity,
+                       block_diagonal, compute_factorization,
                        subfield_success_probability, verify_uniqueness)
 from .subspace import SubspaceBasis, SubspaceSubcode, TrivialSubcodeError
 
@@ -40,14 +40,11 @@ __all__ = [
     "default_generator",
     "direct_sum_violations",
     "dual_vector",
-    "expand_parity",
     "ext_nullspace",
-    "ext_rank",
     "ext_solve",
     "find_irreducible",
     "is_irreducible",
     "is_prime",
-    "min_subspace_poly",
     "moore_matrix",
     "random_error",
     "random_rows",

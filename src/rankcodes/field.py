@@ -12,6 +12,7 @@ mutable state, the `mul_count` counter and the Frobenius table cache.
 from __future__ import annotations
 
 import operator
+import struct
 
 # Fixed table of default moduli, coefficients low-to-high, all monic.
 # The q=2 entries are the classic primitive trinomials/pentanomials; the
@@ -153,25 +154,24 @@ def _ppowmod(a, e, f, q):
 
 
 def is_irreducible(modulus, q: int) -> bool:
-    """Irreducibility test for a monic polynomial over GF(q).
+    """Irreducibility test for a monic polynomial f of degree n over GF(q).
 
-    Uses the Frobenius criterion: x^(q^n) = x mod f together with
-    gcd(x^(q^(n/p)) - x, f) = 1 for every prime p dividing n.
+    Ben-Or's test (Ben-Or, FOCS 1981; Gao and Panario 1997): x^(q^j) - x
+    is the product of the monic irreducibles of degree dividing j, so f is
+    irreducible exactly when gcd(x^(q^j) - x, f) = 1 for j = 1..n/2.  It
+    returns at the first j that fails, so most reducible f cost a power or
+    two of x.
     """
     f = _ptrim(modulus)
     n = len(f) - 1
     if n < 1 or f[-1] != 1:
         return False
-    if n == 1:
-        return True
-    x = (0, 1)
-    need = {n // p for p in _prime_factors(n)}
-    h = x
-    for j in range(1, n + 1):
+    x = h = (0, 1)
+    for _ in range(n // 2):
         h = _ppowmod(h, q, f, q)
-        if j in need and len(_pgcd(_psub(h, x, q), f, q)) > 1:
+        if len(_pgcd(_psub(h, x, q), f, q)) > 1:
             return False
-    return h == x
+    return True
 
 
 def int_digits(v: int, q: int, width: int) -> tuple:
@@ -261,7 +261,7 @@ class LinearMap:
             self.tables.append(table)
 
     def __call__(self, x: int) -> int:
-        if self.lane == 1:  # q = 2, one call deep: frobenius and the exp table step per element
+        if self.lane == 1:  # q = 2, one call deep: table-less frobenius is per element
             w, bits, mask = 0, self._bits, self._mask
             for table in self.tables:
                 w ^= table[x & mask]
@@ -349,19 +349,19 @@ class FieldTower:
     `frobenius`, and for odd q `_zech`, zech[i] = log(1 + g^i) (None where
     1 + g^i = 0), which makes `add`, `neg`, `sub` and `axpy` lookups;
     both span two periods of i.  g is the smallest candidate with
-    g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order;
-    only g is then stepped, x -> x * g, as a `LinearMap`, to fill `_exp`.
-    Larger fields are
-    table-less: odd-q `add` goes digit by digit, `mul` is polynomial
-    multiplication for odd q and for q = 2 a comb over 4-bit windows whose
-    high half is reduced through `_reduce`, byte tables of x^(n+j) mod the
-    modulus built with every q = 2 tower, `inv` is extended Euclid (on ints
-    for q = 2), and `frobenius(x, i)` is the `LinearMap` x -> x^(q^i).
-    Those maps are the one lazily filled state: the map for power i is
-    built on its first use and kept, at most n-1 maps of ceil(n/k) tables
-    of at most 256 entries.  Each map is built whole and then published by
-    one dict assignment, so a tower can still be shared across threads; a
-    race only builds a map twice.
+    g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order.
+    Its powers fill `_exp` in bulk, as packed columns of about sqrt(q^n),
+    each g times the one before by whole-int shifts (`_build_tables`).
+    Larger fields are table-less: odd-q `add` goes digit by digit, `mul`
+    is polynomial multiplication for odd q and for q = 2 a comb over 4-bit
+    windows whose high half is reduced through `_reduce`, byte tables of
+    x^(n+j) mod the modulus built with every q = 2 tower, `inv` is
+    extended Euclid (on ints for q = 2), and `frobenius(x, i)` is the
+    `LinearMap` x -> x^(q^i).  Those maps are the one lazily filled state:
+    the map for power i is built on its first use and kept, at most n-1
+    maps of ceil(n/k) tables of at most 256 entries.  Each map is built
+    whole and then published by one dict assignment, so a tower can still
+    be shared across threads; a race only builds a map twice.
 
     `axpy(ys, c, xs)` is the row primitive [y + c x]: table-backed towers
     add log c once per row, table-less q = 2 builds c's comb window once
@@ -697,31 +697,85 @@ class FieldTower:
     # -- discrete-log tables --------------------------------------------------
 
     def _build_tables(self):
-        size = self.order - 1
+        q, n, size = self.q, self.n, self.order - 1
         primes = _prime_factors(size)
         # the smallest candidate of order q^n - 1, so g^(size/p) != 1 for
         # every prime p | size (GF(2) has generator 1)
         gen = next(c for c in range(min(2, size), self.order)
                    if all(self._pow_raw(c, size // p) != 1 for p in primes))
-        # x -> x * gen is GF(q)-linear: step its powers through its bound map
-        by = LinearMap(self.q, self.n, [self._mul_raw(b, gen) for b in self.basis]).__call__
-        exp, x = [1], by(1)
-        while x != 1:
-            exp.append(x)
-            x = by(x)
+        # A vector of elements packs into one int, element e in slot e with
+        # digit k in lane k: 1-bit lanes in 16-bit slots for q = 2, so that a
+        # slot reads as the element, else lanes that hold the (q-1)^2 + (q-1)
+        # a step leaves, bytes where q allows, taken mod q by bytes.translate.
+        lane = 1 if q == 2 else next(b for b in (8, 16, 32) if q * (q - 1) < 1 << b)
+        slot, mod = 16 if q == 2 else n * lane, bytes(v % q for v in range(256))
+        lane0 = ((1 << lane) - 1).to_bytes(slot // 8, "little")  # lane 0 of a slot
+        neg = sum(-m % q << lane * k for k, m in enumerate(self.modulus[:-1]))  # alpha^n
+        add = operator.xor if q == 2 else operator.add
+
+        def reduce(v, length):  # each lane mod q
+            if q == 2:
+                return v
+            if lane == 8:
+                return int.from_bytes(v.to_bytes(length, "little").translate(mod), "little")
+            fmt = f"<{length * 8 // lane}{'H' if lane == 16 else 'I'}"
+            lanes = struct.unpack(fmt, v.to_bytes(length, "little"))
+            return int.from_bytes(struct.pack(fmt, *[d % q for d in lanes]), "little")
+
+        def times(x, c, count):
+            """c times each of the `count` elements packed in x: Horner over
+            the digits of c, where an alpha-step shifts the whole int a lane
+            and adds the top digits it pushed out back in times -modulus."""
+            length, digits = count * slot // 8, _ptrim(int_digits(c, q, n))
+            tops = int.from_bytes(lane0 * count, "little") << n * lane
+            acc = x if digits[-1] == 1 else reduce(x * digits[-1], length)
+            for d in reversed(digits[:-1]):
+                acc <<= lane
+                over = acc & tops
+                acc = reduce(add(acc ^ over, (over >> n * lane) * neg), length)
+                if d:
+                    acc = reduce(add(acc, x * d), length)
+            return acc
+
+        # g^0..g^(size-1) as `cols` columns of `rows` slots, column j holding
+        # g^(j + i cols) in slot i: column 0 by doubling [h^0..h^(m-1)] with
+        # h^m for h = g^cols, then column j + 1 = g times column j
+        cols = int(size**0.5) + 1
+        rows = -(-size // cols)
+        col, h, m = 1, self._pow_raw(gen, cols), 1
+        while m < rows:
+            col |= times(col, h, m) << m * slot
+            h, m = self._mul_raw(h, h), 2 * m
+        col &= (1 << rows * slot) - 1
+        data = bytearray(col.to_bytes(rows * slot // 8, "little"))
+        for _ in range(cols - 1):
+            col = times(col, gen, rows)
+            data += col.to_bytes(rows * slot // 8, "little")
+        if q != 2:  # sum q^k plane_k in 16-bit lanes, by Horner
+            wide, v = bytearray(2 * rows * cols), 0
+            for k in reversed(range(n)):
+                for b in range(1 + (q > 256)):  # a digit above 255 takes two bytes
+                    wide[b::2] = data[k * lane // 8 + b::slot // 8]
+                v = v * q + int.from_bytes(wide, "little")
+            data = v.to_bytes(2 * rows * cols, "little")
+        data, exp = struct.unpack(f"<{rows * cols}H", data), [0] * (rows * cols)
+        for j in range(cols):  # to exponent order
+            exp[j::cols] = data[j * rows:(j + 1) * rows]
+        del exp[size:], data
         log = [0] * self.order
         for i, v in enumerate(exp):
             log[v] = i
+        if q != 2:
+            # zech[i] = log(1 + g^i): adding 1 moves v to v + 1, or to
+            # v - (q - 1) where digit 0 wraps; 1 + g^i = 0 only at i = size / 2
+            zech = log[1:] + log[:1]  # log(v + 1) at v
+            zech[q - 1::q] = log[::q]
+            zech = list(map(zech.__getitem__, exp))
+            zech[size // 2] = None
+            zech += zech
+            self._zech = zech
         exp += exp
-        self._exp = exp
-        self._log = log
-        self.generator = gen
-        if self.q != 2:
-            # zech[i] = log(1 + g^i); adding 1 changes digit 0 only
-            q = self.q
-            zech = [log[w] if w else None for w in
-                    (v - v % q + (v + 1) % q for v in exp[:size])]
-            self._zech = zech + zech
+        self._exp, self._log, self.generator = exp, log, gen
 
     def __repr__(self):
         return f"FieldTower(q={self.q}, n={self.n})"

@@ -19,14 +19,6 @@ class LinearizedPoly:
         self.tower = tower
         self.coeffs = tuple(coeffs)
 
-    @classmethod
-    def identity(cls, tower: FieldTower) -> "LinearizedPoly":
-        return cls(tower, (1,))
-
-    @classmethod
-    def zero(cls, tower: FieldTower) -> "LinearizedPoly":
-        return cls(tower, ())
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -43,20 +35,6 @@ class LinearizedPoly:
             if c:
                 acc = t.add(acc, t.mul(c, t.frobenius(x, p)))
         return acc
-
-    def add(self, other: "LinearizedPoly") -> "LinearizedPoly":
-        t = self.tower
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = t.add(out[i], c)
-        return LinearizedPoly(t, out)
-
-    def scale(self, c: int) -> "LinearizedPoly":
-        t = self.tower
-        return LinearizedPoly(t, (t.mul(c, v) for v in self.coeffs))
 
     def root_space_basis(self):
         """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree.  The
@@ -81,20 +59,3 @@ class LinearizedPoly:
     def __repr__(self):
         return f"LinearizedPoly({self.coeffs})"
 
-
-def min_subspace_poly(tower: FieldTower, elements) -> LinearizedPoly:
-    """Monic linearized polynomial of minimal q-degree vanishing on the
-    GF(q)-span of `elements` (a test oracle for the decoder's span step).
-
-    Built iteratively: adjoin one value v at a time via
-    sigma' = sigma^(q) - sigma(v)^(q-1) * sigma; values already in the
-    kernel are skipped, so dependent inputs are fine.
-    """
-    sigma = LinearizedPoly.identity(tower)
-    for v in elements:
-        w = sigma.evaluate(v)
-        if w == 0:
-            continue
-        shifted = LinearizedPoly(tower, (0,) + tuple(tower.frobenius(c, 1) for c in sigma.coeffs))
-        sigma = shifted.add(sigma.scale(tower.neg(tower.pow(w, tower.q - 1))))
-    return sigma

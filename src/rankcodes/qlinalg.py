@@ -212,11 +212,6 @@ def _rref_ext(tower: FieldTower, rows):
     return pivots
 
 
-def ext_rank(tower: FieldTower, matrix) -> int:
-    rows = [list(row) for row in matrix]
-    return len(_rref_ext(tower, rows))
-
-
 def ext_nullspace(tower: FieldTower, matrix):
     if not matrix:
         return []

@@ -79,10 +79,7 @@ class SubfieldEmbedding:
 
     def ext_coords(self, x: int):
         """Subfield coordinates of any x over the extension basis."""
-        return self._ext_coords(*self.tower.check_elements((x,)))
-
-    def _ext_coords(self, x: int):
-        digits = self._full_solver.solve(x)
+        digits = self._full_solver.solve(*self.tower.check_elements((x,)))
         t, s = self.tower, self.s
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
                      for r in range(self.blocks))
@@ -92,13 +89,6 @@ class SubfieldEmbedding:
 
     def __repr__(self):
         return f"SubfieldEmbedding(q={self.tower.q}, n={self.tower.n}, s={self.s})"
-
-
-def expand_parity(code: GabidulinCode, emb: SubfieldEmbedding):
-    """The (n/s) x n subfield matrix whose column j holds the coordinates
-    of h_j over the extension basis; contracting a column restores h_j."""
-    cols = [emb._ext_coords(x) for x in code.h]
-    return [[cols[j][r] for j in range(code.length)] for r in range(emb.blocks)]
 
 
 def _qary_expansion(emb: SubfieldEmbedding, rows):

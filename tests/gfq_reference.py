@@ -1,14 +1,21 @@
 """Digit-list Gauss-Jordan elimination over GF(q), the reference the packed
 kernel of rankcodes.qlinalg is checked against, and a schoolbook product
 in GF(q^n), the reference for the field multiplier, the stepping scan
-for the multiplicative generator, and the per-position direct-sum
+for the multiplicative generator and its Zech table, trial division, the
+reference for the irreducibility test, and the per-position direct-sum
 transfers, the reference for the precomputed word maps of
 rankcodes.directsum.
 
 Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
-time, with nothing shared with the library.
+time, with nothing shared with the library.  The exception is the last
+section, oracles built on the library's tower and `LinearizedPoly`: the
+rank of a matrix over GF(q^n), the expansion of a parity vector over a
+subfield, and the minimal subspace polynomial, a check on the decoder's
+root spaces.
 """
+
+from rankcodes import LinearizedPoly as _LibraryLinearizedPoly
 
 
 def rref(rows, q):
@@ -117,13 +124,14 @@ def field_add(a, b, q, n):
     return pack([(x + y) % q for x, y in zip(digits(a, q, n), digits(b, q, n))], q)
 
 
-def log_tables(q, modulus):
+def log_tables(q, modulus, known=None):
     """(g, exp, log) of GF(q^n) = GF(q)[x] / (modulus), by the stepping scan:
     each candidate g = 2, 3, ... (1 for GF(2)) is multiplied by itself with
     `field_mul` until its powers cycle, and the first whose cycle covers
-    all of GF(q^n)* is the generator.  exp spans two periods."""
+    all of GF(q^n)* is the generator.  Given `known`, only that candidate
+    is stepped (None unless it generates).  exp spans two periods."""
     order = q ** (len(modulus) - 1)
-    for gen in range(min(2, order - 1), order):
+    for gen in range(min(2, order - 1), order) if known is None else (known,):
         powers, x = [1], field_mul(1, gen, q, modulus)
         while x != 1:
             powers.append(x)
@@ -133,6 +141,38 @@ def log_tables(q, modulus):
             for i, v in enumerate(powers):
                 log[v] = i
             return gen, powers + powers, log
+
+
+def zech_table(q, n, exp, log):
+    """zech[i] = log(1 + g^i), None where 1 + g^i = 0, with the sum taken
+    digit by digit; spans two periods like exp."""
+    size = q**n - 1
+    zech = []
+    for v in exp[:size]:
+        w = field_add(1, v, q, n)
+        zech.append(log[w] if w else None)
+    return zech + zech
+
+
+def poly_rem(a, b, q):
+    """Remainder of the coefficient list a (low-to-high) by the monic b."""
+    a = [c % q for c in a]
+    for i in range(len(a) - 1, len(b) - 2, -1):
+        c = a[i]
+        for j, m in enumerate(b):
+            a[i - len(b) + 1 + j] = (a[i - len(b) + 1 + j] - c * m) % q
+    return a[:len(b) - 1]
+
+
+def is_irreducible(f, q):
+    """Whether the monic f of degree n >= 1 has no monic factor of degree
+    1..n/2, by trial division with every such polynomial."""
+    n = len(f) - 1
+    for d in range(1, n // 2 + 1):
+        for low in range(q**d):
+            if not any(poly_rem(f, digits(low, q, d) + [1], q)):
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -200,3 +240,73 @@ def spread(values, parts, q, n, length):
     concat = [x for part in parts for x in part]
     return tuple(combine([digits(v, q, n)[p] for v in values], concat, q, n)
                  for p in range(length))
+
+
+# ---------------------------------------------------------------------------
+# oracles on the library's tower
+
+
+def ext_rank(tower, matrix):
+    """Rank over GF(q^n) by Gaussian elimination, one field operation of
+    the tower at a time."""
+    rows, rank = [list(row) for row in matrix], 0
+    for col in range(len(rows[0]) if rows else 0):
+        piv = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[rank], rows[piv] = rows[piv], rows[rank]
+        inv = tower.inv(rows[rank][col])
+        for i in range(rank + 1, len(rows)):
+            c = tower.mul(rows[i][col], inv)
+            rows[i] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
+        rank += 1
+    return rank
+
+
+def expand_parity(code, emb):
+    """The (n/s) x n subfield matrix whose column j holds the coordinates
+    of h_j over the extension basis; contracting a column restores h_j."""
+    cols = [emb.ext_coords(x) for x in code.h]
+    return [[cols[j][r] for j in range(code.length)] for r in range(emb.blocks)]
+
+
+class LinearizedPoly(_LibraryLinearizedPoly):
+    """The library's linearized polynomial with the algebra the oracle
+    below needs: the identity and zero maps, sums and scalar multiples."""
+
+    @classmethod
+    def identity(cls, tower):
+        return cls(tower, (1,))
+
+    @classmethod
+    def zero(cls, tower):
+        return cls(tower, ())
+
+    def add(self, other):
+        t = self.tower
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
+        for i, c in enumerate(b):
+            out[i] = t.add(out[i], c)
+        return LinearizedPoly(t, out)
+
+    def scale(self, c):
+        t = self.tower
+        return LinearizedPoly(t, (t.mul(c, v) for v in self.coeffs))
+
+
+def min_subspace_poly(tower, elements):
+    """Monic linearized polynomial of minimal q-degree vanishing on the
+    GF(q)-span of `elements`, built iteratively: adjoin one value v at a
+    time via sigma' = sigma^(q) - sigma(v)^(q-1) * sigma; values already in
+    the kernel are skipped, so dependent inputs are fine."""
+    sigma = LinearizedPoly.identity(tower)
+    for v in elements:
+        w = sigma.evaluate(v)
+        if w == 0:
+            continue
+        shifted = LinearizedPoly(tower, (0,) + tuple(tower.frobenius(c, 1) for c in sigma.coeffs))
+        sigma = shifted.add(sigma.scale(tower.neg(tower.pow(w, tower.q - 1))))
+    return sigma

@@ -21,9 +21,11 @@ from rankcodes import (DecodingFailure, DirectSumCode, FieldTower,
                        SubspaceSubcode, annihilates, block_diagonal,
                        compute_factorization, count_rank_matrices,
                        default_generator, dual_vector, ext_nullspace,
-                       ext_rank, moore_matrix, random_error, rank_event_rate,
+                       moore_matrix, random_error, rank_event_rate,
                        rank_of_vector, rank_q, success_probability)
 from rankcodes.cli import main as cli_main
+
+from gfq_reference import ext_rank
 
 
 class _Budget:

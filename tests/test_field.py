@@ -185,19 +185,69 @@ def test_tableless_operations_fail_fast_outside_the_field(q, n):
 
 # the generator is the smallest candidate of full order; these shapes
 # include GF(2), prime fields up to 65521 and fields whose generator is
-# not the first candidate (GF(3^7): 5, GF(5^5): 10, GF(7^3): 22, GF(13^2):
-# 15, GF(31^3): 34, GF(65521): 17)
+# not the first candidate (GF(3^7): 5, GF(5^5): 10, GF(7^3): 22, GF(7^4):
+# 12, GF(13^2): 15, GF(13^4): 17, GF(31^3): 34, GF(251^2): 256, GF(65521):
+# 17), so that the bulk fill steps by g of degree 0, 1 and 3, in lanes of
+# 1 bit (q = 2), a byte (q <= 13, GF(13^4) the widest) and 16 and 32 bits
 GENERATOR_SHAPES = [(2, 1), (2, 2), (2, 5), (2, 8), (2, 12), (2, 16), (3, 1), (3, 2),
-                    (3, 5), (3, 7), (5, 1), (5, 4), (5, 5), (5, 6), (7, 3), (7, 4),
-                    (11, 3), (13, 2), (17, 2), (17, 3), (31, 3), (257, 1), (65521, 1)]
+                    (3, 5), (3, 7), (3, 9), (3, 10), (5, 1), (5, 4), (5, 5), (5, 6),
+                    (7, 3), (7, 4), (11, 3), (13, 2), (13, 4), (17, 2), (17, 3), (31, 3),
+                    (251, 2), (257, 1), (65521, 1)]
+# a full scan of GF(3^10) steps 32 candidates before g = 34 (about 30 s), so
+# the reference steps only g; its minimality is test_generator_order_test_is_bounded's
+KNOWN_GENERATORS = {(3, 10): 34}
 
 
 @pytest.mark.parametrize("q, n", GENERATOR_SHAPES)
 def test_generator_matches_stepping_scan(q, n):
     tower = FieldTower(q, n)
-    gen, exp, log = ref.log_tables(q, tower.modulus)
+    assert tower.mul_count == 0
+    gen, exp, log = ref.log_tables(q, tower.modulus, KNOWN_GENERATORS.get((q, n)))
     assert tower.generator == gen
     assert tower._exp == exp and tower._log == log
+    if q == 2:
+        assert tower._zech is None
+    else:
+        assert tower._zech == ref.zech_table(q, n, exp, log)
+
+
+# monic polynomials of each degree, all of them checked against trial division
+IRREDUCIBILITY_SHAPES = [(2, n) for n in range(1, 9)] + [(3, n) for n in range(1, 6)] + [
+    (5, n) for n in range(1, 4)] + [(7, n) for n in range(1, 4)]
+
+
+@pytest.mark.parametrize("q, n", IRREDUCIBILITY_SHAPES)
+def test_is_irreducible_matches_trial_division(q, n):
+    for low in range(q**n):
+        f = tuple(ref.digits(low, q, n)) + (1,)
+        assert is_irreducible(f, q) == ref.is_irreducible(f, q), f
+
+
+# the moduli find_irreducible returned before it stopped at the first
+# failing power (Ben-Or's test decides the same predicate)
+PINNED_MODULI = {
+    (2, 20): (1, 0, 0, 1) + (0,) * 16 + (1,),
+    (3, 9): (1, 0, 1, 2, 0, 0, 0, 0, 0, 1),
+    (3, 10): (1, 0, 2, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 11): (2, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (5, 6): (2, 1, 0, 0, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (13, 4): (2, 0, 0, 0, 1),
+    (31, 24): (30, 0, 1) + (0,) * 21 + (1,),
+}
+
+
+# (31, 24) goes through FieldTower under a time bound, below
+@pytest.mark.parametrize("q, n", [s for s in PINNED_MODULI if s != (31, 24)])
+def test_find_irreducible_returns_pinned_modulus(q, n):
+    assert find_irreducible(q, n) == PINNED_MODULI[q, n]
+
+
+def test_find_irreducible_is_bounded_at_31_24():
+    # about 1,000 candidates, most rejected after one or two powers of x
+    with bounded(10):
+        tower = FieldTower(31, 24)
+    assert tower.modulus == PINNED_MODULI[31, 24]
 
 
 def test_generator_order_test_is_bounded():

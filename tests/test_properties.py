@@ -1,6 +1,7 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
-q = 31 for the GF(q) elimination, and up to q = 257 for the linear maps
-and the Gabidulin codec."""
+q = 13 for the log tables under random moduli, q = 31 for the GF(q)
+elimination, and up to q = 257 for the linear maps and the Gabidulin
+codec."""
 
 import itertools
 import random
@@ -13,13 +14,14 @@ from hypothesis import strategies as st
 
 from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        FieldTower, GabidulinCode, LinearizedPoly,
-                       default_generator, min_subspace_poly, random_error,
-                       random_rows, rank_of_vector, rank_q, rank_rows,
+                       default_generator, is_irreducible, random_error, random_rows,
+                       rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability)
 from rankcodes.field import LinearMap
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
+from gfq_reference import min_subspace_poly
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -493,6 +495,39 @@ def test_log_tables_match_raw_powering(shape, data):
     assert (tower.generator, tower._exp, tower._log) == (gen, exp, log)
     i = data.draw(st.integers(0, len(exp) - 1))
     assert tower._log[tower._exp[i]] == i % (tower.order - 1)
+
+
+# (q, n) with q^n <= 2^12 that have an irreducible modulus whose root alpha
+# is not primitive: q^n - 1 is not prime
+RANDOM_MODULUS_SHAPES = [(2, n) for n in (4, 6, 8, 9, 10, 11, 12)] + [
+    (3, n) for n in range(2, 8)] + [(5, n) for n in range(2, 6)] + [
+    (7, n) for n in range(2, 5)] + [(13, 2), (13, 3)]
+
+
+@st.composite
+def nonprimitive_moduli(draw):
+    """The first irreducible modulus at or after a random start, in base-q
+    order, whose root alpha is not primitive, so that the table fill steps
+    by a generator g other than alpha: one that adds lower digits of g, or
+    scales by a leading digit above 1."""
+    q, n = draw(st.sampled_from(RANDOM_MODULUS_SHAPES))
+    start = draw(st.integers(0, q**n - 1))
+    for low in itertools.chain(range(start, q**n), range(start)):
+        modulus = tuple(ref.digits(low, q, n)) + (1,)
+        if is_irreducible(modulus, q) and FieldTower(q, n, modulus).generator != q:
+            return q, n, modulus
+    raise AssertionError(f"every irreducible modulus of GF({q}^{n}) has alpha primitive")
+
+
+@settings(max_examples=50, deadline=None)
+@given(nonprimitive_moduli())
+def test_tables_match_stepping_scan_for_random_moduli(case):
+    q, n, modulus = case
+    tower = FieldTower(q, n, modulus)
+    event(f"q = {q}, g = {tower.generator}")
+    gen, exp, log = ref.log_tables(q, modulus)
+    assert (tower.generator, tower._exp, tower._log) == (gen, exp, log)
+    assert tower._zech == (None if q == 2 else ref.zech_table(q, n, exp, log))
 
 
 # largest extension degree drawn per q for direct sums: GF(2^8), GF(3^7),

@@ -8,10 +8,11 @@ from conftest import bounded
 from rankcodes import (FieldTower, GabidulinCode, SubfieldEmbedding,
                        SubspaceBasis, SubspaceSubcode, annihilates,
                        block_diagonal, compute_factorization, default_generator,
-                       expand_parity, ext_nullspace, ext_rank,
-                       rank_of_vector, rank_q, success_probability,
-                       verify_uniqueness)
+                       ext_nullspace, rank_of_vector, rank_q,
+                       success_probability, verify_uniqueness)
 from rankcodes.subfield import _qary_expansion
+
+from gfq_reference import expand_parity, ext_rank
 
 
 @pytest.fixture(scope="module")
