@@ -254,22 +254,14 @@ def success_probability(q: int, dims, capability: int, t: int,
 # ---------------------------------------------------------------------------
 # Monte Carlo channels
 
-def _chunk_sizes(trials, chunks):
-    base, extra = divmod(trials, chunks)
-    return [base + (1 if i < extra else 0) for i in range(chunks)]
-
-
 def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
-                    seed, channel: str = "uniform-matrix",
-                    chunks: int = 1) -> MonteCarloResult:
+                    seed, channel: str = "uniform-matrix") -> MonteCarloResult:
     """Seeded frequency of the event "every block of the t x N coefficient
     matrix has rank <= capability", with a 3-sigma half-width.
 
     channel="uniform-matrix" samples the matrix uniformly (the model the
     exact product formula describes); channel="exact-rank" conditions it
-    on full rank t.  Trials are split into `chunks` independent substreams
-    seeded by (seed, chunk index), so a parallel run with the same
-    assignment reproduces the sequential result.
+    on full rank t.  The trials draw from random.Random(f"{seed}:0").
     """
     _check_shape(q, dims, capability, t)
     if not is_prime(q):  # the draws and their ranks are taken mod q
@@ -278,8 +270,6 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
         raise ValueError(f"unknown channel {channel!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    if chunks < 1:
-        raise ValueError(f"need at least one chunk, got {chunks}")
     n_total = sum(dims)
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
@@ -287,15 +277,14 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     # block i of a packed row is (row // q**offset_i) % q**m_i
     blocks = [(q**sum(dims[:i]), q**m, m) for i, m in enumerate(dims)]
     successes = 0
-    for ci, size in enumerate(_chunk_sizes(trials, chunks)):
-        rng = random.Random(f"{seed}:{ci}")
-        for _ in range(size):
-            rows = random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
-            for low, span, m in blocks:
-                if rank_rows([r // low % span for r in rows], q) > capability:
-                    break
-            else:
-                successes += 1
+    rng = random.Random(f"{seed}:0")
+    for _ in range(trials):
+        rows = random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
+        for low, span, m in blocks:
+            if rank_rows([r // low % span for r in rows], q) > capability:
+                break
+        else:
+            successes += 1
     freq = successes / trials
     half = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
     return MonteCarloResult(successes, trials, freq, half)

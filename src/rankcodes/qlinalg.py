@@ -221,9 +221,11 @@ def ext_nullspace(tower: FieldTower, matrix):
 
 
 def ext_solve(tower: FieldTower, matrix, rhs):
-    """Solve matrix * x = rhs over GF(q^n); None when inconsistent."""
+    """Solve matrix * x = rhs, one rhs entry per row; None if inconsistent."""
+    if len(rhs) != len(matrix):
+        raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand sides")
     if not matrix:
-        return ([], []) if not any(rhs) else None
+        return [], []
     ncols = len(matrix[0])
     rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
     pivots = _rref_ext(tower, rows)

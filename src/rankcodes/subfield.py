@@ -12,10 +12,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .field import FieldTower
-from .gabidulin import ENUM_GUARD, GabidulinCode, moore_matrix
+from .field import FieldTower, int_digits
+from .gabidulin import GabidulinCode, moore_matrix
 from .linpoly import LinearizedPoly
 from .qlinalg import CoordinateSolver, kernel_rows, rank_of_vector
+
+
+def _check_degree(tower: FieldTower, s) -> int:
+    if isinstance(s, bool) or not isinstance(s, int) or s < 1 or tower.n % s:
+        raise ValueError(f"subfield degree {s!r} does not divide n = {tower.n}")
+    return s
 
 
 class SubfieldEmbedding:
@@ -24,26 +30,31 @@ class SubfieldEmbedding:
     Carries a canonical polynomial basis (1, theta, ..., theta^(s-1)) of
     the subfield over GF(q) and a basis (1, alpha, ..., alpha^(n/s - 1))
     of the big field over the subfield, plus the coordinate maps for both.
+
+    theta is the smallest element, as an int, of degree s, found by counting.
+    The fixed field is the root space of x^[s] - x, whose `root_space_basis`
+    v_j comes in ascending free column f_j: v_j has 1 at f_j, 0 at every
+    other f_i and its other digits at earlier pivot columns.  So sum c_j v_j
+    has digit c_j at f_j, and integer order on the subfield is the order of
+    the count sum c_j q^j.  The proper subfields hold at most
+    sum_(d <= s/2) q^d < q^(s//2 + 1) elements, so a count below q^(s//2 + 1)
+    lies outside them all and has degree s.
     """
 
     def __init__(self, tower: FieldTower, s: int, ext_basis=None):
-        if s < 1 or tower.n % s != 0:
-            raise ValueError(f"subfield degree {s} does not divide n = {tower.n}")
         self.tower = tower
-        self.s = s
+        self.s = _check_degree(tower, s)
         self.blocks = tower.n // s
         q, n = tower.q, tower.n
-        if q**s > ENUM_GUARD:
-            raise ValueError("subfield too large to enumerate")
 
         # root space of the linearized polynomial x^[s] - x
         fixed = LinearizedPoly(tower, (tower.neg(1),) + (0,) * (s - 1) + (1,))
         kernel = fixed.root_space_basis()
         if len(kernel) != s:  # pragma: no cover
             raise RuntimeError("fixed field has unexpected dimension")
-        self.elements = tuple(sorted(self._span_int(kernel)))
-
-        theta = next(x for x in self.elements if x and rank_of_vector(
+        counted = (tower.contract(int_digits(c, q, s), kernel)
+                   for c in range(1, q ** (s // 2 + 1)))
+        theta = next(x for x in counted if rank_of_vector(
             tower, tuple(tower.pow(x, i) for i in range(s))) == s)
         self.generator = theta
         self.poly_basis = tuple(tower.pow(theta, i) for i in range(s))
@@ -60,13 +71,6 @@ class SubfieldEmbedding:
         # combined q-ary basis a_e * gamma_r, block-major in r
         combined = [tower.mul(a, g) for g in ext_basis for a in self.poly_basis]
         self._full_solver = CoordinateSolver(tower, combined)
-
-    def _span_int(self, kernel):
-        t = self.tower
-        out = {0}
-        for v in kernel:
-            out |= {t.add(x, t.mul(c, v)) for x in out for c in range(1, t.q)}
-        return out
 
     def contains(self, x: int) -> bool:
         x, = self.tower.check_elements((x,))
@@ -140,9 +144,12 @@ def compute_factorization(code: GabidulinCode, s: int,
     coordinates of h over gamma_r.
     """
     tower = code.tower
+    _check_degree(tower, s)
     if code.length != tower.n:
         raise ValueError("subfield factorization needs a full-length code")
     emb = embedding if embedding is not None else SubfieldEmbedding(tower, s)
+    if emb.tower != tower:
+        raise ValueError("embedding and code are over different field towers")
     if emb.s != s:
         raise ValueError("embedding degree disagrees with s")
     if code.d - 2 >= s:
@@ -166,6 +173,8 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     theorem and must fail loudly.
     """
     emb, tower = factz.embedding, code.tower
+    if emb.tower != tower:
+        raise ValueError("embedding and code are over different field towers")
     q, n = tower.q, tower.n
     coeff = _qary_expansion(emb, block_diagonal(factz.block, emb.blocks))
     rhs = _qary_expansion(emb, factz.parity)
@@ -196,7 +205,6 @@ def subfield_success_probability(code: GabidulinCode, s: int, t: int,
     from .directsum import success_probability
 
     tower = code.tower
-    if s < 1 or tower.n % s != 0:
-        raise ValueError(f"subfield degree {s} does not divide n = {tower.n}")
+    _check_degree(tower, s)
     return success_probability(tower.q, [s] * (tower.n // s),
                                code.capability, t, form=form)

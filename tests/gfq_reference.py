@@ -10,9 +10,9 @@ Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower and `LinearizedPoly`: the
-rank of a matrix over GF(q^n), the expansion of a parity vector over a
-subfield, and the minimal subspace polynomial, a check on the decoder's
-root spaces.
+rank of a matrix over GF(q^n), a subfield listed element by element, the
+expansion of a parity vector over a subfield, and the minimal subspace
+polynomial, a check on the decoder's root spaces.
 """
 
 from rankcodes import LinearizedPoly as _LibraryLinearizedPoly
@@ -261,6 +261,12 @@ def ext_rank(tower, matrix):
             rows[i] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def fixed_field(tower, s):
+    """GF(q^s) inside the tower from its definition: every x with
+    x^(q^s) = x, in ascending order."""
+    return [x for x in range(tower.order) if tower.pow(x, tower.q**s) == x]
 
 
 def expand_parity(code, emb):

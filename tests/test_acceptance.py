@@ -25,7 +25,7 @@ from rankcodes import (DecodingFailure, DirectSumCode, FieldTower,
                        rank_of_vector, rank_q, success_probability)
 from rankcodes.cli import main as cli_main
 
-from gfq_reference import ext_rank
+from gfq_reference import ext_rank, fixed_field
 
 
 class _Budget:
@@ -261,7 +261,7 @@ def test_c10_subfield_theorem():
     assert ext_rank(tower, factz.parity) == 4
 
     import itertools
-    block_words = [w for w in itertools.product(emb.elements, repeat=3)
+    block_words = [w for w in itertools.product(fixed_field(tower, 3), repeat=3)
                    if annihilates(tower, factz.block, w)]
     assert len(block_words) == 8
     assert min(rank_of_vector(tower, w) for w in block_words if any(w)) == 3

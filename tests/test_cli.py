@@ -241,6 +241,20 @@ def test_subfield_subcommand(tmp_path, capsys):
     assert len(record["H_qs"]) == 4
 
 
+# GF(2^32) and GF(3^15) are too large to list, so theta is found by counting
+@pytest.mark.parametrize("q, n, k, s", [(2, 64, 40, 32), (3, 30, 20, 15)])
+def test_subfield_subcommand_beyond_enumeration(tmp_path, capsys, q, n, k, s):
+    path = tmp_path / "big.json"
+    path.write_text(json.dumps({"field": {"q": q, "n": n}, "code": {"k": k},
+                                "subfield": {"s": s}}))
+    with bounded(30):
+        assert main(["subfield", "--config", str(path)]) == 0
+    record = json.loads(capsys.readouterr().out)
+    assert record["unique"] is True and record["d"] == n - k + 1
+    assert len(record["subfield_basis"]) == s and record["subfield_basis"][0] == 1
+    assert len(record["S"]) == n and len(record["A"]) == n - k
+
+
 def test_subfield_invalid_s(tmp_path):
     cfg = {"field": {"q": 2, "n": 6}, "code": {"k": 4}}
     path = tmp_path / "cfg.json"

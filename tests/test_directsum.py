@@ -27,6 +27,7 @@ def pair66(medium_code, gf4096):
 
 def test_violations_single_part(gf16):
     assert direct_sum_violations([SubspaceBasis(gf16, (1, 2))]) == []
+    assert direct_sum_violations([]) == ["no subspaces given"]
 
 
 def test_violations_shared_vector(gf16):
@@ -122,6 +123,13 @@ def test_encode_rejects_trivial_part(tiny_code):
     dsc = DirectSumCode(tiny_code, [(1, 2), (4, 8)])  # m = 2 < d = 3
     with pytest.raises(TrivialSubcodeError):
         dsc.encode(())
+
+
+def test_encode_rejects_wrong_message_length(pair66):
+    assert pair66.message_length == 4
+    for message in ((), (1, 2, 3), (1, 2, 3, 4, 5)):
+        with pytest.raises(ValueError, match=f"message length {len(message)} != 4"):
+            pair66.encode(message)
 
 
 def test_decode_within_capability(pair66, gf4096):
@@ -277,13 +285,10 @@ def test_rank_event_rate_generic_q_path():
     assert abs(mc.frequency - exact) <= max(mc.half_width, 0.02)
 
 
-def test_rank_event_rate_deterministic_and_chunked():
+def test_rank_event_rate_deterministic():
     a = rank_event_rate(2, [3, 3], 1, 2, 5000, seed=123)
     b = rank_event_rate(2, [3, 3], 1, 2, 5000, seed=123)
     assert a == b
-    c = rank_event_rate(2, [3, 3], 1, 2, 5000, seed=123, chunks=4)
-    d = rank_event_rate(2, [3, 3], 1, 2, 5000, seed=123, chunks=4)
-    assert c == d
 
 
 def test_rank_event_rate_exact_rank_channel():
@@ -297,12 +302,6 @@ def test_rank_event_rate_exact_rank_channel():
                                channel="exact-rank").successes == 0
     with pytest.raises(ValueError, match="channel"):
         rank_event_rate(2, [2, 2], 1, 2, 10, seed=5, channel="bogus")
-
-
-def test_rank_event_rate_rejects_bad_chunks():
-    for chunks in (0, -1):
-        with pytest.raises(ValueError, match="chunk"):
-            rank_event_rate(2, [2, 2], 1, 1, 10, seed=1, chunks=chunks)
 
 
 def test_rank_event_rate_exact_rank_needs_t_within_dims():

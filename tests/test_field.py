@@ -158,6 +158,28 @@ def test_contract_over_other_elements_roundtrip(gf16):
         assert gf16.contract(solver.solve(x), other) == x
 
 
+@pytest.mark.parametrize("q, n", [(2, 6), (3, 3), (2, 20), (3, 11)])
+def test_pow_negative_exponent_and_zero_base(q, n):
+    tower = FieldTower(q, n)
+    rng = random.Random(q * n)
+    for _ in range(20):
+        a = rng.randrange(1, tower.order)
+        assert tower.pow(a, -3) == tower.inv(tower.pow(a, 3))
+        assert tower.mul(tower.pow(a, -1), a) == 1
+    assert tower.pow(0, 5) == 0 and tower.pow(0, 0) == 1
+    with pytest.raises(ZeroDivisionError):
+        tower.pow(0, -1)
+
+
+def test_tower_equality_reads_q_n_and_modulus():
+    a, b = FieldTower(2, 6), FieldTower(2, 6)
+    assert a is not b and a == b and hash(a) == hash(b)
+    other = FieldTower(2, 6, (1, 0, 0, 0, 0, 1, 1))
+    assert other.modulus != a.modulus and a != other
+    assert a != FieldTower(2, 12) and a != FieldTower(3, 6)
+    assert a != (2, 6)
+
+
 def test_mul_count_increments(gf64):
     before = gf64.mul_count
     gf64.mul(3, 5)

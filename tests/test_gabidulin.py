@@ -79,6 +79,12 @@ def test_code_construction_checks(gf16):
         GabidulinCode(gf16, 4, g=g)
     with pytest.raises(ValueError, match="dual"):
         GabidulinCode(gf16, 2, g=g, h=g)
+    with pytest.raises(ValueError, match="need a generator vector"):
+        GabidulinCode(gf16, 2)
+    with pytest.raises(ValueError, match="exceeds the extension degree"):
+        GabidulinCode(gf16, 2, h=(1, 2, 4, 8, 3))
+    with pytest.raises(ValueError, match="parity vector must have full q-ary rank"):
+        GabidulinCode(gf16, 2, h=(1, 2, 3, 4))
 
 
 def test_decode_only_code_refuses_encoding(gf16):

@@ -1,7 +1,7 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
-q = 13 for the log tables under random moduli, q = 31 for the GF(q)
-elimination, and up to q = 257 for the linear maps and the Gabidulin
-codec."""
+q = 13 for the log tables under random moduli and the subfields, q = 31
+for the GF(q) elimination, and up to q = 257 for the linear maps and the
+Gabidulin codec."""
 
 import itertools
 import random
@@ -13,11 +13,11 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
-                       FieldTower, GabidulinCode, LinearizedPoly,
-                       default_generator, is_irreducible, random_error, random_rows,
-                       rank_of_vector, rank_q, rank_rows,
-                       sample_channel_error, success_probability)
-from rankcodes.field import LinearMap
+                       FieldTower, GabidulinCode, LinearizedPoly, SubfieldEmbedding,
+                       compute_factorization, default_generator, is_irreducible,
+                       random_error, random_rows, rank_of_vector, rank_q, rank_rows,
+                       sample_channel_error, success_probability, verify_uniqueness)
+from rankcodes.field import LinearMap, int_digits
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -645,3 +645,38 @@ def test_exact_success_probability_matches_enumeration(case):
                     for lo, hi in zip(offsets, offsets[1:]))
     want = Fraction(hits, q ** (t * width))
     assert success_probability(q, dims, capability, t, form="exact") == want
+
+
+# every (q, n) with q^n <= 2^12 for q in {2, 3, 5, 7, 13}
+SUBFIELD_SHAPES = [(q, n) for q in (2, 3, 5, 7, 13) for n in range(1, 13) if q**n <= 1 << 12]
+
+
+@st.composite
+def subfield_cases(draw):
+    q, n = draw(st.sampled_from(SUBFIELD_SHAPES))
+    s = draw(st.sampled_from([s for s in range(1, n + 1) if n % s == 0]))
+    # a code with d - 2 < s, that is d <= s + 1, when n leaves room for one
+    k = draw(st.integers(max(1, n - s), n - 1)) if n > 1 else None
+    return _tower(q, n), s, k
+
+
+@settings(max_examples=100, deadline=None)
+@given(subfield_cases())
+def test_subfield_counting_order_and_generator(case):
+    tower, s, k = case
+    q, n = tower.q, tower.n
+    event(f"q = {q}, n = {n}, s = {s}")
+    subfield = ref.fixed_field(tower, s)
+    # the root-space basis of x^[s] - x counts the subfield in integer order
+    kernel = LinearizedPoly(tower, (tower.neg(1),) + (0,) * (s - 1) + (1,)).root_space_basis()
+    assert [tower.contract(int_digits(c, q, s), kernel) for c in range(q**s)] == subfield
+    # theta is the smallest nonzero subfield element of degree s
+    theta = next(x for x in subfield[1:] if ref.rank(
+        [ref.digits(tower.pow(x, i), q, n) for i in range(s)], q) == s)
+    emb = SubfieldEmbedding(tower, s)
+    assert emb.generator == theta
+    assert emb.poly_basis == tuple(tower.pow(theta, i) for i in range(s))
+    if k is not None:
+        code = GabidulinCode(tower, k, g=default_generator(tower))
+        factz = compute_factorization(code, s, embedding=emb)
+        assert verify_uniqueness(code, factz) == (True, None)

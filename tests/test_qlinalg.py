@@ -109,6 +109,15 @@ def test_ext_solve_identity_and_roundtrip(gf16, gf27):
     assert all(gf27.dot(r, kernel[0]) == 0 for r in m)
 
 
+def test_ext_elimination_of_empty_and_mismatched_systems(gf16, gf27):
+    for tower in (gf16, gf27):
+        assert ext_nullspace(tower, []) == []
+        assert ext_solve(tower, [], []) == ([], [])
+        for matrix, rhs in (([], [0]), ([[1, 0], [0, 1]], [1]), ([[1, 0]], [1, 1])):
+            with pytest.raises(ValueError, match="right-hand sides"):
+                ext_solve(tower, matrix, rhs)
+
+
 def test_ext_nullspace_singular_system(gf16):
     # rows are scalar multiples: nullspace of a 2x2 rank-1 system is 1-dim
     row = [3, 7]

@@ -9,10 +9,11 @@ from rankcodes import (FieldTower, GabidulinCode, SubfieldEmbedding,
                        SubspaceBasis, SubspaceSubcode, annihilates,
                        block_diagonal, compute_factorization, default_generator,
                        ext_nullspace, rank_of_vector, rank_q,
-                       success_probability, verify_uniqueness)
+                       subfield_success_probability, success_probability,
+                       verify_uniqueness)
 from rankcodes.subfield import _qary_expansion
 
-from gfq_reference import expand_parity, ext_rank
+from gfq_reference import expand_parity, ext_rank, fixed_field
 
 
 @pytest.fixture(scope="module")
@@ -26,6 +27,11 @@ def emb3(gf64):
 
 
 @pytest.fixture(scope="module")
+def gf8(gf64):
+    return fixed_field(gf64, 3)
+
+
+@pytest.fixture(scope="module")
 def factz(code64):
     return compute_factorization(code64, 3)
 
@@ -36,15 +42,17 @@ def subcode_words(code64, emb3):
     return sub.codewords()
 
 
-def test_embedding_is_the_fixed_field(gf64, emb3):
-    assert len(emb3.elements) == 8
-    for x in emb3.elements:
+def test_embedding_is_the_fixed_field(gf64, emb3, gf8):
+    assert len(gf8) == 8
+    assert sorted(gf64.contract(c, emb3.poly_basis)
+                  for c in itertools.product(range(2), repeat=3)) == gf8
+    for x in gf8:
         assert gf64.frobenius(x, 3) == x and emb3.contains(x)
     # closed under the field operations
-    for a, b in itertools.product(emb3.elements, repeat=2):
-        assert gf64.add(a, b) in emb3.elements
-        assert gf64.mul(a, b) in emb3.elements
-    outside = next(x for x in range(gf64.order) if x not in emb3.elements)
+    for a, b in itertools.product(gf8, repeat=2):
+        assert gf64.add(a, b) in gf8
+        assert gf64.mul(a, b) in gf8
+    outside = next(x for x in range(gf64.order) if x not in gf8)
     assert not emb3.contains(outside)
 
 
@@ -61,12 +69,27 @@ def test_embedding_degree_must_divide():
         SubfieldEmbedding(tower, 4)
 
 
-def test_embedding_too_large_to_enumerate_fails_at_once():
-    # 2^32 subfield elements: the guard must come before the root space
+@pytest.mark.parametrize("s", [1.5, 3.0, "3", True, False, None, 0, -3, 4, 12])
+def test_subfield_degree_must_be_an_int_dividing_n(gf64, code64, emb3, s):
+    with pytest.raises(ValueError, match="subfield degree"):
+        SubfieldEmbedding(gf64, s)
+    with pytest.raises(ValueError, match="subfield degree"):
+        subfield_success_probability(code64, s, 2)
+    with pytest.raises(ValueError, match="subfield degree"):
+        compute_factorization(code64, s, embedding=emb3)
+
+
+def test_embedding_beyond_enumeration_is_bounded():
+    # GF(2^32) inside GF(2^64): theta is found without listing 2^32 elements
     tower = FieldTower(2, 64)
-    with bounded(2):
-        with pytest.raises(ValueError, match="enumerate"):
-            SubfieldEmbedding(tower, 32)
+    with bounded(5):
+        emb = SubfieldEmbedding(tower, 32)
+    theta = emb.generator
+    assert emb.poly_basis == tuple(tower.pow(theta, i) for i in range(32))
+    assert rank_of_vector(tower, emb.poly_basis) == 32
+    assert tower.frobenius(theta, 32) == theta and tower.frobenius(theta, 16) != theta
+    for x in emb.poly_basis + emb.ext_basis:
+        assert emb.contract_ext(emb.ext_coords(x)) == x
 
 
 @pytest.mark.parametrize("ext_basis", [(2.5, 1), (64, 1), (-1, 2), (True, 2)])
@@ -84,13 +107,14 @@ def test_embedding_rejects_ext_basis_dependent_over_the_subfield(gf64, emb3):
 def test_trivial_embedding_s_equals_n(gf16):
     emb = SubfieldEmbedding(gf16, 4)
     assert len(emb.ext_basis) == 1 and emb.ext_basis == (1,)
-    assert len(emb.elements) == 16
+    assert sorted(gf16.contract(c, emb.poly_basis) for c in itertools.product(
+        range(2), repeat=4)) == fixed_field(gf16, 4) == list(range(16))
     for x in range(16):
         assert emb.ext_coords(x) == (x,)
 
 
-def test_subfield_coordinates_roundtrip(gf64, emb3):
-    for x in emb3.elements:
+def test_subfield_coordinates_roundtrip(gf64, emb3, gf8):
+    for x in gf8:
         coords = emb3.subfield_coords(x)
         assert coords is not None
         assert gf64.contract(coords, emb3.poly_basis) == x
@@ -138,9 +162,9 @@ def test_factorization_annihilates_the_subcode(factz, subcode_words, gf64):
         assert annihilates(gf64, factz.parity, word)
 
 
-def test_factorization_kernel_is_exactly_the_subcode(factz, emb3, subcode_words, gf64):
+def test_factorization_kernel_is_exactly_the_subcode(factz, gf8, subcode_words, gf64):
     # among subfield vectors, the parity kernel has exactly the subcode size
-    hits = sum(1 for word in itertools.product(emb3.elements, repeat=6)
+    hits = sum(1 for word in itertools.product(gf8, repeat=6)
                if annihilates(gf64, factz.parity, word))
     assert hits == len(subcode_words) == 64
 
@@ -161,6 +185,15 @@ def test_factorization_requires_full_length(gf64):
     short = GabidulinCode(gf64, 2, g=(1, 2, 4, 8))
     with pytest.raises(ValueError, match="full-length"):
         compute_factorization(short, 3)
+
+
+@pytest.mark.parametrize("q, n, modulus", [(2, 6, (1, 0, 0, 0, 0, 1, 1)), (2, 12, None)])
+def test_embedding_from_another_tower_is_rejected(code64, factz, q, n, modulus):
+    other = SubfieldEmbedding(FieldTower(q, n, modulus), 3)
+    with pytest.raises(ValueError, match="different field towers"):
+        compute_factorization(code64, 3, embedding=other)
+    with pytest.raises(ValueError, match="different field towers"):
+        verify_uniqueness(code64, dataclasses.replace(factz, embedding=other))
 
 
 def test_uniqueness_of_transform(code64, factz):
@@ -194,6 +227,7 @@ def test_uniqueness_check_rejects_a_tampered_system(q, n, s, k):
     emb = SubfieldEmbedding(tower, s)
     factz = compute_factorization(code, s, embedding=emb)
     rng = random.Random(q * n)
+    subfield = fixed_field(tower, s)
     for _ in range(6):
         # one entry of S changed: the true solution now differs from it
         i, j = rng.randrange(n), rng.randrange(n)
@@ -204,7 +238,7 @@ def test_uniqueness_check_rejects_a_tampered_system(q, n, s, k):
         # one parity entry moved by a nonzero subfield element
         r, c = rng.randrange(len(factz.parity)), rng.randrange(n)
         parity = [row[:] for row in factz.parity]
-        parity[r][c] = tower.add(parity[r][c], rng.choice(emb.elements[1:]))
+        parity[r][c] = tower.add(parity[r][c], rng.choice(subfield[1:]))
         ok, problem = verify_uniqueness(code, dataclasses.replace(factz, parity=parity))
         assert not ok and problem.startswith(f"column {c}: ")
     # a parity entry outside the subfield is no system over it
@@ -246,10 +280,10 @@ def test_changing_ext_basis_changes_transform(code64, factz, subcode_words, gf64
         assert annihilates(gf64, other.parity, word)
 
 
-def test_block_code_is_mrd_over_the_subfield(factz, emb3, gf64):
+def test_block_code_is_mrd_over_the_subfield(factz, gf8, gf64):
     # the code over GF(q^s) with parity-check A is a [3,1,3] rank-metric
     # optimum: enumerate its subfield-vector kernel exhaustively
-    words = [w for w in itertools.product(emb3.elements, repeat=3)
+    words = [w for w in itertools.product(gf8, repeat=3)
              if annihilates(gf64, factz.block, w)]
     assert len(words) == 8  # (q^s)^(s-d+1)
     assert min(rank_of_vector(gf64, w) for w in words if any(w)) == 3

@@ -68,6 +68,9 @@ def test_transfer_of_basis_prefix(tiny_sub):
     assert tiny_sub.to_parent((1, 2, 4, 0)) == h[:3]
     assert tiny_sub.from_parent(h[:3]) == (1, 2, 4, 0)
     assert tiny_sub.to_parent((0, 0, 0, 0)) == (0, 0, 0)
+    for word in (h[:2], h):
+        with pytest.raises(ValueError, match="expected length 3"):
+            tiny_sub.from_parent(word)
 
 
 def test_transfer_linearity_bijectivity_rank(medium_sub, gf4096):
@@ -156,6 +159,9 @@ def test_cardinality_and_distance_small(tiny_code, gf16):
     assert sub2.codewords() == [(0, 0, 0, 0)]
     with pytest.raises(TrivialSubcodeError):
         sub2.encode(())
+    with pytest.raises(TrivialSubcodeError, match="no parent decoder"):
+        sub2.decode((0, 0, 0, 0), route="parent")
+    assert sub2.decode((0, 0, 0, 0), route="ambient") == ((0,) * 4, (0,) * 4)
 
 
 def test_subcode_additive_but_not_linear(tiny_sub, gf16):
