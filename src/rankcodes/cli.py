@@ -315,7 +315,10 @@ def _cmd_subfield(args):
 
 
 def _cmd_count(args):
-    value = count_rank_matrices(args.q, args.m, args.t, args.rank)
+    try:
+        value = count_rank_matrices(args.q, args.m, args.t, args.rank)
+    except ValueError as exc:
+        raise ConfigError(f"count: {exc}") from exc
     _emit([{"command": "count", "q": args.q, "m": args.m, "t": args.t,
             "rank": args.rank, "count": str(value)}], args)
     return 0

@@ -19,10 +19,10 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import LinearMap, _prime_factors, int_digits, is_prime
+from .field import LinearMap, int_digits, is_prime
 from .gabidulin import DecodingFailure, GabidulinCode
-from .qlinalg import (CoordinateSolver, count_rank_matrices, random_error,
-                      random_rows, rank_of_vector, rank_rows)
+from .qlinalg import (CoordinateSolver, _check_counts, count_rank_matrices,
+                      random_error, random_rows, rank_of_vector, rank_rows)
 from .subspace import SubspaceBasis, SubspaceSubcode, TrivialSubcodeError
 
 
@@ -208,17 +208,9 @@ class DirectSumCode:
 # ---------------------------------------------------------------------------
 # success probability of per-part decodability
 
-def _check_shape(q, dims, capability, t):
-    """ValueError unless q is a prime power and t, capability and dims are ints >= 0."""
-    if not (isinstance(q, int) and len(_prime_factors(q)) == 1):
-        raise ValueError(f"q = {q!r} is not a prime power")
-    for what, v in [("t", t), ("capability", capability), *(("part dimension", m) for m in dims)]:
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
-            raise ValueError(f"{what} must be a nonnegative integer, got {v!r}")
-
-
 def rank_leq_probability(q: int, m: int, t: int, cap: int) -> Fraction:
     """Probability that a uniform t x m q-ary matrix has rank <= cap."""
+    _check_counts(q, [("m", m), ("t", t)])
     hits = sum(count_rank_matrices(q, m, t, r) for r in range(0, cap + 1))
     return Fraction(hits, q ** (t * m))
 
@@ -237,7 +229,8 @@ def success_probability(q: int, dims, capability: int, t: int,
     (N - C)(t - C) with N = sum(dims) agrees with it only for one part;
     for u parts it is larger by (u - 1) * C * (t - C).
     """
-    _check_shape(q, dims, capability, t)
+    _check_counts(q, [("t", t), ("capability", capability),
+                      *(("part dimension", m) for m in dims)])
     if form == "exact":
         p = Fraction(1)
         for m in dims:
@@ -263,7 +256,8 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     exact product formula describes); channel="exact-rank" conditions it
     on full rank t.  The trials draw from random.Random(f"{seed}:0").
     """
-    _check_shape(q, dims, capability, t)
+    _check_counts(q, [("t", t), ("capability", capability),
+                      *(("part dimension", m) for m in dims)])
     if not is_prime(q):  # the draws and their ranks are taken mod q
         raise ValueError(f"q = {q} is not a prime")
     if channel not in ("uniform-matrix", "exact-rank"):

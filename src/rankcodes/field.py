@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import operator
 import struct
+from functools import cache
 
 # Fixed table of default moduli, coefficients low-to-high, all monic.
 # The q=2 entries are the classic primitive trinomials/pentanomials; the
@@ -186,18 +187,85 @@ def int_digits(v: int, q: int, width: int) -> tuple:
     return tuple(out)
 
 
-def _to_lanes(images, q: int, lane: int, size: int) -> list:
-    """Each base-q int of at most `size` digits with digit i moved to bits
-    lane*i on: split at q^h for h = h0 * 2^j, top down, and spread each
-    leaf of h0 digits (h0 a power of two, q^h0 <= 1024) by one lookup
-    (Brent and Zimmermann, Modern Computer Arithmetic, section 1.7), not
-    one division of the whole per digit."""
+# ---------------------------------------------------------------------------
+# lanes: GF(q) digits packed into one int, digit j at bits lane*j on, added
+# without carry: XOR for q = 2, else int sums then taken mod q by the below.
+
+@cache
+def _lane_bits(q: int, top: int) -> int:
+    """Bits per lane of GF(q) digits whose sums reach at most `top`: 1 for
+    q = 2, otherwise the smallest of 8, 16, 32, 64, 128, ... that holds
+    top.  ValueError unless q is prime."""
+    if not is_prime(q):
+        raise ValueError(f"q = {q!r} is not a prime")
+    bits = 8
+    while top >> bits:
+        bits *= 2
+    return 1 if q == 2 else bits
+
+
+@cache
+def _byte_mod(q: int) -> tuple:  # [s]: the translate table of a byte lane b -> s b mod q
+    return tuple(bytes(s * b % q for b in range(256)) for s in range(q))
+
+
+@cache
+def _lane_struct(lane: int, count: int):
+    """`count` lanes of 16, 32 or 64 bits; None past 64 (q in the billions)."""
+    code = {16: "H", 32: "I", 64: "Q"}.get(lane)
+    return code and struct.Struct(f"<{count}{code}")
+
+
+def _lane_digits(v: int, q: int, lane: int, count: int):
+    """The first `count` lanes of v, each taken mod q: bytes for 8-bit
+    lanes, by one bytes.translate, and otherwise a list from one unpack."""
+    if lane == 8:
+        return v.to_bytes(count, "little").translate(_byte_mod(q)[1])
+    size, lanes = lane // 8, _lane_struct(lane, count)
+    raw = v.to_bytes(count * size, "little")
+    if lanes:
+        return [d % q for d in lanes.unpack(raw)]
+    return [int.from_bytes(raw[i:i + size], "little") % q for i in range(0, len(raw), size)]
+
+
+def _mod_lanes(v: int, q: int, lane: int, scale: int = 1) -> int:
+    """scale * v with every lane taken mod q, for v >= 0 whose lanes have
+    room for scale times their value (byte lanes scale in the translate)."""
+    if lane == 8:  # inline: the GF(q) elimination reduces after every row step
+        return int.from_bytes(v.to_bytes(-(-v.bit_length() // 8), "little").translate(
+            _byte_mod(q)[scale]), "little")
+    v *= scale
+    count = -(-v.bit_length() // lane)
+    digits, lanes = _lane_digits(v, q, lane, count), _lane_struct(lane, count)
+    if lanes:
+        return int.from_bytes(lanes.pack(*digits), "little")
+    return int.from_bytes(b"".join(d.to_bytes(lane // 8, "little") for d in digits), "little")
+
+
+def _from_lanes(v: int, q: int, lane: int, count: int, powers) -> list:
+    """Lanes 0..count-1 of v, each mod q, as base-q ints of len(powers) digits, powers[i] = q^i."""
+    digits, size = _lane_digits(v, q, lane, count), len(powers)
+    return [sum(map(operator.mul, digits[i:i + size], powers)) for i in range(0, count, size)]
+
+
+@cache
+def _leaf(q: int, lane: int) -> tuple:
     h0 = 1
     while q ** (2 * h0) <= 1024:
         h0 *= 2
     leaf = range(q)
     for j in range(1, h0):
         leaf = [s + (d << lane * j) for d in range(q) for s in leaf]
+    return h0, leaf
+
+
+def _to_lanes(images, q: int, lane: int, size: int) -> list:
+    """Each base-q int of at most `size` digits with digit i moved to bits
+    lane*i on: split at q^h for h = h0 * 2^j, top down, and spread each
+    leaf of h0 digits (h0 a power of two, q^h0 <= 1024) by one lookup
+    (Brent and Zimmermann, Modern Computer Arithmetic, section 1.7), not
+    one division of the whole per digit."""
+    h0, leaf = _leaf(q, lane)
     splits, h = [], h0  # (q^h, lane * h) for h = h0, 2 h0, ... below size
     while h < size:
         splits.append((q**h, lane * h))
@@ -222,12 +290,12 @@ class LinearMap:
     largest with q^k <= 256 for one symbol (k = 8 for q = 2) and q^k <= 16
     for a word, or one digit when q > 256.  tables[c][r] is the image of
     the chunk r at chunk c, packed with one `lane`-bit lane per output
-    digit, and the image of x sums tables[c][chunk c of x] over c.  For
-    q = 2 lanes are single bits combined by XOR; otherwise they are wide
-    enough to add len(images) (q-1)^2 without carry, and at least a byte
-    wide, so that lanes of 8 bits are taken mod q by one bytes.translate.
-    For q > 256 there are no tables: tables[c] is the packed image of digit
-    c, which the digit multiplies.
+    digit (`_lane_bits`), and the image of x sums tables[c][chunk c of x]
+    over c.  For q = 2 lanes are single bits combined by XOR.  For odd q a
+    table adds the multiples d*images[j] with each lane already taken mod
+    q, so an output lane sums to at most len(images) (q-1), and byte lanes
+    go as far as that allows.  For q > 256 there are no tables: tables[c]
+    is the packed image of digit c, which the digit multiplies.
 
     m(x) is the image of x as one element, m.word(word) the image of a
     word (input symbol i at digit i*n) as `width` symbols, and m.digits(x)
@@ -236,14 +304,11 @@ class LinearMap:
     """
 
     def __init__(self, q: int, n: int, images, width: int = 1):
-        self.q, self.n, self.width = q, n, width
-        self._order, self._basis = q**n, tuple(q**i for i in range(n))
-        if q == 2:
-            self.lane, packed = 1, images
-        else:
-            self.lane = max(8, (len(images) * (q - 1) ** 2).bit_length())
-            self._lane_mask, self._mod = (1 << self.lane) - 1, bytes(v % q for v in range(256))
-            packed = _to_lanes(images, q, self.lane, width * n)
+        self.q, self.n, self.width, self._order = q, n, width, q**n
+        self._basis = tuple(q**i for i in range(n))
+        # with no tables (q > 256) an output lane adds unreduced digit multiples
+        self.lane = _lane_bits(q, len(images) * (q - 1) ** (1 + (q > 256)))
+        packed = images if q == 2 else _to_lanes(images, q, self.lane, width * n)
         k = next((k for k in range(8, 1, -1) if q**k <= (256 if width == 1 else 16)), 1)
         self.radix, self._bits, self._mask = q**k, k, q**k - 1
         if q > 256:
@@ -254,10 +319,11 @@ class LinearMap:
             table = [0]
             for img in packed[lo:lo + k]:
                 # extend by one digit: entry d*len + i = table[i] + d*img
-                block = table
-                for _ in range(q - 1):
-                    block = [b ^ img for b in block] if q == 2 else [b + img for b in block]
-                    table += block
+                if q == 2:
+                    table += [b ^ img for b in table]
+                else:  # each lane of d*img taken mod q (q <= 256: a lane holds (q-1)^2)
+                    table += [b + m for m in [img] + [_mod_lanes(img, q, self.lane, d)
+                                                      for d in range(2, q)] for b in table]
             self.tables.append(table)
 
     def __call__(self, x: int) -> int:
@@ -267,7 +333,7 @@ class LinearMap:
                 w ^= table[x & mask]
                 x >>= bits
             return w
-        return sum(map(operator.mul, self._digits_of(self._lanes(x), self.n), self._basis))
+        return _from_lanes(self._lanes(x), self.q, self.lane, self.n, self._basis)[0]
 
     def word(self, word) -> tuple:
         x, order, n = 0, self._order, self.n
@@ -277,13 +343,12 @@ class LinearMap:
         if self.lane == 1:
             mask = order - 1
             return tuple([w >> n * i & mask for i in range(self.width)])
-        digits, basis = self._digits_of(w, self.width * n), self._basis
-        return tuple([sum(map(operator.mul, digits[i:i + n], basis))
-                      for i in range(0, self.width * n, n)])
+        return tuple(_from_lanes(w, self.q, self.lane, self.width * n, self._basis))
 
     def digits(self, x: int):
         w, count = self._lanes(x), self.width * self.n
-        return [w >> i & 1 for i in range(count)] if self.lane == 1 else self._digits_of(w, count)
+        return ([w >> i & 1 for i in range(count)] if self.lane == 1
+                else _lane_digits(w, self.q, self.lane, count))
 
     def _lanes(self, x: int) -> int:
         """The lane-packed image of x: one lookup (q > 256: one product) per chunk."""
@@ -302,13 +367,6 @@ class LinearMap:
                 x, r = divmod(x, radix)
                 w += table[r]
         return w
-
-    def _digits_of(self, w: int, count: int):
-        """The first `count` lanes of w, each taken mod q."""
-        if self.lane == 8:
-            return w.to_bytes(count, "little").translate(self._mod)
-        lane, mask, q = self.lane, self._lane_mask, self.q
-        return [(w >> lane * j & mask) % q for j in range(count)]
 
 
 def _comb_window(b: int) -> tuple:
@@ -351,7 +409,8 @@ class FieldTower:
     both span two periods of i.  g is the smallest candidate with
     g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order.
     Its powers fill `_exp` in bulk, as packed columns of about sqrt(q^n),
-    each g times the one before by whole-int shifts (`_build_tables`).
+    each g times the one before by whole-int shifts and adds on the lanes
+    of `_lane_bits`, each sum taken mod q by `_mod_lanes` (`_build_tables`).
     Larger fields are table-less: odd-q `add` goes digit by digit, `mul`
     is polynomial multiplication for odd q and for q = 2 a comb over 4-bit
     windows whose high half is reduced through `_reduce`, byte tables of
@@ -705,36 +764,27 @@ class FieldTower:
                    if all(self._pow_raw(c, size // p) != 1 for p in primes))
         # A vector of elements packs into one int, element e in slot e with
         # digit k in lane k: 1-bit lanes in 16-bit slots for q = 2, so that a
-        # slot reads as the element, else lanes that hold the (q-1)^2 + (q-1)
-        # a step leaves, bytes where q allows, taken mod q by bytes.translate.
-        lane = 1 if q == 2 else next(b for b in (8, 16, 32) if q * (q - 1) < 1 << b)
-        slot, mod = 16 if q == 2 else n * lane, bytes(v % q for v in range(256))
+        # slot reads as the element, else the lanes of `_lane_bits` for the
+        # (q-1)^2 + (q-1) a step leaves, each sum then taken mod q.
+        lane = _lane_bits(q, q * (q - 1))
+        slot = 16 if q == 2 else n * lane
         lane0 = ((1 << lane) - 1).to_bytes(slot // 8, "little")  # lane 0 of a slot
         neg = sum(-m % q << lane * k for k, m in enumerate(self.modulus[:-1]))  # alpha^n
-        add = operator.xor if q == 2 else operator.add
-
-        def reduce(v, length):  # each lane mod q
-            if q == 2:
-                return v
-            if lane == 8:
-                return int.from_bytes(v.to_bytes(length, "little").translate(mod), "little")
-            fmt = f"<{length * 8 // lane}{'H' if lane == 16 else 'I'}"
-            lanes = struct.unpack(fmt, v.to_bytes(length, "little"))
-            return int.from_bytes(struct.pack(fmt, *[d % q for d in lanes]), "little")
+        add = operator.xor if q == 2 else lambda a, b: _mod_lanes(a + b, q, lane)
 
         def times(x, c, count):
             """c times each of the `count` elements packed in x: Horner over
             the digits of c, where an alpha-step shifts the whole int a lane
             and adds the top digits it pushed out back in times -modulus."""
-            length, digits = count * slot // 8, _ptrim(int_digits(c, q, n))
+            digits = _ptrim(int_digits(c, q, n))
             tops = int.from_bytes(lane0 * count, "little") << n * lane
-            acc = x if digits[-1] == 1 else reduce(x * digits[-1], length)
+            acc = x if digits[-1] == 1 else _mod_lanes(x, q, lane, digits[-1])
             for d in reversed(digits[:-1]):
                 acc <<= lane
                 over = acc & tops
-                acc = reduce(add(acc ^ over, (over >> n * lane) * neg), length)
+                acc = add(acc ^ over, (over >> n * lane) * neg)
                 if d:
-                    acc = reduce(add(acc, x * d), length)
+                    acc = add(acc, x * d)
             return acc
 
         # g^0..g^(size-1) as `cols` columns of `rows` slots, column j holding

@@ -127,14 +127,6 @@ class GabidulinCode:
         if g is not None and any(any(self._syndromes(row)) for row in gen_rows):
             raise ValueError("generator and parity vectors are not dual")
 
-    @classmethod
-    def from_parity(cls, tower, h, k):
-        return cls(tower, k, h=h)
-
-    @property
-    def parity_matrix(self):
-        return moore_matrix(self.tower, self.h, self.d - 1)
-
     def encode(self, message):
         if self._encoder is None:
             raise ValueError("encoding needs a generator vector")
@@ -217,18 +209,6 @@ class GabidulinCode:
         """All codewords, by brute-force encoding (guarded)."""
         for message in self.messages():
             yield self.encode(message)
-
-    def exhaustive_min_distance(self) -> int:
-        """Minimum nonzero rank over the whole code, by enumeration."""
-        best = None
-        for c in self.codewords():
-            if any(c):
-                r = rank_of_vector(self.tower, c)
-                if best is None or r < best:
-                    best = r
-        if best is None:
-            raise ValueError("code has no nonzero codeword")  # pragma: no cover
-        return best
 
     def __repr__(self):
         return (f"GabidulinCode(q={self.tower.q}, n={self.tower.n}, "

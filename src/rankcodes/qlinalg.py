@@ -10,37 +10,12 @@ the rank-t error sampler used by the decoding experiments.
 
 from __future__ import annotations
 
-from functools import cache
-
-from .field import FieldTower, LinearMap, int_digits
+from .field import (FieldTower, LinearMap, _from_lanes, _lane_bits, _mod_lanes,
+                    _prime_factors, int_digits)
 
 
 # ---------------------------------------------------------------------------
 # packed q-ary rows
-
-@cache
-def _lane_format(q: int):
-    """(bits, table) of odd-q elimination rows: a lane of `bits` bits per
-    digit holds a + (q - c) * b without carry (4 bits for q = 3, 8 up to
-    q = 13), and bytes.translate(table) takes every lane of a byte mod q.
-    No table fits for q >= 17, whose lanes are wider than a byte."""
-    bits = (q * (q - 1)).bit_length()
-    if bits > 8:
-        return bits, None
-    bits = 4 if bits <= 4 else 8
-    mask = (1 << bits) - 1
-    return bits, bytes(sum((b >> s & mask) % q << s for s in range(0, 8, bits))
-                       for b in range(256))
-
-
-def _mod_lanes(v: int, q: int, bits: int, table) -> int:
-    """v with every `bits`-bit lane taken mod q."""
-    if table is not None:
-        raw = v.to_bytes((v.bit_length() + 7) >> 3, "little")
-        return int.from_bytes(raw.translate(table), "little")
-    mask = (1 << bits) - 1
-    return sum((v >> s & mask) % q << s for s in range(0, v.bit_length(), bits))
-
 
 def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
     """`rows` uniform q-ary rows of the given width, packed.  For q = 2
@@ -87,8 +62,9 @@ def kernel_rows(images, q: int):
     image digit, and leaves a kernel vector if its image part vanishes: 1
     at j, the rest at earlier pivot columns.  For q = 2 a row is the int
     image_j << m | 1 << j, reduced by XOR.  For odd q a digit takes a lane
-    of `_lane_format(q)`, pivot rows lead with 1, and v - c * p is
-    v + (q - c) * p with every lane then taken mod q.
+    of `_lane_bits` (8 bits up to q = 13), pivot rows lead with 1, and v -
+    c * p is v + (q - c) * p with every lane then taken mod q.  ValueError
+    unless q is prime.
     """
     m = len(images)
     pivots, kernel = {}, []
@@ -104,7 +80,7 @@ def kernel_rows(images, q: int):
             else:
                 kernel.append(v)
         return kernel
-    bits, table = _lane_format(q)
+    bits = _lane_bits(q, q * (q - 1))
     shift, mask = m * bits, (1 << bits) - 1
     for j, image in enumerate(images):
         v, at = 1 << j * bits, shift
@@ -117,11 +93,11 @@ def kernel_rows(images, q: int):
             c = v >> top * bits & mask
             p = pivots.get(top)
             if p is None:
-                pivots[top] = v if c == 1 else _mod_lanes(v * pow(c, q - 2, q), q, bits, table)
+                pivots[top] = v if c == 1 else _mod_lanes(v, q, bits, pow(c, q - 2, q))
                 break
-            v = _mod_lanes(v + (q - c) * p, q, bits, table)
+            v = _mod_lanes(v + (q - c) * p, q, bits)
         else:
-            kernel.append(sum((v >> i * bits & mask) * q**i for i in range(m)))
+            kernel.append(_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0])
     return kernel
 
 
@@ -278,8 +254,19 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
 # ---------------------------------------------------------------------------
 # counting
 
+def _check_counts(q, counts):
+    """ValueError unless q is a prime power and each (what, value) is an int >= 0."""
+    if not (isinstance(q, int) and len(_prime_factors(q)) == 1):
+        raise ValueError(f"q = {q!r} is not a prime power")
+    for what, v in counts:
+        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+            raise ValueError(f"{what} must be a nonnegative integer, got {v!r}")
+
+
 def count_rank_matrices(q: int, m: int, t: int, r: int) -> int:
-    """Number of t x m q-ary matrices of rank exactly r (exact integer)."""
+    """Number of t x m q-ary matrices of rank exactly r, 0 outside 0..min(m, t).
+    ValueError unless q is a prime power and m and t are ints >= 0."""
+    _check_counts(q, [("m", m), ("t", t)])
     if r < 0 or r > min(m, t):
         return 0
     num = 1

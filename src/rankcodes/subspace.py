@@ -100,12 +100,6 @@ class SubspaceSubcode:
             return 1
         return self.tower.order ** (self.basis.m - self.d + 1)
 
-    def parent_parity_rows(self):
-        """Rows beta^[n], beta^[n-1], ..., beta^[n-d+2] defining the parent."""
-        t, n = self.tower, self.tower.n
-        return [[t.frobenius(b, n - i) for b in self.basis.elements]
-                for i in range(self.d - 1)]
-
     # -- the rank-preserving transfer map ------------------------------------
 
     def to_parent(self, vector):
@@ -164,15 +158,6 @@ class SubspaceSubcode:
         if self.cardinality > ENUM_GUARD:
             raise ValueError("subcode is too large to enumerate")
         return [self.encode(msg) for msg in self.parent.messages()]
-
-    def codewords_brute_force(self):
-        """Independent oracle: filter every ambient codeword for
-        componentwise membership in V (guarded by the ambient code size)."""
-        out = []
-        for c in self.code.codewords():
-            if all(self.basis.contains(x) for x in c):
-                out.append(c)
-        return out
 
     def __repr__(self):
         return f"SubspaceSubcode(m={self.basis.m}, code={self.code!r})"

@@ -11,11 +11,13 @@ read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower and `LinearizedPoly`: the
 rank of a matrix over GF(q^n), a subfield listed element by element, the
-expansion of a parity vector over a subfield, and the minimal subspace
-polynomial, a check on the decoder's root spaces.
+minimum rank distance of a code and the words of a subspace subcode, both
+by enumerating the code, the parity rows that define a subcode's parent,
+the expansion of a parity vector over a subfield, and the minimal
+subspace polynomial, a check on the decoder's root spaces.
 """
 
-from rankcodes import LinearizedPoly as _LibraryLinearizedPoly
+from rankcodes import LinearizedPoly as _LibraryLinearizedPoly, rank_of_vector
 
 
 def rref(rows, q):
@@ -267,6 +269,24 @@ def fixed_field(tower, s):
     """GF(q^s) inside the tower from its definition: every x with
     x^(q^s) = x, in ascending order."""
     return [x for x in range(tower.order) if tower.pow(x, tower.q**s) == x]
+
+
+def min_rank_distance(code):
+    """Minimum nonzero rank over a whole code, by enumeration."""
+    return min(rank_of_vector(code.tower, c) for c in code.codewords() if any(c))
+
+
+def parent_parity_rows(sub):
+    """The rows beta^[n], beta^[n-1], ..., beta^[n-d+2] that define the
+    parent code of a subspace subcode."""
+    t, n = sub.tower, sub.tower.n
+    return [[t.frobenius(b, n - i) for b in sub.basis.elements] for i in range(sub.d - 1)]
+
+
+def subcode_codewords(sub):
+    """The words of a subspace subcode by filtering every ambient codeword
+    for componentwise membership in V (guarded by the ambient code size)."""
+    return [c for c in sub.code.codewords() if all(sub.basis.contains(x) for x in c)]
 
 
 def expand_parity(code, emb):

@@ -41,6 +41,22 @@ def test_count_large_values_stay_exact(capsys):
     assert int(record["count"]) > 10**300  # far beyond any float
 
 
+# before: q = 1 exited 1 with a ZeroDivisionError traceback, q = 0 printed
+# "-1", q = -3 printed "56" and a negative m or t printed "0"
+@pytest.mark.parametrize("shape", [("1", "3", "2", "1"), ("0", "3", "2", "1"),
+                                   ("-3", "3", "2", "1"), ("6", "3", "2", "1"),
+                                   ("2", "-3", "2", "1"), ("2", "3", "-2", "0")])
+def test_count_subcommand_rejects_bad_shapes(capsys, shape):
+    assert main(["count", *shape]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: count: ")
+
+
+def test_count_subcommand_rank_outside_range_is_zero(capsys):
+    assert main(["count", "4", "2", "3", "3"]) == 0
+    assert json.loads(capsys.readouterr().out)["count"] == "0"
+
+
 def test_code_info(config_path, capsys):
     assert main(["code-info", "--config", config_path]) == 0
     record = json.loads(capsys.readouterr().out)

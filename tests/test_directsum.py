@@ -452,6 +452,15 @@ def test_direct_sum_maps_bounded_at_the_top_of_the_range(q, n, k):
         assert table_bytes(linear_map) < 10 * 2**20
 
 
+def test_odd_q_unfold_takes_byte_lanes():
+    # the oddq-q3n9 unfold reads 81 digits; its tables hold each digit
+    # multiple mod 3, so a lane sums to at most 81 * 2 = 162, in one byte
+    tower = FieldTower(3, 9)
+    code = GabidulinCode(tower, 7, g=default_generator(tower))
+    M = DirectSumCode(code, [[1, 3, 9], [27, 81, 243], [729, 2187, 6561]])
+    assert M._unfold.lane == 8
+
+
 def test_direct_sum_trial_makes_no_solve_or_contract(monkeypatch, pair66, gf4096):
     """A paper-q2n12 trial (encode, sample, project, decode) runs the
     direct-sum transfers on their word maps alone: directsum.py calls

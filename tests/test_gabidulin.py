@@ -7,7 +7,7 @@ from rankcodes import (DecodingFailure, FieldTower, GabidulinCode,
                        default_generator, dual_vector, ext_nullspace,
                        moore_matrix, random_error, rank_of_vector)
 
-from gfq_reference import ext_rank
+from gfq_reference import ext_rank, min_rank_distance
 
 
 def _orthogonal(tower, g_rows, h_rows):
@@ -88,7 +88,7 @@ def test_code_construction_checks(gf16):
 
 
 def test_decode_only_code_refuses_encoding(gf16):
-    code = GabidulinCode.from_parity(gf16, (1, 2, 4, 8), 2)
+    code = GabidulinCode(gf16, 2, h=(1, 2, 4, 8))
     with pytest.raises(ValueError, match="generator"):
         code.encode((1, 2))
     with pytest.raises(ValueError, match="generator"):
@@ -174,7 +174,7 @@ def test_decode_beyond_capability_never_junk(medium_code, gf4096):
 @pytest.mark.parametrize("k,expected", [(1, 4), (2, 3), (3, 2)])
 def test_exhaustive_min_distance(gf16, k, expected):
     code = GabidulinCode(gf16, k, g=default_generator(gf16))
-    assert code.exhaustive_min_distance() == expected
+    assert min_rank_distance(code) == expected
 
 
 def test_enumeration_guard(gf4096):
@@ -277,3 +277,11 @@ def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
             want = tower.add(want, tower.mul(m, tower.frobenius(g[pos], i)))
         assert codeword[pos] == want
     assert table_bytes(code._encoder) + table_bytes(code._syndrome_map) < 10 * 2**20
+
+
+def test_small_odd_q_word_maps_take_byte_lanes():
+    # GF(5^6) [6, 4]: 24 encoder and 36 syndrome input digits, whose lanes
+    # sum to at most 24 * 4 and 36 * 4, with each digit multiple taken mod 5
+    tower = FieldTower(5, 6)
+    code = GabidulinCode(tower, 4, g=default_generator(tower))
+    assert code._encoder.lane == code._syndrome_map.lane == 8

@@ -1,7 +1,7 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
-q = 13 for the log tables under random moduli and the subfields, q = 31
-for the GF(q) elimination, and up to q = 257 for the linear maps and the
-Gabidulin codec."""
+q = 13 for the log tables under random moduli and the subfields, up to
+q = 257 for the Gabidulin codec, and up to q = 2^32 + 15 for the GF(q)
+elimination and the linear maps, whose lanes then pass 64 bits."""
 
 import itertools
 import random
@@ -22,6 +22,9 @@ from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
 from gfq_reference import min_subspace_poly
+
+# the smallest prime above 2^32: q (q - 1) no longer fits a 64-bit lane
+BEYOND_64 = 4294967311
 
 # chunk boundaries: 8 bits per table for q = 2, 5 digits for q = 3 and
 # 3 digits for q = 5, so each list ends on a boundary and one past it
@@ -125,7 +128,8 @@ def test_contract_and_dot_equal_explicit_fold(case):
 
 @st.composite
 def packed_row_cases(draw):
-    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 31]))
+    # lanes of 8 bits (q <= 13), 16 (17, 31), 32 (257, 65521) and 128
+    q = draw(st.sampled_from([2, 3, 5, 7, 13, 17, 31, 257, 65521, BEYOND_64]))
     width = draw(st.integers(0, 20))
     row = st.one_of(st.just(0), st.integers(0, q**width - 1))
     rows = draw(st.lists(row, max_size=8))
@@ -349,7 +353,7 @@ def _codec(shape):
         tower = _tower(q, n)
         g = default_generator(tower)[:length]
     code = GabidulinCode(tower, k, g=g)
-    parity = GabidulinCode.from_parity(tower, code.h, k)
+    parity = GabidulinCode(tower, k, h=code.h)
     return (code, parity, _ref_moore(tower, g, k),
             list(zip(*_ref_moore(tower, code.h, code.d - 1))))
 
@@ -386,7 +390,7 @@ def test_encode_and_syndromes_match_reference_sums(case):
 
 @st.composite
 def linear_map_cases(draw):
-    q = draw(st.sampled_from([2, 3, 5, 13, 17, 31, 257]))
+    q = draw(st.sampled_from([2, 3, 5, 13, 17, 31, 257, 65521, BEYOND_64]))
     n, width, length = draw(st.integers(1, 4)), draw(st.integers(1, 3)), draw(st.integers(1, 4))
     top = q ** (width * n) - 1
     images = draw(st.lists(st.one_of(st.just(top), st.integers(0, top)),
@@ -398,8 +402,9 @@ def linear_map_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(linear_map_cases())
 def test_linear_map_matches_reference_sum(case):
-    # byte lanes, wider ones (q >= 13, or many images) and no tables (q = 257);
-    # all-(q-1) images and symbols fill every lane the most
+    # byte lanes, wider ones (q >= 17, or many images) and no tables (q >= 257,
+    # in 32-, 64- and 128-bit lanes); all-(q-1) images and symbols fill
+    # every lane the most
     q, n, width, images, word = case
     m = LinearMap(q, n, images, width)
     x = ref.pack([d for s in word for d in ref.digits(s, q, n)], q)
@@ -411,7 +416,7 @@ def test_linear_map_matches_reference_sum(case):
     assert m.word(word) == symbols
     if width == 1:
         assert m(x) == symbols[0]
-    event(f"q = {q}, {'no tables' if q > 256 else f'{m.lane}-bit lanes'}")
+    event(f"q = {q}, {m.lane}-bit lanes{', no tables' if q > 256 else ''}")
 
 
 # largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)

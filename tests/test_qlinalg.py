@@ -2,10 +2,11 @@ import itertools
 import random
 
 import pytest
+from conftest import bounded
 
 from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                       ext_solve, random_error, random_rows, rank_of_vector,
-                       rank_q)
+                       ext_solve, random_error, random_rows, rank_leq_probability,
+                       rank_of_vector, rank_q, rank_rows)
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -242,3 +243,37 @@ def test_count_rank_matrices_conventions():
     assert count_rank_matrices(2, 2, 2, -1) == 0
     # symmetric in m and t
     assert count_rank_matrices(3, 4, 2, 2) == count_rank_matrices(3, 2, 4, 2)
+
+
+@pytest.mark.parametrize("q, m, t", [(1, 3, 2), (0, 3, 2), (-3, 3, 2), (6, 2, 2), (2.0, 2, 2),
+                                     (2, -1, 2), (2, 2, -1), (2, True, 2), (2, 2, 1.0)])
+def test_count_rank_matrices_rejects_bad_shapes(q, m, t):
+    # before: q = 1 divided by zero, q = 0 gave -1, q = -3 gave 56, m < 0 gave 0
+    with pytest.raises(ValueError):
+        count_rank_matrices(q, m, t, 1)
+    for cap in (1, -1):  # before: a negative cap skipped every check
+        with pytest.raises(ValueError):
+            rank_leq_probability(q, m, t, cap)
+
+
+def test_count_rank_matrices_prime_power_and_empty_shapes():
+    assert count_rank_matrices(4, 2, 2, 1) == (16 - 1) * (16 - 1) // (4 - 1)
+    assert count_rank_matrices(2, 0, 3, 0) == 1 and count_rank_matrices(2, 0, 3, 1) == 0
+
+
+NOT_PRIME_CALLS = {
+    "rank_q-4": lambda: rank_q([[1, 2], [2, 1]], 4),
+    "rank_rows-1": lambda: rank_rows([5], 1),
+    "rank_rows-0": lambda: rank_rows([5], 0),
+    "rank_rows-9": lambda: rank_rows([5, 7], 9),
+    "rank_rows--3": lambda: rank_rows([1], -3),
+    "kernel_rows-4": lambda: kernel_rows([], 4),
+    "random_rows-1": lambda: random_rows(1, 2, 2, random.Random(0), full_rank=True),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PRIME_CALLS)
+def test_gfq_elimination_needs_a_prime(name):
+    # before: composite q and q = 1 never returned, q = 0 divided by zero
+    with bounded(5), pytest.raises(ValueError, match="not a prime"):
+        NOT_PRIME_CALLS[name]()

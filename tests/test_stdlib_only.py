@@ -1,5 +1,6 @@
 """The package runs on the Python standard library alone: every import in
-src/rankcodes is a standard-library module or the package itself."""
+src/rankcodes is a standard-library module or the package itself.  And the
+lane format of packed GF(q) digits lives in field.py alone."""
 
 import ast
 import sys
@@ -25,4 +26,22 @@ def test_src_imports_only_the_standard_library():
     allowed = set(sys.stdlib_module_names) | {"rankcodes"}
     outside = {f"{path.name}: {name}" for path in sources
                for name in _imported_modules(path) if name not in allowed}
+    assert not outside, sorted(outside)
+
+
+# what packs, unpacks or reduces lanes of bytes: the byte-level calls and struct
+LANE_CALLS = {"translate", "to_bytes", "from_bytes"}
+
+
+def test_lane_format_lives_in_field():
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        if "struct" in _imported_modules(path):
+            outside.add(f"{path.name}: imports struct")
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in LANE_CALLS):
+                outside.add(f"{path.name}:{node.lineno}: {node.func.attr}")
     assert not outside, sorted(outside)
