@@ -79,102 +79,6 @@ def _prime_factors(n: int) -> list[int]:
     return out
 
 
-# ---------------------------------------------------------------------------
-# dense polynomial helpers over GF(q); coefficient tuples are low-to-high
-
-def _ptrim(a):
-    i = len(a)
-    while i > 0 and a[i - 1] == 0:
-        i -= 1
-    return tuple(a[:i])
-
-
-def _pmul(a, b, q):
-    if not a or not b:
-        return ()
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                out[i + j] = (out[i + j] + ai * bj) % q
-    return _ptrim(out)
-
-
-def _pmod(a, f, q):
-    """Remainder of a modulo the monic polynomial f."""
-    a = list(a)
-    df = len(f) - 1
-    for i in range(len(a) - 1, df - 1, -1):
-        c = a[i] % q
-        if c:
-            for j in range(df + 1):
-                a[i - df + j] = (a[i - df + j] - c * f[j]) % q
-    return _ptrim(a[:df])
-
-
-def _psub(a, b, q):
-    m = max(len(a), len(b))
-    a = tuple(a) + (0,) * (m - len(a))
-    b = tuple(b) + (0,) * (m - len(b))
-    return _ptrim(tuple((x - y) % q for x, y in zip(a, b)))
-
-
-def _pdivmod(a, b, q):
-    """Quotient and remainder of a by the nonzero polynomial b."""
-    b = _ptrim(b)
-    a = list(_ptrim(a))
-    db = len(b) - 1
-    binv = pow(b[-1], q - 2, q)
-    quo = [0] * max(1, len(a) - db)
-    for i in range(len(a) - 1, db - 1, -1):
-        c = a[i] * binv % q
-        if c:
-            quo[i - db] = c
-            for j in range(db + 1):
-                a[i - db + j] = (a[i - db + j] - c * b[j]) % q
-    return _ptrim(quo), _ptrim(a)
-
-
-def _pgcd(a, b, q):
-    a, b = _ptrim(a), _ptrim(b)
-    while b:
-        a, b = b, _pdivmod(a, b, q)[1]
-    return a
-
-
-def _ppowmod(a, e, f, q):
-    """a**e modulo the monic polynomial f, by square and multiply."""
-    result = (1,)
-    base = _pmod(a, f, q)
-    while e:
-        if e & 1:
-            result = _pmod(_pmul(result, base, q), f, q)
-        base = _pmod(_pmul(base, base, q), f, q)
-        e >>= 1
-    return result
-
-
-def is_irreducible(modulus, q: int) -> bool:
-    """Irreducibility test for a monic polynomial f of degree n over GF(q).
-
-    Ben-Or's test (Ben-Or, FOCS 1981; Gao and Panario 1997): x^(q^j) - x
-    is the product of the monic irreducibles of degree dividing j, so f is
-    irreducible exactly when gcd(x^(q^j) - x, f) = 1 for j = 1..n/2.  It
-    returns at the first j that fails, so most reducible f cost a power or
-    two of x.
-    """
-    f = _ptrim(modulus)
-    n = len(f) - 1
-    if n < 1 or f[-1] != 1:
-        return False
-    x = h = (0, 1)
-    for _ in range(n // 2):
-        h = _ppowmod(h, q, f, q)
-        if len(_pgcd(_psub(h, x, q), f, q)) > 1:
-            return False
-    return True
-
-
 def int_digits(v: int, q: int, width: int) -> tuple:
     """The low `width` base-q digits of v, least significant first: the
     entries of a q-ary row packed as v = sum row[j] * q**j."""
@@ -192,16 +96,17 @@ def int_digits(v: int, q: int, width: int) -> tuple:
 # without carry: XOR for q = 2, else int sums then taken mod q by the below.
 
 @cache
-def _lane_bits(q: int, top: int) -> int:
+def _lane_bits(q: int, top: int, carry: bool = False) -> int:
     """Bits per lane of GF(q) digits whose sums reach at most `top`: 1 for
-    q = 2, otherwise the smallest of 8, 16, 32, 64, 128, ... that holds
-    top.  ValueError unless q is prime."""
+    q = 2 unless the lanes `carry`, as an int product's do, otherwise the
+    smallest of 8, 16, 32, 64, 128, ... that holds top.  ValueError
+    unless q is prime."""
     if not is_prime(q):
         raise ValueError(f"q = {q!r} is not a prime")
     bits = 8
     while top >> bits:
         bits *= 2
-    return 1 if q == 2 else bits
+    return 1 if q == 2 and not carry else bits
 
 
 @cache
@@ -279,6 +184,80 @@ def _to_lanes(images, q: int, lane: int, size: int) -> list:
         return spread(hi, i - 1) << s | spread(lo, i - 1) if hi else spread(lo, i - 1)
 
     return [spread(v, len(splits) - 1) for v in images]
+
+
+# ---------------------------------------------------------------------------
+# GF(q)[x] on lanes, coefficient i in lane i: a product is one int product
+# (Kronecker substitution; von zur Gathen and Gerhard, Modern Computer
+# Algebra, ch. 8), taken mod q lane by lane after a remainder or Euclid run.
+
+def _poly_lane(q: int, n: int) -> int:
+    """Lane bits for GF(q)[x] modulo f of degree n: room for 2 (n + 1)
+    (q - 1)^2, above the (2n - 1) (q - 1)^2 a lane reaches in `_prem` of a
+    product of remainders and the (n + 2) (q - 1)^2 of a `_euclid` run.
+    Bytes for q = 2 up to n = 126.  ValueError unless q is prime."""
+    return _lane_bits(q, 2 * (n + 1) * (q - 1) ** 2, carry=True)
+
+
+def _prem(v: int, f: int, q: int, lane: int) -> int:
+    """v mod the monic f, both on lanes: the top lane c of v is cleared by
+    one whole-int step, -c (f - x^d) x^(k-d) added below it (each lane
+    takes at most d of them), and the lanes are taken mod q at the end."""
+    d = (f.bit_length() - 1) // lane
+    low = f ^ 1 << d * lane
+    while (k := (v.bit_length() - 1) // lane) >= d:
+        top = k * lane
+        c = -(v >> top) % q
+        v = (v & (1 << top) - 1) + (c * low << top - d * lane)
+    return _mod_lanes(v, q, lane)
+
+
+def _euclid(a: int, f: int, q: int, lane: int) -> tuple:
+    """(g, s) with g = gcd(a, f) up to a unit and s a = g mod f, on lanes,
+    for deg a < deg f: extended Euclid a coefficient per step, as the q = 2
+    `inv`.  u and its cofactor are taken mod q only when u falls below v
+    and they swap, so at most deg f + 1 steps add up in a lane."""
+    u, v, su, sv = f, a, 0, 1  # su a = u and sv a = v mod f; v and sv reduced
+    while v:
+        dv = (v.bit_length() - 1) // lane
+        iv, low = pow(v >> dv * lane, q - 2, q), v & (1 << dv * lane) - 1
+        while (du := (u.bit_length() - 1) // lane) >= dv:
+            top, at = du * lane, (du - dv) * lane
+            c = -(u >> top) * iv % q
+            u = (u & (1 << top) - 1) + (c * low << at)
+            su += c * sv << at
+        cut = dv * lane  # u is below lane dv: one reduction for u and su
+        w = _mod_lanes(su << cut | u, q, lane)
+        u, v, su, sv = v, w & (1 << cut) - 1, sv, w >> cut
+    return u, su
+
+
+def is_irreducible(modulus, q: int) -> bool:
+    """Whether the polynomial with coefficients `modulus` mod q, low to
+    high, is monic of degree n >= 1 and irreducible over GF(q); ValueError
+    unless q is prime.
+
+    Ben-Or's test (Ben-Or, FOCS 1981; Gao and Panario 1997): x^(q^j) - x
+    is the product of the monic irreducibles of degree dividing j, so f is
+    irreducible exactly when gcd(x^(q^j) - x, f) = 1 for j = 1..n/2.  It
+    returns at the first j that fails, so most reducible f cost a power or
+    two of x.  Powers are square and multiply on `_prem`, gcds `_euclid`.
+    """
+    lane = _poly_lane(q, len(modulus))
+    f = sum(c % q << lane * i for i, c in enumerate(modulus))
+    n = (f.bit_length() - 1) // lane
+    if n < 1 or f >> n * lane != 1:
+        return False
+    h = 1 << lane  # x
+    for _ in range(n // 2):
+        p = h
+        for bit in bin(q)[3:]:  # h = p^q, left to right
+            h = _prem(h * h, f, q, lane)
+            if bit == "1":
+                h = _prem(h * p, f, q, lane)
+        if _euclid(_mod_lanes(h + (q - 1 << lane), q, lane), f, q, lane)[0] >> lane:
+            return False
+    return True
 
 
 class LinearMap:
@@ -412,10 +391,12 @@ class FieldTower:
     each g times the one before by whole-int shifts and adds on the lanes
     of `_lane_bits`, each sum taken mod q by `_mod_lanes` (`_build_tables`).
     Larger fields are table-less: odd-q `add` goes digit by digit, `mul`
-    is polynomial multiplication for odd q and for q = 2 a comb over 4-bit
-    windows whose high half is reduced through `_reduce`, byte tables of
-    x^(n+j) mod the modulus built with every q = 2 tower, `inv` is
-    extended Euclid (on ints for q = 2), and `frobenius(x, i)` is the
+    for odd q is one int product of the operands' lanes reduced by `_prem`
+    (`_poly_lane` lanes, the modulus on them in `_mod_poly`), and for q = 2
+    a comb over 4-bit windows whose high half is reduced through
+    `_reduce`, byte tables of x^(n+j) mod the modulus built with every
+    q = 2 tower, `inv` is extended Euclid (binary on ints for q = 2,
+    `_euclid` on lanes for odd q), and `frobenius(x, i)` is the
     `LinearMap` x -> x^(q^i).  Those maps are the one lazily filled state:
     the map for power i is built on its first use and kept, at most n-1
     maps of ceil(n/k) tables of at most 256 entries.  Each map is built
@@ -432,11 +413,12 @@ class FieldTower:
 
     `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
-    {0, 1}); table-backed `pow` counts one and table-less `pow` one per
-    `mul`.  It depends only on the calls made: building tables never
-    touches it.  Table-less `mul`, `inv` and `frobenius` raise ValueError
-    on an operand outside [0, q^n); `axpy` checks nothing, so the library
-    checks words with `check_elements` where they come in.
+    {0, 1}); table-backed `pow` counts one and table-less `pow` the
+    products of its square and multiply, e.bit_length() + popcount(e).
+    It depends only on the calls made: building tables never touches it.
+    Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
+    outside [0, q^n); `axpy` checks nothing, so the library checks words
+    with `check_elements` where they come in.
     """
 
     def __init__(self, q: int, n: int, modulus=None):
@@ -459,6 +441,8 @@ class FieldTower:
             raise ValueError("modulus is reducible over GF(q)")
         self.modulus = modulus
         self._mod_int = self.from_digits(modulus)
+        self._lane = lane = _poly_lane(q, n)  # and the modulus on its lanes:
+        self._mod_poly = sum(c << lane * i for i, c in enumerate(modulus))
         self.mul_count = 0
 
         self._exp = None
@@ -467,8 +451,9 @@ class FieldTower:
         self.basis = tuple(q**i for i in range(n))
         if q == 2:  # the comb's reduction tables: images of x^(n+j) mod the modulus
             self._nibbles = range(4 * ((n - 1) // 4), -1, -4)
-            self._reduce = LinearMap(2, n, [self.from_digits(_pmod(
-                (0,) * (n + j) + (1,), modulus, 2)) for j in range(n - 1)]).tables
+            self._reduce = LinearMap(2, n, [_from_lanes(_prem(
+                1 << (n + j) * lane, self._mod_poly, 2, lane), 2, lane, n, self.basis)[0]
+                for j in range(n - 1)]).tables
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         self._frob = {}  # power i -> its LinearMap's bound image, table-less only
@@ -535,15 +520,20 @@ class FieldTower:
         return self.add(a, self.neg(b))
 
     def _mul_raw(self, a: int, b: int) -> int:
-        """Product with modular reduction, no log tables and no count."""
+        """The product with no count and no operand check: through the log
+        tables once built, else the comb for q = 2 and otherwise one int
+        product of lanes reduced by `_prem`."""
         if a == 0 or b == 0:
             return 0
+        if self._exp is not None:
+            return self._exp[self._log[a] + self._log[b]]
         if self.q == 2:
             return self._comb(_comb_window(b), a)
         if a < self.q or b < self.q:  # odd q: a GF(q) scalar scales digit-wise
             return self.from_digits([min(a, b) * d for d in self.digits(max(a, b))])
-        prod = _pmul(self.digits(a), self.digits(b), self.q)
-        return self.from_digits(_pmod(prod, self.modulus, self.q) + (0,) * self.n)
+        q, n, lane = self.q, self.n, self._lane
+        x, y = _to_lanes((a, b), q, lane, n)
+        return _from_lanes(_prem(x * y, self._mod_poly, q, lane), q, lane, n, self.basis)[0]
 
     def _pow_raw(self, a: int, e: int) -> int:
         """a**e for e >= 0 by square and multiply on `_mul_raw`, no count."""
@@ -601,16 +591,9 @@ class FieldTower:
                 u ^= v << j
                 g1 ^= g2 << j
             return g1
-        # extended Euclid on polynomials: maintain s with s*a = r (mod modulus)
-        q = self.q
-        r0, r1 = self.modulus, _ptrim(self.digits(a))
-        s0, s1 = (), (1,)
-        while r1:
-            quo, rem = _pdivmod(r0, r1, q)
-            r0, r1 = r1, rem
-            s0, s1 = s1, _psub(s0, _pmul(quo, s1, q), q)
-        c_inv = pow(r0[0], q - 2, q)
-        return self.from_digits(tuple(x * c_inv % q for x in s0) + (0,) * self.n)
+        q, n, lane = self.q, self.n, self._lane  # g = s a is a constant: a^-1 = s / g
+        g, s = _euclid(_to_lanes([a], q, lane, n)[0], self._mod_poly, q, lane)
+        return _from_lanes(s * pow(g, q - 2, q), q, lane, n, self.basis)[0]
 
     def pow(self, a: int, e: int) -> int:
         if e < 0:
@@ -622,13 +605,10 @@ class FieldTower:
         if self._exp is not None:
             self.mul_count += 1
             return self._exp[(self._log[a] * e) % (self.order - 1)]
-        r = 1
-        while e:
-            if e & 1:
-                r = self.mul(r, a)
-            a = self.mul(a, a)
-            e >>= 1
-        return r
+        if not 0 < a < self.order:
+            raise self._outside(a)
+        self.mul_count += e.bit_length() + e.bit_count()  # the products of _pow_raw
+        return self._pow_raw(a, e)
 
     def frobenius(self, x: int, i: int) -> int:
         """x raised to q^[i], with [i] read modulo n (so [-1] means q^(n-1))."""
@@ -724,7 +704,7 @@ class FieldTower:
         """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
         For q = 2 each step is one shift of the whole packed row and one
         reduction of the bits that overflowed their entry; for odd q each
-        entry steps by `_times_alpha`."""
+        entry steps by `_mul_raw` with alpha = q (n >= 2 here)."""
         n, offsets = self.n, [self.order**l for l in range(len(row))]
         if self.q == 2:
             word = sum(map(operator.mul, row, offsets))
@@ -740,18 +720,9 @@ class FieldTower:
         out = []
         for j in range(n):
             if j:
-                row = [self._times_alpha(x) for x in row]
+                row = [self._mul_raw(x, self.q) for x in row]
             out.append(sum(map(operator.mul, row, offsets)))
         return out
-
-    def _times_alpha(self, x: int) -> int:
-        """alpha * x for odd q, n >= 2, uncounted: one log step when
-        table-backed, otherwise the digits shifted up one place and the top
-        one folded back through alpha^n = -(m_0 + ... + m_(n-1) alpha^(n-1))."""
-        if self._exp is not None:
-            return self._exp[self._log[x] + self._log[self.q]] if x else 0
-        top, rest = divmod(x, self.order // self.q)
-        return self.add(rest * self.q, self.from_digits([-top * m for m in self.modulus[:-1]]))
 
     # -- discrete-log tables --------------------------------------------------
 
@@ -776,15 +747,15 @@ class FieldTower:
             """c times each of the `count` elements packed in x: Horner over
             the digits of c, where an alpha-step shifts the whole int a lane
             and adds the top digits it pushed out back in times -modulus."""
-            digits = _ptrim(int_digits(c, q, n))
             tops = int.from_bytes(lane0 * count, "little") << n * lane
-            acc = x if digits[-1] == 1 else _mod_lanes(x, q, lane, digits[-1])
-            for d in reversed(digits[:-1]):
-                acc <<= lane
-                over = acc & tops
-                acc = add(acc ^ over, (over >> n * lane) * neg)
-                if d:
-                    acc = add(acc, x * d)
+            acc = 0
+            for d in reversed(int_digits(c, q, n)):
+                if acc:  # no alpha-steps before the top nonzero digit
+                    acc <<= lane
+                    over = acc & tops
+                    acc = add(acc ^ over, (over >> n * lane) * neg)
+                if d:  # x itself for a top digit of 1
+                    acc = add(acc, x * d) if acc or d > 1 else x
             return acc
 
         # g^0..g^(size-1) as `cols` columns of `rows` slots, column j holding

@@ -21,13 +21,15 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
     """`rows` uniform q-ary rows of the given width, packed.  For q = 2
     each row is one getrandbits(width); otherwise entries are drawn with
     randrange(q) in row-major order, entry j becoming digit j.  With
-    full_rank the draw is repeated until the rank is min(rows, width)."""
+    full_rank the draw is repeated until the rank is min(rows, width).
+    ValueError unless q is prime."""
     if rows < 0 or width < 0:
         raise ValueError(f"negative shape {rows} x {width}")
     while True:
         if q == 2:
             out = [rng.getrandbits(width) for _ in range(rows)]
         else:
+            _lane_bits(q, q * (q - 1))  # kernel_rows' cached check: ValueError unless q is prime
             powers = [q**j for j in range(width)]
             out = [sum([rng.randrange(q) * p for p in powers])
                    for _ in range(rows)]
@@ -167,8 +169,6 @@ def _free_basis(rows, pivots, ncols, neg):
 
 
 def _rref_ext(tower: FieldTower, rows):
-    if not rows:
-        return []
     ncols = len(rows[0])
     pivots = []
     r = 0

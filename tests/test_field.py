@@ -46,6 +46,12 @@ def test_non_prime_base_rejected():
         FieldTower(4, 2)
 
 
+@pytest.mark.parametrize("n", [0, 65])
+def test_degree_outside_range_rejected(n):
+    with pytest.raises(ValueError, match="outside supported range"):
+        FieldTower(2, n)
+
+
 @pytest.mark.parametrize("modulus", [
     (1.7, 1, 0, 0, 1),  # int() would truncate this to a valid modulus
     5,
@@ -245,6 +251,15 @@ def test_is_irreducible_matches_trial_division(q, n):
         assert is_irreducible(f, q) == ref.is_irreducible(f, q), f
 
 
+# coefficients are read mod q, (1, 1, 3) as x + 1; degree below 1 or not
+# monic: False
+@pytest.mark.parametrize("f, q, expected", [
+    ((), 2, False), ((1,), 2, False), ((1, 1, 0), 2, True), ((2, 2), 3, False),
+    ((4, 1), 3, True), ((1, 1, 3), 3, True)])
+def test_is_irreducible_edge_inputs(f, q, expected):
+    assert is_irreducible(f, q) is expected
+
+
 # the moduli find_irreducible returned before it stopped at the first
 # failing power (Ben-Or's test decides the same predicate)
 PINNED_MODULI = {
@@ -270,6 +285,13 @@ def test_find_irreducible_is_bounded_at_31_24():
     with bounded(10):
         tower = FieldTower(31, 24)
     assert tower.modulus == PINNED_MODULI[31, 24]
+
+
+def test_find_irreducible_is_bounded_at_31_64():
+    # 974 candidates, each power of x a product on 32-bit lanes
+    with bounded(10):
+        tower = FieldTower(31, 64)
+    assert tower.modulus == (12, 0, 1) + (0,) * 61 + (1,)
 
 
 def test_generator_order_test_is_bounded():

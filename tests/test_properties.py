@@ -1,7 +1,8 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
 q = 13 for the log tables under random moduli and the subfields, up to
-q = 257 for the Gabidulin codec, and up to q = 2^32 + 15 for the GF(q)
-elimination and the linear maps, whose lanes then pass 64 bits."""
+q = 257 for the Gabidulin codec, up to q = 65521 for table-less products
+and inverses, and up to q = 2^32 + 15 for the GF(q) elimination and the
+linear maps, whose lanes then pass 64 bits."""
 
 import itertools
 import random
@@ -171,6 +172,9 @@ def test_random_rows_full_rank(q, rows, width, rng):
 # lazily built linear-map tables, plus two table-backed ones for mul_count
 TABLELESS_SHAPES = [(2, 17), (2, 20), (2, 33), (2, 64), (3, 11), (5, 7)]
 COUNT_SHAPES = TABLELESS_SHAPES + [(2, 12), (3, 9)]
+# table-less towers whose GF(q)[x] lanes are 16, 32 and 64 bits; out of the
+# Frobenius reference, which multiplies q times per power
+WIDE_LANE_SHAPES = [(17, 4), (257, 2), (65521, 2)]
 
 
 @st.composite
@@ -192,7 +196,7 @@ def _raw_power(tower, x, i):
 
 
 @settings(max_examples=200, deadline=None)
-@given(frobenius_cases())
+@given(frobenius_cases(TABLELESS_SHAPES + WIDE_LANE_SHAPES))
 def test_tableless_inverse(case):
     tower, x, _ = case
     a = x or 1
@@ -238,7 +242,7 @@ def _dense_tower():
 def axpy_cases(draw):
     """A table-less tower (or a table-backed one for q in {2, 3, 5}), a
     multiplier and two rows, sparse so zero entries and c = 0 occur."""
-    shape = draw(st.sampled_from(COUNT_SHAPES + [(5, 3), "dense"]))
+    shape = draw(st.sampled_from(COUNT_SHAPES + WIDE_LANE_SHAPES + [(5, 3), "dense"]))
     tower = _dense_tower() if shape == "dense" else _tower(*shape)
     element = st.integers(0, tower.order - 1)
     sparse = st.one_of(st.just(0), st.just(1), st.just(tower.order - 1), element)

@@ -5,8 +5,8 @@ import pytest
 from conftest import bounded
 
 from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
-                       ext_solve, random_error, random_rows, rank_leq_probability,
-                       rank_of_vector, rank_q, rank_rows)
+                       ext_solve, find_irreducible, is_irreducible, random_error,
+                       random_rows, rank_leq_probability, rank_of_vector, rank_q, rank_rows)
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -269,6 +269,8 @@ NOT_PRIME_CALLS = {
     "rank_rows--3": lambda: rank_rows([1], -3),
     "kernel_rows-4": lambda: kernel_rows([], 4),
     "random_rows-1": lambda: random_rows(1, 2, 2, random.Random(0), full_rank=True),
+    "random_rows-4-any-rank": lambda: random_rows(4, 2, 3, random.Random(1)),
+    "random_rows-1-any-rank": lambda: random_rows(1, 2, 3, random.Random(1)),
 }
 
 
@@ -277,3 +279,21 @@ def test_gfq_elimination_needs_a_prime(name):
     # before: composite q and q = 1 never returned, q = 0 divided by zero
     with bounded(5), pytest.raises(ValueError, match="not a prime"):
         NOT_PRIME_CALLS[name]()
+
+
+NOT_PRIME_POLYNOMIAL_CALLS = {
+    "is_irreducible-6": lambda: is_irreducible((1, 1, 1), 6),
+    "is_irreducible-4": lambda: is_irreducible((1, 1, 1), 4),
+    "is_irreducible-1": lambda: is_irreducible((1, 1), 1),
+    "is_irreducible-0": lambda: is_irreducible((1, 1, 1), 0),
+    "find_irreducible-4": lambda: find_irreducible(4, 2),
+    "find_irreducible-1": lambda: find_irreducible(1, 2),
+}
+
+
+@pytest.mark.parametrize("name", NOT_PRIME_POLYNOMIAL_CALLS)
+def test_irreducibility_needs_a_prime(name):
+    # before: q = 6 and find_irreducible(4, 2) never returned, q = 4 and
+    # q = 1 answered, q = 0 divided by zero
+    with bounded(5), pytest.raises(ValueError, match="not a prime"):
+        NOT_PRIME_POLYNOMIAL_CALLS[name]()
