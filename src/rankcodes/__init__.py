@@ -13,9 +13,9 @@ from .linpoly import LinearizedPoly
 from .qlinalg import (CoordinateSolver, count_rank_matrices, ext_nullspace,
                       ext_solve, random_error, random_rows, rank_of_vector,
                       rank_q, rank_rows)
-from .subfield import (SubfieldEmbedding, SubfieldFactorization, annihilates,
-                       block_diagonal, compute_factorization,
-                       subfield_success_probability, verify_uniqueness)
+from .subfield import (SubfieldEmbedding, SubfieldFactorization, block_diagonal,
+                       compute_factorization, subfield_success_probability,
+                       verify_uniqueness)
 from .subspace import SubspaceBasis, SubspaceSubcode, TrivialSubcodeError
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "SubspaceBasis",
     "SubspaceSubcode",
     "TrivialSubcodeError",
-    "annihilates",
     "block_diagonal",
     "compute_factorization",
     "count_rank_matrices",

@@ -15,30 +15,23 @@ import operator
 import struct
 from functools import cache
 
-# Fixed table of default moduli, coefficients low-to-high, all monic.
-# The q=2 entries are the classic primitive trinomials/pentanomials; the
-# odd-q entries follow the usual Conway choices.  Every entry is re-checked
-# for irreducibility at construction time.
+# Default moduli that `find_irreducible` would not pick, coefficients
+# low-to-high, all monic: the classic q=2 primitive trinomials and
+# pentanomials and the usual odd-q Conway choices.  Every other shape takes
+# the search's modulus.  Each entry is re-checked for irreducibility at
+# construction time.
 _DEFAULT_MODULI = {
     (2, 1): (1, 1),
-    (2, 2): (1, 1, 1),
-    (2, 3): (1, 1, 0, 1),
-    (2, 4): (1, 1, 0, 0, 1),
-    (2, 5): (1, 0, 1, 0, 0, 1),
     (2, 6): (1, 1, 0, 1, 1, 0, 1),
-    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
     (2, 8): (1, 0, 1, 1, 1, 0, 0, 0, 1),
     (2, 9): (1, 0, 0, 0, 1, 0, 0, 0, 0, 1),
     (2, 10): (1, 1, 1, 1, 0, 1, 1, 0, 0, 0, 1),
-    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (2, 12): (1, 1, 0, 1, 0, 1, 1, 1, 0, 0, 0, 0, 1),
-    (2, 13): (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (2, 14): (1, 0, 0, 1, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1),
     (2, 15): (1, 0, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (2, 16): (1, 0, 1, 1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 1),
     (3, 1): (1, 1),
     (3, 2): (2, 2, 1),
-    (3, 3): (1, 2, 0, 1),
     (3, 4): (2, 0, 0, 2, 1),
     (5, 2): (2, 4, 1),
     (5, 3): (3, 3, 0, 1),

@@ -10,15 +10,10 @@ through the error-span polynomial.
 from __future__ import annotations
 
 import functools
-import itertools
 
 from .field import FieldTower
 from .linpoly import LinearizedPoly
 from .qlinalg import CoordinateSolver, ext_nullspace, ext_solve, rank_of_vector
-
-# most elements or codewords an exhaustive enumeration may produce
-ENUM_GUARD = 1 << 20
-
 
 class DecodingFailure(Exception):
     """No codeword within the guaranteed decoding radius.  `stage` names
@@ -157,9 +152,13 @@ class GabidulinCode:
     def decode(self, received):
         """Return (codeword, error) with rank(error) <= capability.
 
-        Raises DecodingFailure, whose `stage` names the step that gave up,
-        when no codeword lies within the decoding radius; never returns a
-        word with nonzero syndromes.
+        The key equation gives the error-span polynomial, its root space the
+        error values, and a square f x f solve (f the error rank) their
+        locators.  Raises DecodingFailure when no codeword lies within the
+        decoding radius; its `stage` names the step that gave up:
+        "key-equation", "root-space", "locator" (a locator outside the span
+        of h) or "residual", the one consistency test, which rejects a
+        corrected word with nonzero syndromes.
         """
         y = tuple(received)
         synd = self.syndromes(y)
@@ -181,13 +180,17 @@ class GabidulinCode:
         if len(values) != sigma.q_degree:
             raise DecodingFailure("root-space",
                                   f"{len(values)} roots for q-degree {sigma.q_degree}")
-        # Solve sum_j values_j^[-l] x_j = synd_l^[-l]; x_j is the h-expansion
-        # of the error locator combination for value j.
-        sol = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(r)],
-                        [t.frobenius(synd[l], -l) for l in range(r)])
-        if sol is None:
-            raise DecodingFailure("locator", "locator system is inconsistent")
-        locators = [self._h_solver.solve(xj) for xj in sol[0]]
+        # Solve sum_j values_j^[-l] x_j = synd_l^[-l] on rows l = 0..f-1; x_j
+        # is the h-expansion of the error locator combination for value j.
+        # Those rows are the inverse-Frobenius Moore matrix of the f
+        # GF(q)-independent values, so the block is invertible and always
+        # solves.  The error then has syndromes sum_j values_j x_j^[l], so
+        # rows f..d-2 hold exactly when the corrected word's syndromes are
+        # zero: the residual check is the one consistency test.
+        f = len(values)
+        x, _ = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(f)],
+                         [t.frobenius(synd[l], -l) for l in range(f)])
+        locators = [self._h_solver.solve(xj) for xj in x]
         if None in locators:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))
@@ -195,20 +198,6 @@ class GabidulinCode:
         if any(self._syndromes(codeword)):
             raise DecodingFailure("residual", "corrected word has nonzero syndromes")
         return codeword, error
-
-    # -- exhaustive oracles (tiny codes only) --------------------------------
-
-    def messages(self):
-        if self._encoder is None:
-            raise ValueError("enumeration needs a generator vector")
-        if self.tower.order**self.k > ENUM_GUARD:
-            raise ValueError("code is too large to enumerate")
-        return itertools.product(range(self.tower.order), repeat=self.k)
-
-    def codewords(self):
-        """All codewords, by brute-force encoding (guarded)."""
-        for message in self.messages():
-            yield self.encode(message)
 
     def __repr__(self):
         return (f"GabidulinCode(q={self.tower.q}, n={self.tower.n}, "

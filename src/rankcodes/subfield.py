@@ -194,10 +194,6 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     return True, None
 
 
-def annihilates(tower: FieldTower, parity_rows, word) -> bool:
-    return not any(tower.dot(row, word) for row in parity_rows)
-
-
 def subfield_success_probability(code: GabidulinCode, s: int, t: int,
                                  form: str = "exact"):
     """Probability of decoding t errors in the subfield subcode: the

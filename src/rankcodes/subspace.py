@@ -8,8 +8,8 @@ rank-preserving coordinate transfer; en/decoding run through the parent.
 
 from __future__ import annotations
 
-from .field import FieldTower, int_digits
-from .gabidulin import ENUM_GUARD, DecodingFailure, GabidulinCode, dual_vector
+from .field import FieldTower
+from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import CoordinateSolver, rank_of_vector
 
 
@@ -51,14 +51,6 @@ class SubspaceBasis:
         """Vector basis * U for an m x L coefficient matrix U."""
         return tuple(self.tower.contract(col, self.elements)
                      for col in zip(*u_matrix))
-
-    def span(self):
-        """All q^m subspace elements (tiny subspaces only)."""
-        q = self.tower.q
-        if q**self.m > ENUM_GUARD:
-            raise ValueError("subspace too large to enumerate")
-        return [self.element(int_digits(idx, q, self.m))
-                for idx in range(q**self.m)]
 
     def __repr__(self):
         return f"SubspaceBasis(m={self.m}, elements={self.elements})"
@@ -147,17 +139,6 @@ class SubspaceSubcode:
         folded = self.to_parent(received)
         pc, pe = self.parent.decode(folded)
         return self.from_parent(pc), self.from_parent(pe)
-
-    # -- enumeration ------------------------------------------------------------
-
-    def codewords(self):
-        """All subcode words, constructively: encode every parent message
-        and transfer (guarded by the subcode cardinality)."""
-        if self.is_trivial:
-            return [(0,) * self.code.length]
-        if self.cardinality > ENUM_GUARD:
-            raise ValueError("subcode is too large to enumerate")
-        return [self.encode(msg) for msg in self.parent.messages()]
 
     def __repr__(self):
         return f"SubspaceSubcode(m={self.basis.m}, code={self.code!r})"

@@ -9,15 +9,22 @@ rankcodes.directsum.
 Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
-section, oracles built on the library's tower and `LinearizedPoly`: the
-rank of a matrix over GF(q^n), a subfield listed element by element, the
-minimum rank distance of a code and the words of a subspace subcode, both
-by enumerating the code, the parity rows that define a subcode's parent,
-the expansion of a parity vector over a subfield, and the minimal
-subspace polynomial, a check on the decoder's root spaces.
+section, oracles built on the library's tower, codes and `LinearizedPoly`:
+the rank of a matrix over GF(q^n), a subfield listed element by element,
+the guarded enumerations of a code's messages and words, of a subspace
+and of a subspace subcode, the minimum rank distance of a code and the
+words of a subspace subcode, both by enumerating the code, the parity rows
+that define a subcode's parent, the expansion of a parity vector over a
+subfield, membership in a kernel of parity rows, the minimal subspace
+polynomial, a check on the decoder's root spaces, and the Gabidulin
+decoder that solves every row of its locator system.
 """
 
-from rankcodes import LinearizedPoly as _LibraryLinearizedPoly, rank_of_vector
+import itertools
+
+from rankcodes import (DecodingFailure, LinearizedPoly as _LibraryLinearizedPoly,
+                       ext_nullspace, ext_solve, rank_of_vector)
+from rankcodes.field import int_digits
 
 
 def rref(rows, q):
@@ -271,9 +278,45 @@ def fixed_field(tower, s):
     return [x for x in range(tower.order) if tower.pow(x, tower.q**s) == x]
 
 
+# most elements or codewords an exhaustive enumeration may produce
+ENUM_GUARD = 1 << 20
+
+
+def messages(code):
+    """Every message of a code with a generator vector (guarded)."""
+    if code.g is None:
+        raise ValueError("enumeration needs a generator vector")
+    if code.tower.order**code.k > ENUM_GUARD:
+        raise ValueError("code is too large to enumerate")
+    return itertools.product(range(code.tower.order), repeat=code.k)
+
+
+def codewords(code):
+    """All codewords, by brute-force encoding (guarded)."""
+    return (code.encode(m) for m in messages(code))
+
+
+def span(basis):
+    """All q^m elements of a `SubspaceBasis` (guarded)."""
+    q = basis.tower.q
+    if q**basis.m > ENUM_GUARD:
+        raise ValueError("subspace too large to enumerate")
+    return [basis.element(int_digits(idx, q, basis.m)) for idx in range(q**basis.m)]
+
+
+def subcode_encodings(sub):
+    """All subcode words, constructively: encode every parent message and
+    transfer (guarded by the subcode cardinality)."""
+    if sub.is_trivial:
+        return [(0,) * sub.code.length]
+    if sub.cardinality > ENUM_GUARD:
+        raise ValueError("subcode is too large to enumerate")
+    return [sub.encode(m) for m in messages(sub.parent)]
+
+
 def min_rank_distance(code):
     """Minimum nonzero rank over a whole code, by enumeration."""
-    return min(rank_of_vector(code.tower, c) for c in code.codewords() if any(c))
+    return min(rank_of_vector(code.tower, c) for c in codewords(code) if any(c))
 
 
 def parent_parity_rows(sub):
@@ -286,7 +329,7 @@ def parent_parity_rows(sub):
 def subcode_codewords(sub):
     """The words of a subspace subcode by filtering every ambient codeword
     for componentwise membership in V (guarded by the ambient code size)."""
-    return [c for c in sub.code.codewords() if all(sub.basis.contains(x) for x in c)]
+    return [c for c in codewords(sub.code) if all(sub.basis.contains(x) for x in c)]
 
 
 def expand_parity(code, emb):
@@ -294,6 +337,41 @@ def expand_parity(code, emb):
     of h_j over the extension basis; contracting a column restores h_j."""
     cols = [emb.ext_coords(x) for x in code.h]
     return [[cols[j][r] for j in range(code.length)] for r in range(emb.blocks)]
+
+
+def annihilates(tower, parity_rows, word):
+    """Whether every parity row is orthogonal to the word."""
+    return not any(tower.dot(row, word) for row in parity_rows)
+
+
+def decode_full_locator(code, received):
+    """`GabidulinCode.decode` with the locator system solved on all d - 1
+    rows and no residual check: the syndromes, the key equation and the
+    root space as in the library, then the r x f system sum_j
+    values_j^[-l] x_j = synd_l^[-l] for l = 0..d-2, which is inconsistent
+    ("locator" stage) whenever the word is beyond the decoding radius."""
+    y = tuple(received)
+    synd = code.syndromes(y)
+    if not any(synd):
+        return y, (0,) * code.length
+    t, cap, r = code.tower, code.capability, code.d - 1
+    kernel = ext_nullspace(t, [[t.frobenius(synd[l - p], p) for p in range(cap + 1)]
+                               for l in range(cap, r)])
+    if not kernel or not any(kernel[0][1:]):
+        raise DecodingFailure("key-equation", f"no error of rank <= {cap} fits the syndromes")
+    sigma = LinearizedPoly(t, kernel[0])
+    values = sigma.root_space_basis()
+    if len(values) != sigma.q_degree:
+        raise DecodingFailure("root-space", f"{len(values)} roots for q-degree {sigma.q_degree}")
+    sol = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(r)],
+                    [t.frobenius(synd[l], -l) for l in range(r)])
+    if sol is None:
+        raise DecodingFailure("locator", "locator system is inconsistent")
+    locators = [code.parity_coordinates(xj) for xj in sol[0]]
+    if None in locators:
+        raise DecodingFailure("locator", "error locator outside the span of h")
+    error = tuple(t.contract(col, values) for col in zip(*locators))
+    return tuple(t.sub(yi, ei) for yi, ei in zip(y, error)), error
 
 
 class LinearizedPoly(_LibraryLinearizedPoly):

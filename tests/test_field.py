@@ -19,6 +19,22 @@ def test_default_moduli_are_irreducible():
         assert is_irreducible(modulus, q), (q, n)
 
 
+@pytest.mark.parametrize("q, n, modulus", [
+    (2, 2, (1, 1, 1)),
+    (2, 3, (1, 1, 0, 1)),
+    (2, 4, (1, 1, 0, 0, 1)),
+    (2, 5, (1, 0, 1, 0, 0, 1)),
+    (2, 7, (1, 1, 0, 0, 0, 0, 0, 1)),
+    (2, 11, (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (2, 13, (1, 1, 0, 1, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1)),
+    (3, 3, (1, 2, 0, 1)),
+])
+def test_searched_default_moduli_are_pinned(q, n, modulus):
+    # these shapes have no fixed default: the search picks this modulus
+    assert (q, n) not in _DEFAULT_MODULI
+    assert FieldTower(q, n).modulus == modulus
+
+
 def test_reducible_modulus_rejected():
     # x^4 + 1 = (x + 1)^4 over GF(2)
     with pytest.raises(ValueError, match="reducible"):

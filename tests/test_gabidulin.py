@@ -7,6 +7,7 @@ from rankcodes import (DecodingFailure, FieldTower, GabidulinCode,
                        default_generator, dual_vector, ext_nullspace,
                        moore_matrix, random_error, rank_of_vector)
 
+import gfq_reference as ref
 from gfq_reference import ext_rank, min_rank_distance
 
 
@@ -92,7 +93,7 @@ def test_decode_only_code_refuses_encoding(gf16):
     with pytest.raises(ValueError, match="generator"):
         code.encode((1, 2))
     with pytest.raises(ValueError, match="generator"):
-        list(code.codewords())
+        list(ref.codewords(code))
 
 
 def test_encode_unit_vector_gives_generator_row(tiny_code):
@@ -180,7 +181,7 @@ def test_exhaustive_min_distance(gf16, k, expected):
 def test_enumeration_guard(gf4096):
     code = GabidulinCode(gf4096, 8, g=default_generator(gf4096))
     with pytest.raises(ValueError, match="enumerate"):
-        list(code.codewords())
+        list(ref.codewords(code))
 
 
 def _code(q, n, length, k):
@@ -208,12 +209,28 @@ def test_decode_failure_names_its_stage():
     assert stages <= {"key-equation", "root-space", "locator", "residual"}
 
 
+@pytest.mark.parametrize("word, failure", [
+    ((47, 134, 102, 167, 91, 57), "locator: error locator outside the span of h"),
+    ((94, 12, 182, 107, 157, 220), "residual: corrected word has nonzero syndromes"),
+])
+def test_inconsistent_locator_system_fails_at_span_or_residual(word, failure):
+    # uniform words on [6,2,5] over GF(2^8) whose full (d-1)-row locator
+    # system is inconsistent; decode solves only the f x f block, and the
+    # span of h or the residual check rejects what that block returns
+    code = _code(2, 8, 6, 2)
+    with pytest.raises(DecodingFailure, match="locator system is inconsistent"):
+        ref.decode_full_locator(code, word)
+    with pytest.raises(DecodingFailure) as info:
+        code.decode(word)
+    assert str(info.value) == failure
+
+
 @pytest.mark.parametrize("shape", [(2, 4, 4, 2), (2, 5, 5, 1), (3, 3, 3, 1)])
 def test_decode_matches_exhaustive_nearest_codeword(shape):
     # [4,2,3] over GF(2^4), [5,1,5] over GF(2^5), [3,1,3] over GF(3^3)
     code = _code(*shape)
     tower, length, rng = code.tower, code.length, random.Random(49)
-    codewords = list(code.codewords())
+    codewords = list(ref.codewords(code))
     words = [tuple(tower.random_element(rng) for _ in range(length)) for _ in range(40)]
     for t in range(length + 1):
         for _ in range(8):

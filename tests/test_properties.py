@@ -463,6 +463,56 @@ def test_decode_roundtrip_and_beyond_capability(case):
     assert rank_of_vector(tower, got_e) <= code.capability
 
 
+# (q, n, L, k): for each q a table-backed and a table-less tower, each with
+# a code of L < n and one of L = n
+EQUIVALENCE_SHAPES = [(2, 8, 6, 2), (2, 8, 8, 4), (2, 17, 11, 5), (2, 17, 17, 9),
+                      (3, 5, 4, 2), (3, 5, 5, 1), (3, 11, 7, 3), (3, 11, 11, 7),
+                      (5, 4, 3, 1), (5, 4, 4, 2), (5, 7, 5, 1), (5, 7, 7, 3)]
+# what the full locator system's inconsistency becomes on the square block
+INCONSISTENT_LOCATOR = "locator: locator system is inconsistent"
+SQUARE_BLOCK_FAILURES = ("locator: error locator outside the span of h",
+                         "residual: corrected word has nonzero syndromes")
+
+
+@st.composite
+def equivalence_cases(draw):
+    code = _code(*draw(st.sampled_from(EQUIVALENCE_SHAPES)))
+    tower = code.tower
+    rng = draw(st.randoms(use_true_random=False))
+    if draw(st.booleans()):
+        return code, tuple(tower.random_element(rng) for _ in range(code.length))
+    c = code.encode([tower.random_element(rng) for _ in range(code.k)])
+    rank = draw(st.integers(0, min(code.capability + 2, code.length)))
+    e = random_error(tower, code.length, rank, rng)
+    return code, tuple(tower.add(a, b) for a, b in zip(c, e))
+
+
+def _outcome(decode, word):
+    try:
+        return decode(word)
+    except DecodingFailure as exc:
+        return str(exc)
+
+
+@settings(max_examples=300, deadline=None)
+@given(equivalence_cases())
+def test_decode_equals_full_locator_reference(case):
+    # the f x f locator block returns every word the full (d - 1)-row system
+    # returns, and fails at the same stage, except that an inconsistent
+    # full system fails at the span of h or at the residual check
+    code, y = case
+    got = _outcome(code.decode, y)
+    want = _outcome(lambda w: ref.decode_full_locator(code, w), y)
+    if want == INCONSISTENT_LOCATOR:
+        assert got in SQUARE_BLOCK_FAILURES
+    else:
+        assert got == want
+    tower = code.tower
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}, "
+          f"{'L = n' if code.length == tower.n else 'L < n'}, "
+          f"{got.split(':')[0] if isinstance(got, str) else 'decoded'}")
+
+
 # table-backed odd-q towers: add, neg and sub through the Zech logarithms
 ZECH_SHAPES = [(3, 2), (3, 9), (5, 4), (7, 2), (5, 1)]
 
