@@ -15,6 +15,7 @@ from .field import FieldTower
 from .linpoly import LinearizedPoly
 from .qlinalg import CoordinateSolver, ext_nullspace, ext_solve, rank_of_vector
 
+
 class DecodingFailure(Exception):
     """No codeword within the guaranteed decoding radius.  `stage` names
     the step that gave up, and the message starts with it."""
