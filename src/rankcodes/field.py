@@ -396,22 +396,29 @@ class FieldTower:
     whole and then published by one dict assignment, so a tower can still
     be shared across threads; a race only builds a map twice.
 
-    `axpy(ys, c, xs)` is the row primitive [y + c x]: table-backed towers
-    add log c once per row, table-less q = 2 builds c's comb window once
-    per row, and table-less odd q multiplies entry by entry.
+    `axpy(ys, c, xs)` is the row primitive [y + c x] of the GF(q^n)
+    elimination: table-backed towers add log c once per row, table-less
+    q = 2 builds c's comb window once per row, and table-less odd q
+    multiplies entry by entry.
+
+    `linearized_images(coeffs)` gives the basis images of a linearized
+    polynomial, the matrix of its root space, with no field product:
+    table-backed by log steps, table-less by alpha-steps of c^[-p] mapped
+    through the Frobenius map for p.
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as a `LinearMap`, applied with no field product: the encoder and
     the syndrome map of a Gabidulin code.
 
-    `mul_count` counts one per `mul`, one per `axpy` entry, one per `inv`,
+    `mul_count` counts one per `mul`, one per `axpy` entry, n per nonzero
+    coefficient of `linearized_images` (one per image), one per `inv`,
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
     {0, 1}); table-backed `pow` counts one and table-less `pow` the
     products of its square and multiply, e.bit_length() + popcount(e).
     It depends only on the calls made: building tables never touches it.
     Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
-    outside [0, q^n); `axpy` checks nothing, so the library checks words
-    with `check_elements` where they come in.
+    outside [0, q^n); `axpy` and `linearized_images` check nothing, so the
+    library checks words with `check_elements` where they come in.
     """
 
     def __init__(self, q: int, n: int, modulus=None):
@@ -614,6 +621,46 @@ class FieldTower:
         if not 0 <= x < self.order:
             raise self._outside(x)
         return (self._frob.get(i) or self._frobenius_map(i))(x)
+
+    def linearized_images(self, coeffs) -> list:
+        """The basis images [sum_p c_p (alpha^i)^(q^p) for i < n] of the
+        linearized polynomial sum_p c_p x^[p], coeffs[p] = c_p with p read
+        modulo n, with no field product; n counted per nonzero c_p.
+
+        Table-backed, log c_p alpha^(i q^p) = log c_p + i q^p log alpha
+        steps by a constant, so each term is one `_exp` lookup (odd q adds
+        it through `_zech`, as `axpy` does).  Table-less, c alpha^(i q^p) =
+        (c^[-p] alpha^i)^[p]: the row `_alpha_multiples([c^[-p]])` through
+        the Frobenius map for p."""
+        n, q, out = self.n, self.q, [0] * self.n
+        exp, log, size = self._exp, self._log, self.order - 1
+        log_alpha = log[q] if exp is not None and n > 1 else 0
+        for p, c in enumerate(coeffs):
+            if not c:
+                continue
+            self.mul_count += n
+            if exp is None:
+                p %= n
+                if p:
+                    c = (self._frob.get(n - p) or self._frobenius_map(n - p))(c)
+                row = self._alpha_multiples([c])
+                if p:
+                    row = map(self._frob.get(p) or self._frobenius_map(p), row)
+                out = [y ^ x for y, x in zip(out, row)] if q == 2 else list(map(self.add, out, row))
+                continue
+            v, step = log[c], log_alpha * pow(q, p, size) % size
+            if q == 2:
+                out = [y ^ exp[(v + i * step) % size] for i, y in enumerate(out)]
+                continue
+            zech = self._zech  # y + g^w = g^(log y + zech[w - log y])
+            for i, y in enumerate(out):
+                w = (v + i * step) % size
+                if not y:
+                    out[i] = exp[w]
+                else:
+                    z = zech[w - log[y]]
+                    out[i] = 0 if z is None else exp[log[y] + z]
+        return out
 
     def _frobenius_map(self, i: int):
         """The image of the LinearMap x -> x^(q^i), built from the basis

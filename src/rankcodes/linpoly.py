@@ -37,17 +37,12 @@ class LinearizedPoly:
         return acc
 
     def root_space_basis(self):
-        """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree.  The
-        basis images f(alpha^i) gather one `axpy` per coefficient f_p over
-        the Frobenius images alpha^(i q^p)."""
+        """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree: one
+        `kernel_rows` over the basis images f(alpha^i), which
+        `FieldTower.linearized_images` gives with no field product."""
         if self.is_zero:
             raise ValueError("zero polynomial vanishes everywhere")
-        t = self.tower
-        images = [0] * t.n
-        for p, c in enumerate(self.coeffs):
-            if c:
-                images = t.axpy(images, c, [t.frobenius(b, p) for b in t.basis])
-        return kernel_rows(images, t.q)
+        return kernel_rows(self.tower.linearized_images(self.coeffs), self.tower.q)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

@@ -37,6 +37,10 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
             return out
 
 
+def _negative_row(row):
+    return ValueError(f"packed row {row!r} is negative")
+
+
 def rank_rows(rows, q: int) -> int:
     """Rank over GF(q) of packed rows.  For q = 2 the rows are reduced by
     XOR against one pivot per leading bit; otherwise the rank is the number
@@ -45,13 +49,16 @@ def rank_rows(rows, q: int) -> int:
     if q == 2:
         pivots = {}
         for v in rows:
-            while v:
+            while v > 0:
                 h = v.bit_length()
                 p = pivots.get(h)
                 if p is None:
                     pivots[h] = v
                     break
                 v ^= p
+            else:
+                if v:  # reduction keeps a row >= 0, so only a negative row gets here
+                    raise _negative_row(v)
         return len(pivots)
     return len(rows) - len(kernel_rows(rows, q))
 
@@ -71,22 +78,25 @@ def kernel_rows(images, q: int):
     m = len(images)
     pivots, kernel = {}, []
     if q == 2:
+        top = 1 << m  # v >= top: the image part is nonzero and v positive
         for j, image in enumerate(images):
             v = image << m | 1 << j
-            while v >> m:
+            while v >= top:
                 p = pivots.get(v.bit_length())
                 if p is None:
                     pivots[v.bit_length()] = v
                     break
                 v ^= p
             else:
+                if v < 0:
+                    raise _negative_row(image)
                 kernel.append(v)
         return kernel
     bits = _lane_bits(q, q * (q - 1))
     shift, mask = m * bits, (1 << bits) - 1
     for j, image in enumerate(images):
         v, at = 1 << j * bits, shift
-        while image:
+        while image > 0:
             image, d = divmod(image, q)
             v |= d << at
             at += bits
@@ -99,6 +109,8 @@ def kernel_rows(images, q: int):
                 break
             v = _mod_lanes(v + (q - c) * p, q, bits)
         else:
+            if image:  # the digit loop stops at once on a negative row
+                raise _negative_row(images[j])
             kernel.append(_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0])
     return kernel
 

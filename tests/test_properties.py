@@ -5,6 +5,7 @@ and inverses, and up to q = 2^32 + 15 for the GF(q) elimination and the
 linear maps, whose lanes then pass 64 bits."""
 
 import itertools
+import math
 import random
 from fractions import Fraction
 from functools import cache
@@ -265,8 +266,44 @@ def test_mul_and_axpy_match_reference(case):
     event(f"q = {q}, {'table-less' if tower._exp is None else 'table-backed'}")
 
 
-# root spaces on table-backed and table-less (2^17, 3^11) towers
-ROOT_SPACE_SHAPES = [(2, 6), (2, 12), (2, 17), (3, 5), (3, 11), (5, 3)]
+# table-backed q in {2, 3, 5}, table-less (with the wide lanes of 17 and
+# 257), and n = 1, table-backed and, at q = 65537, table-less
+IMAGE_SHAPES = [(2, 8), (2, 12), (3, 5), (3, 9), (5, 3), (5, 6), (2, 20), (2, 33),
+                (3, 11), (5, 7), (17, 4), (257, 2), (2, 1), (3, 1), (5, 1), (65537, 1)]
+
+
+@st.composite
+def linearized_image_cases(draw):
+    """A tower and up to 2n + 2 coefficients, sparse, so p >= n and c_p = 0
+    occur."""
+    tower = _tower(*draw(st.sampled_from(IMAGE_SHAPES)))
+    element = st.integers(0, tower.order - 1)
+    sparse = st.one_of(st.just(0), st.just(1), st.just(tower.order - 1), element)
+    return tower, draw(st.lists(sparse, max_size=2 * tower.n + 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(linearized_image_cases())
+def test_linearized_images_match_mul_and_frobenius(case):
+    tower, coeffs = case
+    before = tower.mul_count
+    images = tower.linearized_images(coeffs)
+    counted = tower.mul_count - before
+    expected, muls = [0] * tower.n, 0
+    for p, c in enumerate(coeffs):
+        if c:
+            for i, b in enumerate(tower.basis):
+                expected[i] = tower.add(expected[i], tower.mul(c, tower.frobenius(b, p)))
+            muls += tower.n
+    assert images == expected
+    assert counted == muls
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}")
+
+
+# root spaces on table-backed and table-less (2^17, 2^20, 3^11, 5^7) towers,
+# and on the wide lanes of 17^4 and 257^2
+ROOT_SPACE_SHAPES = [(2, 6), (2, 12), (2, 17), (2, 20), (3, 5), (3, 11), (5, 3),
+                     (5, 7), (17, 4), (257, 2)]
 
 
 @st.composite
@@ -274,7 +311,13 @@ def linpoly_cases(draw):
     q, n = draw(st.sampled_from(ROOT_SPACE_SHAPES))
     tower = _tower(q, n)
     element = st.integers(0, tower.order - 1)
-    if draw(st.booleans()):
+    kind = draw(st.sampled_from(["monic", "span", "subfield"]))
+    if kind == "subfield":
+        # x^[s] - x vanishes on GF(q^s) for s | n, and on the whole field
+        # for s = n and 2n, whose q-degree reaches n and beyond
+        s = draw(st.sampled_from([s for s in range(1, n + 1) if n % s == 0] + [2 * n]))
+        return LinearizedPoly(tower, [tower.neg(1)] + [0] * (s - 1) + [1])
+    if kind == "monic":
         # a random monic polynomial of q-degree at most 4
         return LinearizedPoly(tower, draw(st.lists(element, max_size=4)) + [1])
     # the span of a few values, repeats and dependent values included
@@ -300,6 +343,9 @@ def test_root_space_matches_digit_nullspace(f):
     tower = f.tower
     kernel = f.root_space_basis()
     assert kernel == _root_space_reference(f)
+    s = f.q_degree
+    if f.coeffs == (tower.neg(1),) + (0,) * (s - 1) + (1,):  # x^[s] - x vanishes on GF(q^gcd(s, n))
+        assert len(kernel) == math.gcd(s, tower.n)
     assert all(f.evaluate(x) == 0 for x in kernel)
     images = [f.evaluate(b) for b in tower.basis]
     assert len(kernel) == tower.n - rank_rows(images, tower.q)

@@ -43,6 +43,16 @@ def test_kernel_rows_examples():
         assert kernel_rows([0, 0], q) == [1, q]
 
 
+@pytest.mark.parametrize("fn, rows, q", [
+    (rank_rows, [-1], 3), (kernel_rows, [5, -3], 5), (kernel_rows, [1, 2, -7], 3),
+    (kernel_rows, [-1], 2), (rank_rows, [-1, 1], 2),
+    # -3 and -3 ^ 3 share a bit length: XOR against the pivot 3 would cycle
+    (rank_rows, [3, -3], 2), (kernel_rows, [3, -3], 2)])
+def test_negative_packed_rows_are_rejected(fn, rows, q):
+    with bounded(5), pytest.raises(ValueError, match="negative"):
+        fn(rows, q)
+
+
 # -- rank of extension vectors --------------------------------------------------
 
 def test_rank_of_vector_examples(gf16):

@@ -1,6 +1,7 @@
 """The package runs on the Python standard library alone: every import in
 src/rankcodes is a standard-library module or the package itself.  And the
-lane format of packed GF(q) digits lives in field.py alone."""
+lane format of packed GF(q) digits, and the tables and raw arithmetic behind
+FieldTower's primitives, live in field.py alone."""
 
 import ast
 import sys
@@ -44,4 +45,20 @@ def test_lane_format_lives_in_field():
             if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
                     and node.func.attr in LANE_CALLS):
                 outside.add(f"{path.name}:{node.lineno}: {node.func.attr}")
+    assert not outside, sorted(outside)
+
+
+# FieldTower's tables and raw arithmetic: the fast paths behind its primitives
+TOWER_PRIVATES = {"_exp", "_log", "_zech", "_frob", "_reduce", "_comb", "_mul_raw",
+                  "_alpha_multiples", "_frobenius_map"}
+
+
+def test_tower_privates_stay_in_field():
+    outside = set()
+    for path in sorted(SRC.glob("*.py")):
+        if path.name == "field.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in TOWER_PRIVATES:
+                outside.add(f"{path.name}:{node.lineno}: {node.attr}")
     assert not outside, sorted(outside)
