@@ -37,14 +37,11 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
             return out
 
 
-def _negative_row(row):
-    return ValueError(f"packed row {row!r} is negative")
-
-
 def rank_rows(rows, q: int) -> int:
     """Rank over GF(q) of packed rows.  For q = 2 the rows are reduced by
     XOR against one pivot per leading bit; otherwise the rank is the number
-    of rows less the dimension of `kernel_rows`."""
+    of rows less the dimension of `kernel_rows`.  ValueError on a negative
+    row."""
     # inline, not shared with kernel_rows: a helper slowed rank_event_rate 4-18%
     if q == 2:
         pivots = {}
@@ -58,7 +55,7 @@ def rank_rows(rows, q: int) -> int:
                 v ^= p
             else:
                 if v:  # reduction keeps a row >= 0, so only a negative row gets here
-                    raise _negative_row(v)
+                    raise ValueError(f"packed row {v} is negative")
         return len(pivots)
     return len(rows) - len(kernel_rows(rows, q))
 
@@ -73,7 +70,7 @@ def kernel_rows(images, q: int):
     image_j << m | 1 << j, reduced by XOR.  For odd q a digit takes a lane
     of `_lane_bits` (8 bits up to q = 13), pivot rows lead with 1, and v -
     c * p is v + (q - c) * p with every lane then taken mod q.  ValueError
-    unless q is prime.
+    unless q is prime, or on a negative row.
     """
     m = len(images)
     pivots, kernel = {}, []
@@ -89,7 +86,7 @@ def kernel_rows(images, q: int):
                 v ^= p
             else:
                 if v < 0:
-                    raise _negative_row(image)
+                    raise ValueError(f"packed row {image} is negative")
                 kernel.append(v)
         return kernel
     bits = _lane_bits(q, q * (q - 1))
@@ -110,7 +107,7 @@ def kernel_rows(images, q: int):
             v = _mod_lanes(v + (q - c) * p, q, bits)
         else:
             if image:  # the digit loop stops at once on a negative row
-                raise _negative_row(images[j])
+                raise ValueError(f"packed row {images[j]} is negative")
             kernel.append(_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0])
     return kernel
 
