@@ -344,8 +344,8 @@ def test_root_space_matches_digit_nullspace(f):
     kernel = f.root_space_basis()
     assert kernel == _root_space_reference(f)
     s = f.q_degree
-    if f.coeffs == (tower.neg(1),) + (0,) * (s - 1) + (1,):  # x^[s] - x vanishes on GF(q^gcd(s, n))
-        assert len(kernel) == math.gcd(s, tower.n)
+    if f.coeffs == (tower.neg(1),) + (0,) * (s - 1) + (1,):
+        assert len(kernel) == math.gcd(s, tower.n)  # x^[s] - x: roots GF(q^gcd(s, n))
     assert all(f.evaluate(x) == 0 for x in kernel)
     images = [f.evaluate(b) for b in tower.basis]
     assert len(kernel) == tower.n - rank_rows(images, tower.q)
