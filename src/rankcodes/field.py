@@ -743,15 +743,12 @@ class FieldTower:
     def _alpha_multiples(self, row) -> list:
         """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
         For q = 2 each step is one shift of the whole packed row and one
-        reduction of the bits that overflowed their entry.  Table-less odd
-        q steps the same way on lanes of `_lane_bits`, each taken mod q after
-        a step, and reads all n words back by one `_from_lanes`; table-backed
-        odd q steps each entry by `_mul_raw` with alpha = q, two log lookups."""
-        n, q, width = self.n, self.q, len(row)
-        offsets = [self.order**l for l in range(width)]
-        if q == 2:
+        reduction of the bits that overflowed their entry; for odd q each
+        entry steps by `_mul_raw` with alpha = q (n = 1 takes no step)."""
+        n, offsets = self.n, [self.order**l for l in range(len(row))]
+        if self.q == 2:
             word = sum(map(operator.mul, row, offsets))
-            tops = sum(1 << n * l for l in range(1, width + 1))
+            tops = sum(1 << n * l for l in range(1, len(row) + 1))
             low = self._mod_int ^ 1 << n  # alpha^n
             out = [word]
             for _ in range(n - 1):
@@ -760,26 +757,12 @@ class FieldTower:
                 word ^= over ^ (over >> n) * low
                 out.append(word)
             return out
-        if self._exp is not None:
-            out = []
-            for j in range(n):
-                if j:
-                    row = [self._mul_raw(x, q) for x in row]
-                out.append(sum(map(operator.mul, row, offsets)))
-            return out
-        lane = _lane_bits(q, q * (q - 1))  # a step adds (q - 1)^2 to a lane below q
-        slot = n * lane
-        tops = sum((1 << lane) - 1 << slot * l for l in range(1, width + 1))
-        low = sum(-m % q << lane * k for k, m in enumerate(self.modulus[:-1]))  # alpha^n
-        word = words = sum(v << slot * l for l, v in enumerate(_to_lanes(row, q, lane, n)))
-        for j in range(1, n):
-            word <<= lane
-            over = word & tops
-            word = _mod_lanes((word ^ over) + (over >> slot) * low, q, lane)
-            words |= word << j * width * slot
-        entries = _from_lanes(words, q, lane, n * width * n, self.basis)
-        return [sum(map(operator.mul, entries[j * width:(j + 1) * width], offsets))
-                for j in range(n)]
+        out = []
+        for j in range(n):
+            if j:
+                row = [self._mul_raw(x, self.q) for x in row]
+            out.append(sum(map(operator.mul, row, offsets)))
+        return out
 
     # -- discrete-log tables --------------------------------------------------
 
