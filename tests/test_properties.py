@@ -337,7 +337,7 @@ def _root_space_reference(f):
     return [tower.from_digits(v) for v in ref.nullspace(matrix, tower.q)]
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=500, deadline=None)
 @given(linpoly_cases())
 def test_root_space_matches_digit_nullspace(f):
     tower = f.tower
