@@ -5,8 +5,8 @@ coefficient vector over the polynomial basis (1, alpha, ..., alpha^(n-1)),
 so x == sum(digit_i * q**i).  Elements of GF(q) are ints in [0, q).
 
 A FieldTower's arithmetic is fixed at construction: every operation is a
-pure function of its arguments.  See FieldTower for its two pieces of
-mutable state, the `mul_count` counter and the Frobenius table cache.
+pure function of its arguments.  See FieldTower for its mutable state:
+the `mul_count` counter and two caches of linear maps.
 """
 
 from __future__ import annotations
@@ -140,9 +140,19 @@ def _mod_lanes(v: int, q: int, lane: int, scale: int = 1) -> int:
     return int.from_bytes(b"".join(d.to_bytes(lane // 8, "little") for d in digits), "little")
 
 
+@cache
+def _byte_numerals(q: int) -> bytes:  # the translate table of a byte lane b -> numeral b mod q
+    return bytes(b"0123456789abcdefghijklmnopqrstuvwxyz"[b % q] for b in range(256))
+
+
 def _from_lanes(v: int, q: int, lane: int, count: int, powers) -> list:
-    """Lanes 0..count-1 of v, each mod q, as base-q ints of len(powers) digits, powers[i] = q^i."""
-    digits, size = _lane_digits(v, q, lane, count), len(powers)
+    """Lanes 0..count-1 of v, each mod q, as base-q ints of len(powers) = size digits,
+    powers[i] = q^i, size | count: byte lanes for q <= 36 by one int(numerals, q) each."""
+    size = len(powers)
+    if lane == 8 and q <= 36 and size <= 4300:  # CPython's int() digit limit
+        raw = v.to_bytes(count, "big").translate(_byte_numerals(q))
+        return [int(raw[i - size:i], q) for i in range(count, 0, -size)]
+    digits = _lane_digits(v, q, lane, count)
     return [sum(map(operator.mul, digits[i:i + size], powers)) for i in range(0, count, size)]
 
 
@@ -260,14 +270,15 @@ class LinearMap:
     images[j] is the image of input digit j, a base-q int with output
     symbol i at digit i*n.  The input is read k digits at a time, k the
     largest with q^k <= 256 for one symbol (k = 8 for q = 2) and q^k <= 16
-    for a word, or one digit when q > 256.  tables[c][r] is the image of
-    the chunk r at chunk c, packed with one `lane`-bit lane per output
-    digit (`_lane_bits`), and the image of x sums tables[c][chunk c of x]
-    over c.  For q = 2 lanes are single bits combined by XOR.  For odd q a
-    table adds the multiples d*images[j] with each lane already taken mod
-    q, so an output lane sums to at most len(images) (q-1), and byte lanes
-    go as far as that allows.  For q > 256 there are no tables: tables[c]
-    is the packed image of digit c, which the digit multiplies.
+    for a word.  tables[c][r] is the image of the chunk r at chunk c,
+    packed with one `lane`-bit lane per output digit (`_lane_bits`), and
+    the image of x sums tables[c][chunk c of x] over c.  For q = 2 lanes
+    are single bits combined by XOR.  For odd q a table adds the multiples
+    d*images[j] with each lane already taken mod q, so an output lane sums
+    to at most len(images) (q-1), and byte lanes go as far as that allows.
+    Where one digit passes the bound (q > 256, or q > 16 for a word), k = 0
+    and tables[c] is the packed image of digit c, which the digit multiplies.
+    Lanes keep room for one digit q-1 more (the sums of `linearized_images`).
 
     m(x) is the image of x as one element, m.word(word) the image of a
     word (input symbol i at digit i*n) as `width` symbols, and m.digits(x)
@@ -278,12 +289,12 @@ class LinearMap:
     def __init__(self, q: int, n: int, images, width: int = 1):
         self.q, self.n, self.width, self._order = q, n, width, q**n
         self._basis = tuple(q**i for i in range(n))
-        # with no tables (q > 256) an output lane adds unreduced digit multiples
-        self.lane = _lane_bits(q, len(images) * (q - 1) ** (1 + (q > 256)))
+        k = next((k for k in range(8, 0, -1) if q**k <= (256 if width == 1 else 16)), 0)
+        # with no tables (k = 0) an output lane adds unreduced digit multiples
+        self.lane = _lane_bits(q, len(images) * (q - 1) ** (1 + (not k)) + q - 1)
         packed = images if q == 2 else _to_lanes(images, q, self.lane, width * n)
-        k = next((k for k in range(8, 1, -1) if q**k <= (256 if width == 1 else 16)), 1)
-        self.radix, self._bits, self._mask = q**k, k, q**k - 1
-        if q > 256:
+        self.radix, self._bits, self._mask = q ** max(k, 1), k, q**k - 1
+        if not k:
             self.tables = packed
             return
         self.tables = []
@@ -308,14 +319,17 @@ class LinearMap:
         return _from_lanes(self._lanes(x), self.q, self.lane, self.n, self._basis)[0]
 
     def word(self, word) -> tuple:
-        x, order, n = 0, self._order, self.n
+        x, order = 0, self._order
         for s in reversed(word):
             x = x * order + s
-        w = self._lanes(x)
+        return tuple(self._symbols(self._lanes(x)))
+
+    def _symbols(self, w: int) -> list:
+        """The `width` symbols of the lane-packed w, each lane taken mod q."""
         if self.lane == 1:
-            mask = order - 1
-            return tuple([w >> n * i & mask for i in range(self.width)])
-        return tuple(_from_lanes(w, self.q, self.lane, self.width * n, self._basis))
+            n, mask = self.n, self._order - 1
+            return [w >> n * i & mask for i in range(self.width)]
+        return _from_lanes(w, self.q, self.lane, self.width * self.n, self._basis)
 
     def digits(self, x: int):
         w, count = self._lanes(x), self.width * self.n
@@ -323,14 +337,14 @@ class LinearMap:
                 else _lane_digits(w, self.q, self.lane, count))
 
     def _lanes(self, x: int) -> int:
-        """The lane-packed image of x: one lookup (q > 256: one product) per chunk."""
+        """The lane-packed image of x: one lookup (k = 0: one product) per chunk."""
         w, radix = 0, self.radix
         if self.lane == 1:
             bits, mask = self._bits, self._mask
             for table in self.tables:
                 w ^= table[x & mask]
                 x >>= bits
-        elif radix > 256:
+        elif not self._bits:
             for image in self.tables:
                 x, r = divmod(x, radix)
                 w += image * r
@@ -390,11 +404,13 @@ class FieldTower:
     `_reduce`, byte tables of x^(n+j) mod the modulus built with every
     q = 2 tower, `inv` is extended Euclid (binary on ints for q = 2,
     `_euclid` on lanes for odd q), and `frobenius(x, i)` is the
-    `LinearMap` x -> x^(q^i).  Those maps are the one lazily filled state:
-    the map for power i is built on its first use and kept, at most n-1
-    maps of ceil(n/k) tables of at most 256 entries.  Each map is built
-    whole and then published by one dict assignment, so a tower can still
-    be shared across threads; a race only builds a map twice.
+    `LinearMap` x -> x^(q^i).  Two caches of maps fill lazily, a map built
+    on first use and kept, at most n of each: `_frob`, those Frobenius maps
+    (ceil(n/k) tables of at most 256 entries), and `_power_maps`, the word
+    maps of `linearized_images` (ceil(n/k) tables of at most 16 entries,
+    or n images for q > 16, of n^2 lanes each).  A map is built whole and
+    then published by one dict assignment, so a tower can still be shared
+    across threads; a race only builds a map twice.
 
     `axpy(ys, c, xs)` is the row primitive [y + c x] of the GF(q^n)
     elimination: table-backed towers add log c once per row, table-less
@@ -402,9 +418,8 @@ class FieldTower:
     multiplies entry by entry.
 
     `linearized_images(coeffs)` gives the basis images of a linearized
-    polynomial, the matrix of its root space, with no field product:
-    table-backed by log steps, table-less by alpha-steps of c^[-p] mapped
-    through the Frobenius map for p.
+    polynomial, the matrix of its root space, with no field product: the
+    lanes of the power map for p at each nonzero c_p, summed.
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as a `LinearMap`, applied with no field product: the encoder and
@@ -457,6 +472,7 @@ class FieldTower:
         if self.order <= _TABLE_LIMIT:
             self._build_tables()
         self._frob = {}  # power i -> its LinearMap's bound image, table-less only
+        self._power_maps = {}  # power p -> the word map of `linearized_images`
 
     # -- encoding ----------------------------------------------------------
 
@@ -627,52 +643,34 @@ class FieldTower:
         linearized polynomial sum_p c_p x^[p], coeffs[p] = c_p with p read
         modulo n, with no field product; n counted per nonzero c_p.
 
-        Table-backed, log c_p alpha^(i q^p) = log c_p + i q^p log alpha
-        steps by a constant, so each term is one `_exp` lookup (odd q adds
-        it through `_zech`, as `axpy` does).  Table-less, c alpha^(i q^p) =
-        (c^[-p] alpha^i)^[p]: the row `_alpha_multiples([c^[-p]])` through
-        the Frobenius map for p."""
-        n, q, out = self.n, self.q, [0] * self.n
-        exp, log, size = self._exp, self._log, self.order - 1
-        log_alpha = log[q] if exp is not None and n > 1 else 0
+        Each term is the lanes of the word map c -> [c beta^i]_i, beta =
+        alpha^(q^p) (`_power_map`), summed on them (XOR for q = 2) and read
+        back once.  Odd q takes the sum mod q before each add, since a
+        `LinearMap` lane holds a term plus q - 1, not two terms."""
+        n, m, w = self.n, None, 0
         for p, c in enumerate(coeffs):
-            if not c:
-                continue
-            self.mul_count += n
-            if exp is None:
-                p %= n
-                if p:
-                    c = (self._frob.get(n - p) or self._frobenius_map(n - p))(c)
-                row = self._alpha_multiples([c])
-                if p:
-                    row = map(self._frob.get(p) or self._frobenius_map(p), row)
-                out = [y ^ x for y, x in zip(out, row)] if q == 2 else list(map(self.add, out, row))
-                continue
-            v, step = log[c], log_alpha * pow(q, p, size) % size
-            if q == 2:
-                out = [y ^ exp[(v + i * step) % size] for i, y in enumerate(out)]
-                continue
-            zech = self._zech  # y + g^w = g^(log y + zech[w - log y])
-            for i, y in enumerate(out):
-                w = (v + i * step) % size
-                if not y:
-                    out[i] = exp[w]
-                else:
-                    z = zech[w - log[y]]
-                    out[i] = 0 if z is None else exp[log[y] + z]
-        return out
+            if c:
+                self.mul_count += n
+                m = self._power_maps.get(p % n) or self._power_map(p % n)
+                w = w ^ m._lanes(c) if m.lane == 1 else _mod_lanes(w, self.q, m.lane) + m._lanes(c)
+        return m._symbols(w) if m else [0] * n
+
+    def _power_map(self, p: int) -> LinearMap:
+        """The word map c -> [c beta^i for i < n], beta = alpha^(q^p), published whole."""
+        self._power_maps[p] = m = self.word_map([self._frobenius_images(p)])
+        return m
+
+    def _frobenius_images(self, i: int) -> list:
+        """The basis images [beta^j for j < n] of x -> x^[i], beta = alpha^(q^i); no count."""
+        beta, images = self._pow_raw(self.q, self.q**i) if self.n > 1 else 1, [1]
+        for _ in range(self.n - 1):
+            images.append(self._mul_raw(images[-1], beta))
+        return images
 
     def _frobenius_map(self, i: int):
-        """The image of the LinearMap x -> x^(q^i), built from the basis
-        images beta^j, where beta = alpha^(q^i); uncounted products,
-        published whole."""
-        beta = self._pow_raw(self.q, self.q**i)
-        images, img = [], 1
-        for _ in range(self.n):
-            images.append(img)
-            img = self._mul_raw(img, beta)
+        """The image of the LinearMap x -> x^(q^i), published whole."""
         # bound once: a call through the instance costs more than a bound method's
-        self._frob[i] = image = LinearMap(self.q, self.n, images).__call__
+        self._frob[i] = image = LinearMap(self.q, self.n, self._frobenius_images(i)).__call__
         return image
 
     # -- linear combinations --------------------------------------------------

@@ -2,7 +2,8 @@
 
 These are the GF(q)-linear maps of the extension field; the decoder's
 error-span polynomial lives here.  Coefficients are stored low-to-high
-with the trailing coefficient nonzero (the zero polynomial stores none).
+with the trailing coefficient nonzero (the zero polynomial stores none);
+anything but field elements raises ValueError (`check_elements`).
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from .qlinalg import kernel_rows
 
 class LinearizedPoly:
     def __init__(self, tower: FieldTower, coeffs):
-        coeffs = list(coeffs)
+        coeffs = list(tower.check_elements(coeffs, "coefficient"))
         while coeffs and coeffs[-1] == 0:
             coeffs.pop()
         self.tower = tower

@@ -25,11 +25,11 @@ def bounded(seconds: float):
 
 def table_bytes(linear_map):
     """Bytes held by the tables of a `LinearMap`: each list and each
-    distinct entry."""
+    distinct entry (a map with no tables holds one image per digit)."""
     seen, total = set(), sys.getsizeof(linear_map.tables)
     for table in linear_map.tables:
         total += sys.getsizeof(table)
-        for entry in table:
+        for entry in table if isinstance(table, list) else ():
             if id(entry) not in seen:
                 seen.add(id(entry))
                 total += sys.getsizeof(entry)

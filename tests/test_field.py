@@ -370,6 +370,62 @@ def test_frobenius_tables_shared_across_threads():
         sys.setswitchinterval(interval)
 
 
+def test_power_maps_leave_mul_count_alone():
+    # the first root-space images of a fresh tower build the word maps for
+    # powers 0, 2 and n - 1 (n + 2 reads as 2); both calls count n per
+    # nonzero coefficient
+    for q, n in ((2, 12), (3, 9), (2, 20), (3, 11), (31, 4)):
+        tower = FieldTower(q, n)
+        coeffs = [0] * (n + 3)
+        coeffs[0], coeffs[2], coeffs[n - 1], coeffs[n + 2] = 1, tower.order - 1, 2, 3
+        counts, images = [], []
+        for _ in range(2):
+            before = tower.mul_count
+            images.append(tower.linearized_images(coeffs))
+            counts.append(tower.mul_count - before)
+        assert counts == [4 * n, 4 * n]
+        assert images[0] == images[1]
+        assert sorted(tower._power_maps) == [0, 2, n - 1]
+
+
+def test_power_maps_shared_across_threads():
+    # threads that fill a fresh tower's word-map cache at once must all read
+    # complete maps: compare with a tower filled by one thread, on a
+    # table-backed and a table-less tower of each parity of q
+    workers = 6
+    for q, n in ((2, 12), (3, 9), (2, 20), (3, 11)):
+        alone = FieldTower(q, n)
+        rng = random.Random(q * n)
+        polys = [[rng.randrange(alone.order) for _ in range(p + 1)] + [1] for p in range(n)]
+        want = [alone.linearized_images(f) for f in polys]
+
+        def race(shared):
+            got = {}
+            start = threading.Barrier(workers, timeout=30)
+
+            def work(k):
+                start.wait()
+                got[k] = [shared.linearized_images(f) for f in polys]
+
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(workers)]
+            for th in threads:
+                th.start()
+            for th in threads:
+                th.join(timeout=30)
+            assert not any(th.is_alive() for th in threads)
+            return got
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for _ in range(3):
+                shared = FieldTower(q, n)
+                assert race(shared) == {k: want for k in range(workers)}
+                assert sorted(shared._power_maps) == list(range(n))
+        finally:
+            sys.setswitchinterval(interval)
+
+
 def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
     rng = random.Random(0)
     gf9 = FieldTower(3, 2)

@@ -296,6 +296,19 @@ def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
     assert table_bytes(code._encoder) + table_bytes(code._syndrome_map) < 10 * 2**20
 
 
+def test_word_maps_past_q_16_keep_no_tables():
+    # a word map's table holds at most 16 entries, so for q > 16 each input
+    # digit multiplies its image: the GF(31^16) [16, 8] codec maps hold one
+    # image per digit, about 0.15 MB each, where tables of 31 entries per
+    # digit held 2.2 MB
+    tower = FieldTower(31, 16)
+    with bounded(10):
+        code = GabidulinCode(tower, 8, g=tower.basis)
+    for m, digits in ((code._encoder, 8 * 16), (code._syndrome_map, 16 * 16)):
+        assert m._bits == 0 and len(m.tables) == digits
+        assert table_bytes(m) < 2**18
+
+
 def test_small_odd_q_word_maps_take_byte_lanes():
     # GF(5^6) [6, 4]: 24 encoder and 36 syndrome input digits, whose lanes
     # sum to at most 24 * 4 and 36 * 4, with each digit multiple taken mod 5

@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from rankcodes import rank_of_vector
+from rankcodes import FieldTower, LinearizedPoly as LibraryLinearizedPoly, rank_of_vector
 
 from gfq_reference import LinearizedPoly, min_subspace_poly
 
@@ -76,3 +76,18 @@ def test_min_subspace_poly_skips_dependent_values(gf16):
     sigma = min_subspace_poly(gf16, [2, 2, gf16.add(2, 2)])
     assert sigma.q_degree == 1
     assert sigma.evaluate(2) == 0
+
+
+def test_coefficients_outside_the_field_rejected(gf4096):
+    # each of these answered wrong or raised an untyped error before the
+    # check: [-1, 1] gave the root space [4095], [True, 1] gave [1],
+    # [4096, 1] raised IndexError, GF(2^20) [2^20, 1] gave [] and 2.0 a
+    # TypeError
+    gf2_20 = FieldTower(2, 20)
+    cases = [(gf4096, [-1, 1]), (gf4096, [True, 1]), (gf4096, [4096, 1]),
+             (gf2_20, [2**20, 1]), (gf4096, [2.0, 1]), (gf2_20, [1, 2.0]),
+             (FieldTower(3, 5), [1, 3**5])]
+    for tower, coeffs in cases:
+        for cls in (LibraryLinearizedPoly, LinearizedPoly):
+            with pytest.raises(ValueError, match="coefficient .* is not an element"):
+                cls(tower, coeffs)

@@ -267,9 +267,12 @@ def test_mul_and_axpy_match_reference(case):
 
 
 # table-backed q in {2, 3, 5}, table-less (with the wide lanes of 17 and
-# 257), and n = 1, table-backed and, at q = 65537, table-less
+# 257), and n = 1, table-backed and, at q = 65537, table-less; (13, 21),
+# whose word-map lanes reach 21 * 12 = 252 and so leave a byte once a
+# reduced sum is added, and (251, 2), the widest table-backed lanes
 IMAGE_SHAPES = [(2, 8), (2, 12), (3, 5), (3, 9), (5, 3), (5, 6), (2, 20), (2, 33),
-                (3, 11), (5, 7), (17, 4), (257, 2), (2, 1), (3, 1), (5, 1), (65537, 1)]
+                (3, 11), (5, 7), (17, 4), (257, 2), (2, 1), (3, 1), (5, 1), (65537, 1),
+                (13, 21), (251, 2)]
 
 
 @st.composite
@@ -354,9 +357,10 @@ def test_root_space_matches_digit_nullspace(f):
 # (q, n, length, k) for table-backed and table-less towers, q in {2, 3, 5,
 # 17, 31, 257}, with length < n and length = n; "dense" is GF(2^33) under
 # DENSE_MODULUS.  Word-wide maps read 4 bits per table for q = 2, 2 digits
-# for q = 3 and 1 for q >= 5, so for most shapes a message or a word ends
-# inside a chunk.  q = 17 and 31 have lanes wider than a byte, and q = 257
-# keeps no tables: each digit multiplies its image
+# for q = 3 and 1 for q = 5, so for most shapes a message or a word ends
+# inside a chunk.  q = 17, 31 and 257 keep no tables, past the 16 entries
+# a word map's table may hold: each digit multiplies its image, in lanes
+# wider than a byte
 CODEC_SHAPES = [(2, 6, 6, 3), (2, 12, 7, 4), (2, 17, 9, 4), (2, 20, 20, 12),
                 ("dense", 33, 33, 17), ("dense", 33, 10, 3), (3, 4, 4, 2),
                 (3, 9, 5, 2), (3, 11, 11, 5), (3, 11, 6, 3), (5, 3, 3, 1),
@@ -453,8 +457,8 @@ def linear_map_cases(draw):
 @given(linear_map_cases())
 def test_linear_map_matches_reference_sum(case):
     # byte lanes, wider ones (q >= 17, or many images) and no tables (q >= 257,
-    # in 32-, 64- and 128-bit lanes); all-(q-1) images and symbols fill
-    # every lane the most
+    # in 32-, 64- and 128-bit lanes, or q >= 17 for a word); all-(q-1) images
+    # and symbols fill every lane the most
     q, n, width, images, word = case
     m = LinearMap(q, n, images, width)
     x = ref.pack([d for s in word for d in ref.digits(s, q, n)], q)
@@ -466,7 +470,7 @@ def test_linear_map_matches_reference_sum(case):
     assert m.word(word) == symbols
     if width == 1:
         assert m(x) == symbols[0]
-    event(f"q = {q}, {m.lane}-bit lanes{', no tables' if q > 256 else ''}")
+    event(f"q = {q}, {m.lane}-bit lanes{'' if m._bits else ', no tables'}")
 
 
 # largest extension degree drawn per q: GF(2^10), GF(3^6), GF(5^4)

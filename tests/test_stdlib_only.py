@@ -48,9 +48,10 @@ def test_lane_format_lives_in_field():
     assert not outside, sorted(outside)
 
 
-# FieldTower's tables and raw arithmetic: the fast paths behind its primitives
+# FieldTower's tables, map caches and raw arithmetic: the fast paths behind its primitives
 TOWER_PRIVATES = {"_exp", "_log", "_zech", "_frob", "_reduce", "_comb", "_mul_raw",
-                  "_alpha_multiples", "_frobenius_map"}
+                  "_alpha_multiples", "_frobenius_map", "_frobenius_images",
+                  "_power_maps", "_power_map"}
 
 
 def test_tower_privates_stay_in_field():
