@@ -430,7 +430,7 @@ class FieldTower:
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
     {0, 1}); table-backed `pow` counts one and table-less `pow` the
     products of its square and multiply, e.bit_length() + popcount(e).
-    It depends only on the calls made: building tables never touches it.
+    It depends only on the calls made: building tables or maps never does.
     Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
     outside [0, q^n); `axpy` and `linearized_images` check nothing, so the
     library checks words with `check_elements` where they come in.

@@ -8,7 +8,7 @@ from conftest import bounded
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
                        SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, find_irreducible,
                        is_irreducible, random_error)
-from rankcodes.field import _DEFAULT_MODULI
+from rankcodes.field import _DEFAULT_MODULI, LinearMap, _mod_lanes
 
 import gfq_reference as ref
 
@@ -386,6 +386,30 @@ def test_power_maps_leave_mul_count_alone():
         assert counts == [4 * n, 4 * n]
         assert images[0] == images[1]
         assert sorted(tower._power_maps) == [0, 2, n - 1]
+
+
+def test_linear_map_lanes_hold_an_image_plus_a_reduced_sum():
+    # linearized_images adds a map's lanes to a running sum taken mod q: with
+    # 21 input digits at q = 13 an image's lane reaches 21 * 12 = 252, and
+    # the sum 252 + 252 mod 13 = 257 no longer fits in a byte
+    m = LinearMap(13, 1, [1] * 21)
+    w = m._lanes(13**21 - 1)  # every input digit 12
+    assert (m.lane, w) == (16, 252)
+    assert m._symbols(_mod_lanes(w, 13, m.lane) + w) == [2 * 252 % 13]
+
+
+def test_linearized_images_of_many_terms_stay_reduced():
+    # 2n + 2 dense coefficients on GF(13^10), whose word-map lanes are bytes
+    # that hold one term (at most 10 * 12) and a reduced sum: summed without
+    # the reduction, the terms would carry out of their lanes
+    tower = FieldTower(13, 10)
+    coeffs = [tower.order - 1 - p for p in range(2 * tower.n + 2)]
+    want = [0] * tower.n
+    for p, c in enumerate(coeffs):
+        for i, b in enumerate(tower.basis):
+            want[i] = tower.add(want[i], tower.mul(c, tower.frobenius(b, p)))
+    assert tower.linearized_images(coeffs) == want
+    assert tower._power_maps[0].lane == 8
 
 
 def test_power_maps_shared_across_threads():
