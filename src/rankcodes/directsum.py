@@ -256,7 +256,7 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     exact product formula describes); channel="exact-rank" conditions it
     on full rank t.  The trials draw from random.Random(f"{seed}:0").
     """
-    _check_counts(q, [("t", t), ("capability", capability),
+    _check_counts(q, [("t", t), ("capability", capability), ("trials", trials),
                       *(("part dimension", m) for m in dims)])
     if not is_prime(q):  # the draws and their ranks are taken mod q
         raise ValueError(f"q = {q} is not a prime")
@@ -308,9 +308,10 @@ def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,
     """End-to-end seeded experiment: encode a random message, add a channel
     error, decode per component, and count exact recoveries.  Also counts
     the per-part rank event, which coincides with exact recovery."""
+    tower = M.tower
+    _check_counts(tower.q, [("trials", trials)])
     if trials < 1:
         raise ValueError("need at least one trial")
-    tower = M.tower
     rng = random.Random(f"{seed}:decode")
     successes = 0
     event = 0

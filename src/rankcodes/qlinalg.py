@@ -1,9 +1,10 @@
 """Linear algebra over GF(q) and GF(q^n).
 
 q-ary matrices are lists of packed rows: a row of width w is the base-q
-int sum row[j] * q**j, as field elements are rows of width n.  One
-elimination, `kernel_rows`, gives every GF(q) rank, kernel and coordinate
-map; `_rref_ext` eliminates matrices over GF(q^n), whose entries are
+int sum row[j] * q**j, as field elements are rows of width n.  One odd-q
+elimination loop, `_reduce_lanes`, gives `kernel_rows` its kernels and
+coordinate maps and `rank_rows` its ranks; for q = 2 each keeps an XOR
+loop.  `_rref_ext` eliminates matrices over GF(q^n), whose entries are
 integer-encoded elements.  Also here: the rank-matrix counting formula and
 the rank-t error sampler used by the decoding experiments.
 """
@@ -19,30 +20,42 @@ from .field import (FieldTower, LinearMap, _from_lanes, _lane_bits, _mod_lanes,
 
 def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
     """`rows` uniform q-ary rows of the given width, packed.  For q = 2
-    each row is one getrandbits(width); otherwise entries are drawn with
-    randrange(q) in row-major order, entry j becoming digit j.  With
-    full_rank the draw is repeated until the rank is min(rows, width).
-    ValueError unless q is prime."""
+    each row is one getrandbits(width); otherwise entries are drawn in
+    row-major order, entry j becoming digit j, each as randrange(q) draws
+    it: getrandbits(q.bit_length()) until below q.  Seeded streams rely on
+    randrange being that loop: test_randrange_is_the_getrandbits_rejection_loop.
+    With full_rank the draw is repeated until the rank is min(rows, width).
+    ValueError unless q is prime and the shape is two ints >= 0."""
+    if type(rows) is not int or type(width) is not int:  # a bool is no shape
+        raise ValueError(f"shape {rows!r} x {width!r} is not two ints")
     if rows < 0 or width < 0:
         raise ValueError(f"negative shape {rows} x {width}")
+    if q != 2:
+        _lane_bits(q, q * (q - 1))  # kernel_rows' cached check: ValueError unless q is prime
+        powers, bits, draw = [q**j for j in range(width)], q.bit_length(), rng.getrandbits
     while True:
         if q == 2:
             out = [rng.getrandbits(width) for _ in range(rows)]
         else:
-            _lane_bits(q, q * (q - 1))  # kernel_rows' cached check: ValueError unless q is prime
-            powers = [q**j for j in range(width)]
-            out = [sum([rng.randrange(q) * p for p in powers])
-                   for _ in range(rows)]
+            out = []
+            for _ in range(rows):
+                v = 0
+                for p in powers:
+                    d = draw(bits)
+                    while d >= q:
+                        d = draw(bits)
+                    v += d * p
+                out.append(v)
         if not full_rank or rank_rows(out, q) == min(rows, width):
             return out
 
 
 def rank_rows(rows, q: int) -> int:
-    """Rank over GF(q) of packed rows.  For q = 2 the rows are reduced by
-    XOR against one pivot per leading bit; otherwise the rank is the number
-    of rows less the dimension of `kernel_rows`.  ValueError on a negative
-    row."""
-    # inline, not shared with kernel_rows: a helper slowed rank_event_rate 4-18%
+    """Rank over GF(q) of packed rows: for q = 2 by XOR against one pivot per
+    leading bit, otherwise the pivot count of `_reduce_lanes` with no identity
+    lanes, so no kernel vector is gathered.  ValueError on a negative row."""
+    # q = 2 inline: a helper slowed rank_event_rate 4-18%.  Odd q shares kernel_rows'
+    # _reduce_lanes: 1.15x the kernel_rows count on q = 3 MC ranks, 1.30x if inlined
     if q == 2:
         pivots = {}
         for v in rows:
@@ -57,7 +70,36 @@ def rank_rows(rows, q: int) -> int:
                 if v:  # reduction keeps a row >= 0, so only a negative row gets here
                     raise ValueError(f"packed row {v} is negative")
         return len(pivots)
-    return len(rows) - len(kernel_rows(rows, q))
+    return len(_reduce_lanes(rows, q, _lane_bits(q, q * (q - 1)), False)[0])
+
+
+def _reduce_lanes(images, q: int, bits: int, identity: bool):
+    """The odd-q elimination: row j is images[j], a digit per lane of `bits`,
+    above m = len(images) identity lanes holding e_j if `identity`, reduced
+    against one pivot per leading lane; pivots lead with 1 and v - c p is
+    v + (q - c) p, lanes then taken mod q.  Returns the pivots and the rows
+    left with no image digit.  ValueError on a negative image."""
+    shift = len(images) * bits if identity else 0
+    pivots, left, mask = {}, [], (1 << bits) - 1
+    for j, image in enumerate(images):
+        v, at = identity << j * bits, shift
+        while image > 0:
+            image, d = divmod(image, q)
+            v |= d << at
+            at += bits
+        while v >> shift:
+            top = (v.bit_length() - 1) // bits
+            c = v >> top * bits & mask
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = v if c == 1 else _mod_lanes(v, q, bits, pow(c, q - 2, q))
+                break
+            v = _mod_lanes(v + (q - c) * p, q, bits)
+        else:
+            if image:  # a negative row skips the digit loop, so image is still that row
+                raise ValueError(f"packed row {image} is negative")
+            left.append(v)
+    return pivots, left
 
 
 def kernel_rows(images, q: int):
@@ -67,14 +109,13 @@ def kernel_rows(images, q: int):
     Each row [image_j | e_j] is reduced against one pivot row per leading
     image digit, and leaves a kernel vector if its image part vanishes: 1
     at j, the rest at earlier pivot columns.  For q = 2 a row is the int
-    image_j << m | 1 << j, reduced by XOR.  For odd q a digit takes a lane
-    of `_lane_bits` (8 bits up to q = 13), pivot rows lead with 1, and v -
-    c * p is v + (q - c) * p with every lane then taken mod q.  ValueError
-    unless q is prime, or on a negative row.
+    image_j << m | 1 << j, reduced by XOR.  For odd q `_reduce_lanes` does
+    the reduction with a digit in each lane of `_lane_bits` (8 bits up to
+    q = 13).  ValueError unless q is prime, or on a negative row.
     """
     m = len(images)
-    pivots, kernel = {}, []
     if q == 2:
+        pivots, kernel = {}, []
         top = 1 << m  # v >= top: the image part is nonzero and v positive
         for j, image in enumerate(images):
             v = image << m | 1 << j
@@ -90,26 +131,8 @@ def kernel_rows(images, q: int):
                 kernel.append(v)
         return kernel
     bits = _lane_bits(q, q * (q - 1))
-    shift, mask = m * bits, (1 << bits) - 1
-    for j, image in enumerate(images):
-        v, at = 1 << j * bits, shift
-        while image > 0:
-            image, d = divmod(image, q)
-            v |= d << at
-            at += bits
-        while v >> shift:
-            top = (v.bit_length() - 1) // bits
-            c = v >> top * bits & mask
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = v if c == 1 else _mod_lanes(v, q, bits, pow(c, q - 2, q))
-                break
-            v = _mod_lanes(v + (q - c) * p, q, bits)
-        else:
-            if image:  # the digit loop stops at once on a negative row
-                raise ValueError(f"packed row {images[j]} is negative")
-            kernel.append(_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0])
-    return kernel
+    kernel = _reduce_lanes(images, q, bits, True)[1]
+    return [_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0] for v in kernel]
 
 
 def rank_q(matrix, q: int) -> int:
@@ -119,8 +142,9 @@ def rank_q(matrix, q: int) -> int:
 
 
 def rank_of_vector(tower: FieldTower, vec) -> int:
-    """q-ary rank of (the expansion of) a vector over GF(q^n)."""
-    return rank_rows(vec, tower.q)
+    """q-ary rank of (the expansion of) a vector over GF(q^n).  ValueError
+    unless each entry is an element of the tower."""
+    return rank_rows(tower.check_elements(vec), tower.q)
 
 
 class CoordinateSolver:

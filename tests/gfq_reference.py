@@ -1,6 +1,7 @@
 """Digit-list Gauss-Jordan elimination over GF(q), the reference the packed
-kernel of rankcodes.qlinalg is checked against, and a schoolbook product
-in GF(q^n), the reference for the field multiplier, the stepping scan
+kernel of rankcodes.qlinalg is checked against, a q-ary row sampler on
+randrange, the reference for the odd-q draws of random_rows, a schoolbook
+product in GF(q^n), the reference for the field multiplier, the stepping scan
 for the multiplicative generator and its Zech table, trial division, the
 reference for the irreducibility test, and the per-position direct-sum
 transfers, the reference for the precomputed word maps of
@@ -99,6 +100,17 @@ def digits(v, q, width):
 def pack(vec, q):
     """The base-q int with digit j = vec[j]."""
     return sum(d * q**j for j, d in enumerate(vec))
+
+
+def random_rows(q, rows, width, rng, full_rank=False):
+    """The odd-q draw of rankcodes' random_rows by randrange: entries in
+    row-major order, one rng.randrange(q) each, entry j becoming digit j
+    of its packed row; with full_rank the whole draw is repeated until the
+    rank is min(rows, width)."""
+    while True:
+        out = [sum([rng.randrange(q) * q**j for j in range(width)]) for _ in range(rows)]
+        if not full_rank or rank([digits(v, q, width) for v in out], q) == min(rows, width):
+            return out
 
 
 def field_mul(a, b, q, modulus):

@@ -373,7 +373,9 @@ def test_direct_sum_entry_points_fail_fast(gf64):
         success_probability(True, [2], 1, 1)
     code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3] C=1
     dsc = DirectSumCode(code, [(1, 2, 4), (8, 16, 32)])
-    for trials in (-1, 0):
+    for trials in (-1, 0, True, False, 2.5):
+        with pytest.raises(ValueError, match="trial"):
+            rank_event_rate(3, [3], 1, 2, trials, 0)
         with pytest.raises(ValueError, match="trial"):
             decode_experiment(dsc, 1, trials, 0)
 

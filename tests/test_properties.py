@@ -169,6 +169,17 @@ def test_random_rows_full_rank(q, rows, width, rng):
     assert ref.rank([ref.digits(v, q, width) for v in out], q) == min(rows, width)
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from([3, 5, 7, 13, 17, 31, 257, 65521, BEYOND_64]), st.integers(0, 6),
+       st.integers(0, 12), st.booleans(), st.integers(0, 2**32))
+def test_random_rows_draws_as_randrange(q, rows, width, full_rank, seed):
+    # the same rows as the randrange sampler, and the generator left in the same state
+    rng, ref_rng = random.Random(seed), random.Random(seed)
+    assert random_rows(q, rows, width, rng, full_rank) == ref.random_rows(
+        q, rows, width, ref_rng, full_rank)
+    assert rng.random() == ref_rng.random()
+
+
 # table-less towers, where inv is extended Euclid and frobenius reads the
 # lazily built linear-map tables, plus two table-backed ones for mul_count
 TABLELESS_SHAPES = [(2, 17), (2, 20), (2, 33), (2, 64), (3, 11), (5, 7)]

@@ -4,9 +4,10 @@ import random
 import pytest
 from conftest import bounded
 
-from rankcodes import (CoordinateSolver, count_rank_matrices, ext_nullspace,
+from rankcodes import (CoordinateSolver, FieldTower, count_rank_matrices, ext_nullspace,
                        ext_solve, find_irreducible, is_irreducible, random_error,
                        random_rows, rank_leq_probability, rank_of_vector, rank_q, rank_rows)
+from rankcodes import qlinalg
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -54,6 +55,14 @@ def test_negative_packed_rows_are_rejected(fn, rows, q):
 
 
 # -- rank of extension vectors --------------------------------------------------
+
+def test_rank_of_vector_rejects_non_elements():
+    # 9 lies outside both GF(3^2) and GF(2^3); no rank is taken of it
+    for tower in (FieldTower(3, 2), FieldTower(2, 3)):
+        for vec in ([9, 1], [-1], [True, 1], [1.0]):
+            with pytest.raises(ValueError, match="not an element"):
+                rank_of_vector(tower, vec)
+
 
 def test_rank_of_vector_examples(gf16):
     assert rank_of_vector(gf16, (0, 0, 0)) == 0
@@ -214,6 +223,39 @@ def test_random_error_validation(gf16):
     for q, shape in itertools.product((2, 3), ((-1, 3), (3, -1))):
         with pytest.raises(ValueError, match="negative shape"):
             random_rows(q, *shape, rng, full_rank=True)
+    # and on a shape that is a bool or not an int
+    for q, shape in itertools.product((2, 3), ((True, 2), (2, 2.0), (False, 0))):
+        for full_rank in (False, True):
+            with pytest.raises(ValueError, match="not two ints"):
+                random_rows(q, *shape, rng, full_rank=full_rank)
+
+
+# odd q over every lane width of the GF(q) elimination: 8, 16, 32 and 128 bits
+DRAW_PRIMES = [3, 5, 7, 13, 17, 31, 257, 65521, 2**32 + 15]
+
+
+@pytest.mark.parametrize("q", DRAW_PRIMES)
+def test_randrange_is_the_getrandbits_rejection_loop(q):
+    # random_rows draws each odd-q digit by this loop and relies on it giving
+    # randrange(q)'s stream; if a Python release changes randrange, this fails
+    # by name instead of every odd-q golden
+    for seed in range(5):
+        rng, loop = random.Random(seed), random.Random(seed)
+        for _ in range(200):
+            d = loop.getrandbits(q.bit_length())
+            while d >= q:
+                d = loop.getrandbits(q.bit_length())
+            assert rng.randrange(q) == d
+        assert rng.random() == loop.random()
+
+
+@pytest.mark.parametrize("q", [3, 17, 257])  # lanes of 8, 16 and 32 bits
+def test_odd_rank_rows_gathers_no_kernel_vector(monkeypatch, q):
+    def gather(*args):
+        raise AssertionError("rank_rows gathered a kernel vector")
+    rows = [1, 1, q, q + 1, 0, (q - 1) * q**3]  # rank 3, a kernel of dimension 3
+    monkeypatch.setattr(qlinalg, "_from_lanes", gather)
+    assert rank_rows(rows, q) == 3
 
 
 # -- rank-matrix counting ---------------------------------------------------------
