@@ -10,6 +10,7 @@ byte-reproducible.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import sys
@@ -44,48 +45,47 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def _build_tower(cfg: dict) -> FieldTower:
+@contextlib.contextmanager
+def _section(name: str):
+    """Report a ValueError of the library, which checks every value it
+    takes, as a ConfigError of the named config section."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{name}: {exc}") from exc
+
+
+def _load_code(args):
+    """The config at args.config, its field tower and its Gabidulin code."""
+    cfg = _load_config(args.config)
     try:
         field_cfg = cfg["field"]
         q, n = field_cfg["q"], field_cfg["n"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"field section needs integer q and n: {exc}") from exc
-    if not (_is_int(q) and _is_int(n)):
-        raise ConfigError(f"field section needs integer q and n, got {q!r} and {n!r}")
-    try:
-        return FieldTower(q, n, modulus=field_cfg.get("modulus"))
-    except ValueError as exc:
-        raise ConfigError(f"field: {exc}") from exc
-
-
-def _build_code(cfg: dict, tower: FieldTower) -> GabidulinCode:
+    with _section("field"):
+        tower = FieldTower(q, n, modulus=field_cfg.get("modulus"))
     code_cfg = cfg.get("code") or {}
     try:
         k = code_cfg["k"]
     except (KeyError, TypeError) as exc:
         raise ConfigError(f"code section needs integer k: {exc}") from exc
-    if not _is_int(k):
-        raise ConfigError(f"code section needs integer k, got {k!r}")
     g, h = code_cfg.get("g"), code_cfg.get("h")
     for name, vec in (("g", g), ("h", h)):
         if vec is not None and not isinstance(vec, list):
             raise ConfigError(f"code.{name} must be a list, got {vec!r}")
     if g is None and h is None:
         g = default_generator(tower)
-    try:
-        return GabidulinCode(tower, k, g=g, h=h)
-    except ValueError as exc:
-        raise ConfigError(f"code: {exc}") from exc
+    with _section("code"):
+        return cfg, tower, GabidulinCode(tower, k, g=g, h=h)
 
 
 def _build_parts(cfg: dict, tower: FieldTower):
     parts = cfg.get("parts")
     if not (parts and isinstance(parts, list) and all(isinstance(p, list) for p in parts)):
         raise ConfigError(f"parts must be a nonempty list of lists, got {parts!r}")
-    try:
+    with _section("parts"):
         return [SubspaceBasis(tower, p) for p in parts]
-    except ValueError as exc:
-        raise ConfigError(f"parts: {exc}") from exc
 
 
 def _channel(cfg: dict, args) -> dict:
@@ -150,9 +150,7 @@ def _flatten(record, prefix=""):
 # subcommands
 
 def _cmd_code_info(args):
-    cfg = _load_config(args.config)
-    tower = _build_tower(cfg)
-    code = _build_code(cfg, tower)
+    _, tower, code = _load_code(args)
     record = {
         "q": tower.q,
         "n": tower.n,
@@ -173,9 +171,7 @@ def _cmd_code_info(args):
 def _cmd_roundtrip(args):
     import random
 
-    cfg = _load_config(args.config)
-    tower = _build_tower(cfg)
-    code = _build_code(cfg, tower)
+    _, tower, code = _load_code(args)
     if code.g is None:
         raise ConfigError("roundtrip needs a generator vector")
     if args.seed is None:
@@ -216,26 +212,22 @@ def _cmd_roundtrip(args):
 
 
 def _cmd_simulate(args):
-    cfg = _load_config(args.config)
-    tower = _build_tower(cfg)
-    code = _build_code(cfg, tower)
+    cfg, tower, code = _load_code(args)
     parts = _build_parts(cfg, tower)
     ch = _channel(cfg, args)
-    try:
+    with _section("parts"):
         dsc = DirectSumCode(code, parts)
-    except ValueError as exc:
-        raise ConfigError(f"parts: {exc}") from exc
     decode_trials = ch["decode_trials"]
     if decode_trials and any(sub.is_trivial for sub in dsc.subcodes):
         raise ConfigError("decode_trials needs every part dimension >= d")
     records = []
     for t in ch["t_values"]:
         muls0 = tower.mul_count
-        try:
+        with _section("channel"):
             mc = rank_event_rate(tower.q, dsc.dims, dsc.capability, t,
                                  ch["trials"], ch["seed"], channel=ch["mode"])
-        except ValueError as exc:
-            raise ConfigError(f"channel: {exc}") from exc
+            exp = (decode_experiment(dsc, t, decode_trials, ch["seed"], channel=ch["mode"])
+                   if decode_trials else None)
         exact = success_probability(tower.q, dsc.dims, dsc.capability, t)
         leading = success_probability(tower.q, dsc.dims, dsc.capability, t,
                                       form="leading-order")
@@ -262,37 +254,24 @@ def _cmd_simulate(args):
             "empirical": mc.frequency,
             "half_width": mc.half_width,
             "successes": mc.successes,
+            "decode_successes": exp and exp.successes,
+            "field_mul_count": tower.mul_count - muls0,
         }
-        if decode_trials:
-            try:
-                exp = decode_experiment(dsc, t, decode_trials, ch["seed"],
-                                        channel=ch["mode"])
-            except ValueError as exc:
-                raise ConfigError(f"channel: {exc}") from exc
-            record["decode_successes"] = exp.successes
+        if exp:
             record["decode_event_successes"] = exp.event_successes
-        else:
-            record["decode_successes"] = None
-        record["field_mul_count"] = tower.mul_count - muls0
         records.append(record)
     _emit(records, args)
     return 0
 
 
 def _cmd_subfield(args):
-    cfg = _load_config(args.config)
-    tower = _build_tower(cfg)
-    code = _build_code(cfg, tower)
+    cfg, tower, code = _load_code(args)
     s = args.s if args.s is not None else (cfg.get("subfield") or {}).get("s")
     if s is None:
         raise ConfigError("subfield degree required (config subfield.s or --s)")
-    if not _is_int(s):
-        raise ConfigError(f"subfield degree must be an integer, got {s!r}")
-    try:
+    with _section("subfield"):
         emb = SubfieldEmbedding(tower, s)
         factz = compute_factorization(code, s, embedding=emb)
-    except ValueError as exc:
-        raise ConfigError(f"subfield: {exc}") from exc
     ok, problem = verify_uniqueness(code, factz)
     if not ok:
         raise InternalError(f"uniqueness verification failed: {problem}")
@@ -315,10 +294,8 @@ def _cmd_subfield(args):
 
 
 def _cmd_count(args):
-    try:
+    with _section("count"):
         value = count_rank_matrices(args.q, args.m, args.t, args.rank)
-    except ValueError as exc:
-        raise ConfigError(f"count: {exc}") from exc
     _emit([{"command": "count", "q": args.q, "m": args.m, "t": args.t,
             "rank": args.rank, "count": str(value)}], args)
     return 0

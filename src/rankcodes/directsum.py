@@ -211,6 +211,8 @@ class DirectSumCode:
 def rank_leq_probability(q: int, m: int, t: int, cap: int) -> Fraction:
     """Probability that a uniform t x m q-ary matrix has rank <= cap."""
     _check_counts(q, [("m", m), ("t", t)])
+    if type(cap) is not int:  # any other int is a bound: below 0 none pass
+        raise ValueError(f"rank bound {cap!r} is not an int")
     hits = sum(count_rank_matrices(q, m, t, r) for r in range(0, cap + 1))
     return Fraction(hits, q ** (t * m))
 

@@ -379,7 +379,8 @@ class FieldTower:
     Parameters
     ----------
     q : prime order of the base field (prime powers are out of scope here)
-    n : extension degree, 1 <= n <= 64
+    n : extension degree, 1 <= n <= 64; q and n must be ints, not bools,
+        or ValueError, so a caller passes config values through unchecked
     modulus : optional monic degree-n irreducible over GF(q), a list or
         tuple of int coefficients low-to-high; defaults to a fixed table
         entry or, failing that, the smallest irreducible polynomial in
@@ -437,6 +438,8 @@ class FieldTower:
     """
 
     def __init__(self, q: int, n: int, modulus=None):
+        if type(q) is not int or type(n) is not int:  # a bool is no size either
+            raise ValueError(f"q = {q!r} and n = {n!r} must be ints")
         if not is_prime(q):
             raise ValueError(f"base field order {q} is not prime")
         if not 1 <= n <= 64:

@@ -27,8 +27,8 @@ class DecodingFailure(Exception):
 
 def moore_matrix(tower: FieldTower, vector, rows: int):
     """Matrix whose row i is the componentwise Frobenius power [i] of vector."""
-    if rows < 1:
-        raise ValueError("a Moore matrix needs at least one row")
+    if type(rows) is not int or rows < 1:
+        raise ValueError(f"a Moore matrix needs at least one row, got {rows!r}")
     return [[tower.frobenius(x, i) for x in vector] for i in range(rows)]
 
 
@@ -43,8 +43,8 @@ def dual_vector(tower: FieldTower, g, k: int):
     length = len(g)
     if rank_of_vector(tower, g) != length:
         raise ValueError("generator vector components are linearly dependent")
-    if not 1 <= k <= length - 1:
-        raise ValueError(f"dimension {k} outside 1..{length - 1}")
+    if type(k) is not int or not 1 <= k <= length - 1:
+        raise ValueError(f"dimension {k!r} outside 1..{length - 1}")
     rows = [[tower.frobenius(gi, mu) for gi in g]
             for mu in range(-(length - k - 1), k)]
     basis = ext_nullspace(tower, rows)
@@ -81,6 +81,7 @@ class GabidulinCode:
 
     Built from a generator vector (the parity vector is derived), from a
     parity vector (decode-only), or from both (checked for consistency).
+    ValueError unless k is an int (not a bool) in 1..L-1.
 
     Encoding, m -> sum_i m_i g^[i], and the syndromes, w -> (sum_l w_l
     h_l^[i])_i, are GF(q)-linear maps on the q-ary expansion of a word.
@@ -95,8 +96,8 @@ class GabidulinCode:
         if g is None and h is None:
             raise ValueError("need a generator vector, a parity vector, or both")
         length = len(g) if g is not None else len(h)
-        if not 1 <= k <= length - 1:
-            raise ValueError(f"dimension {k} outside 1..{length - 1}")
+        if type(k) is not int or not 1 <= k <= length - 1:
+            raise ValueError(f"dimension {k!r} outside 1..{length - 1}")
         if length > tower.n:
             raise ValueError("code length exceeds the extension degree")
         self.tower = tower
@@ -148,7 +149,7 @@ class GabidulinCode:
     def parity_coordinates(self, x: int):
         """q-ary coordinates of x over the parity basis (h_1, ..., h_L),
         or None when x lies outside their span (possible only for L < n)."""
-        return self._h_solver.solve(*self.tower.check_elements((x,)))
+        return self._h_solver.coords(x)
 
     def decode(self, received):
         """Return (codeword, error) with rank(error) <= capability.

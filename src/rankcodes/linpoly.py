@@ -31,6 +31,7 @@ class LinearizedPoly:
 
     def evaluate(self, x: int) -> int:
         t = self.tower
+        x, = t.check_elements((x,))
         acc = 0
         for p, c in enumerate(self.coeffs):
             if c:

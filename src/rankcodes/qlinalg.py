@@ -148,38 +148,48 @@ def rank_of_vector(tower: FieldTower, vec) -> int:
 
 
 class CoordinateSolver:
-    """Repeated GF(q)-coordinates of field elements over fixed independent
-    elements b_1..b_r: solve(x) is the u with sum u_j b_j = x.
+    """GF(q)-coordinates of field elements over fixed independent elements
+    b_1..b_m of a tower, kept as `elements`: solve(x) is the u with
+    sum u_j b_j = x.
 
-    One `kernel_rows` over [b_1..b_r, alpha^0..alpha^(n-1)] completes the
-    b_j by the pivot powers alpha^p to a basis and writes each free power
-    over it.  E, the coordinate map of that basis, holds u in the first r
-    entries of E x and zeros below exactly when x lies in the span.  E is
-    stored as a `LinearMap`, and its columns E alpha^i as base-q ints in
-    `columns`.
+    One `kernel_rows` over [b_1..b_m, alpha^0..alpha^(n-1)] checks the
+    rank and completes the b_j by the pivot powers alpha^p to a basis, and
+    writes each free power over it.  E, the coordinate map of that basis,
+    holds u in the first m entries of E x and zeros below exactly when x
+    lies in the span.  E is stored as a `LinearMap`, and its columns
+    E alpha^i as base-q ints in `columns`.  The elements pass one
+    `check_elements`, labelled `what`; ValueError if they are dependent.
+    `coords` and `contains` check x, `solve` does not.
     """
 
-    def __init__(self, tower: FieldTower, elements):
+    def __init__(self, tower: FieldTower, elements, what: str = "element"):
         q, n = tower.q, tower.n
-        elements = tower.check_elements(elements)
-        r = len(elements)
+        elements = tower.check_elements(elements, what)
+        self.tower, self.elements, self.m = tower, elements, len(elements)
+        r = self.rank = self.m
         # each kernel vector keyed by its free column, its top nonzero digit
         kernel = [int_digits(v, q, r + n) for v in kernel_rows(elements + tower.basis, q)]
         free = {max(i for i, d in enumerate(vec) if d): vec for vec in kernel}
         rank = r - sum(1 for f in free if f < r)
         if rank != r:
-            raise ValueError(f"columns have rank {rank} < {r} over GF({q})")
+            raise ValueError(f"{what}s are linearly dependent: rank {rank} < {r} over GF({q})")
         basis = [c for c in range(r + n) if c not in free]
-        images = [tower.from_digits([-free[r + i][c] for c in basis]) if r + i in free
-                  else q**basis.index(r + i) for i in range(n)]
-        self.rank, self.columns = rank, images
-        self._map = LinearMap(q, n, images)
+        self.columns = [tower.from_digits([-free[r + i][c] for c in basis]) if r + i in free
+                        else q**basis.index(r + i) for i in range(n)]
+        self._map = LinearMap(q, n, self.columns)
 
     def solve(self, x: int):
         """The coordinates of x over the elements as a list, or None if x
         is outside their span.  Checks nothing: x must be an element."""
         digits = self._map.digits(x)
         return None if any(digits[self.rank:]) else list(digits[:self.rank])
+
+    def coords(self, x: int):
+        """`solve` after a check that x is an element."""
+        return self.solve(*self.tower.check_elements((x,)))
+
+    def contains(self, x: int) -> bool:
+        return self.coords(x) is not None
 
 
 # ---------------------------------------------------------------------------
@@ -261,6 +271,8 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
+    if type(length) is not int or type(t) is not int:
+        raise ValueError(f"length {length!r} and rank {t!r} must be ints")
     if t < 0:
         raise ValueError(f"target rank {t} is negative")
     if mode == "exact-rank" and t > length:
@@ -300,6 +312,8 @@ def count_rank_matrices(q: int, m: int, t: int, r: int) -> int:
     """Number of t x m q-ary matrices of rank exactly r, 0 outside 0..min(m, t).
     ValueError unless q is a prime power and m and t are ints >= 0."""
     _check_counts(q, [("m", m), ("t", t)])
+    if type(r) is not int:  # any other int is a rank that counts 0
+        raise ValueError(f"rank {r!r} is not an int")
     if r < 0 or r > min(m, t):
         return 0
     num = 1

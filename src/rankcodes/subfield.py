@@ -79,11 +79,11 @@ class SubfieldEmbedding:
     def subfield_coords(self, x: int):
         """GF(q) coordinates of a subfield element over the polynomial
         basis, or None when x is not in the subfield."""
-        return self._sub_solver.solve(*self.tower.check_elements((x,)))
+        return self._sub_solver.coords(x)
 
     def ext_coords(self, x: int):
         """Subfield coordinates of any x over the extension basis."""
-        digits = self._full_solver.solve(*self.tower.check_elements((x,)))
+        digits = self._full_solver.coords(x)
         t, s = self.tower, self.s
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
                      for r in range(self.blocks))

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from .field import FieldTower
 from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
-from .qlinalg import CoordinateSolver, rank_of_vector
+from .qlinalg import CoordinateSolver
 
 
 class TrivialSubcodeError(Exception):
@@ -18,31 +18,21 @@ class TrivialSubcodeError(Exception):
     subcode contains only the zero word."""
 
 
-class SubspaceBasis:
-    """Ordered basis (beta_1, ..., beta_m) of a subspace of GF(q^n)."""
+class SubspaceBasis(CoordinateSolver):
+    """Ordered basis (beta_1, ..., beta_m) of a subspace of GF(q^n): a
+    `CoordinateSolver` over the betas, whose one element check labels
+    them "basis element" and whose one elimination gives both the rank
+    test and the coordinates.  `coords` and `contains` check x."""
 
     def __init__(self, tower: FieldTower, elements):
-        elements = tower.check_elements(elements, "basis element")
-        if rank_of_vector(tower, elements) != len(elements):
-            raise ValueError("basis elements are linearly dependent over GF(q)")
-        self.tower = tower
-        self.elements = elements
-        self.m = len(elements)
-        self._solver = CoordinateSolver(tower, elements)
-
-    def coords(self, x: int):
-        """q-ary coordinates of x over the basis, or None if x is outside."""
-        return self._solver.solve(*self.tower.check_elements((x,)))
-
-    def contains(self, x: int) -> bool:
-        return self.coords(x) is not None
+        super().__init__(tower, elements, "basis element")
 
     def element(self, coords) -> int:
         return self.tower.contract(coords, self.elements)
 
     def decompose(self, vector):
         """The unique m x len(vector) q-ary matrix U with vector = basis * U."""
-        cols = [self._solver.solve(x) for x in self.tower.check_elements(vector, "word symbol")]
+        cols = [self.solve(x) for x in self.tower.check_elements(vector, "word symbol")]
         if None in cols:
             raise ValueError(f"component {cols.index(None)} lies outside the subspace")
         return [[col[i] for col in cols] for i in range(self.m)]

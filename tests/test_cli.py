@@ -246,6 +246,25 @@ def test_config_rejects_non_integer_or_out_of_field_values(tmp_path, capsys, com
     assert err.startswith("config error:") and "Traceback" not in err
 
 
+# the library rejects these sizes itself; the CLI only names the section
+@pytest.mark.parametrize("command, section, value, prefix", [
+    ("code-info", "field", {"q": 2, "n": True}, "field"),
+    ("simulate", "code", {"k": 2.5}, "code"),
+    ("subfield", "subfield", {"s": True}, "subfield"),
+])
+def test_library_size_errors_name_their_section(tmp_path, capsys, command, section, value,
+                                                prefix):
+    cfg = {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "parts": [[1, 2], [4, 8]],
+           "channel": {"t_values": [1], "trials": 10, "seed": 1},
+           "subfield": {"s": 2}, section: value}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main([command, "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith(f"config error: {prefix}: ")
+    assert "Traceback" not in err
+
+
 def test_subfield_subcommand(tmp_path, capsys):
     cfg = {"field": {"q": 2, "n": 6}, "code": {"k": 4}, "subfield": {"s": 3}}
     path = tmp_path / "cfg.json"

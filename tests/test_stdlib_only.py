@@ -1,7 +1,8 @@
 """The package runs on the Python standard library alone: every import in
 src/rankcodes is a standard-library module or the package itself.  And the
 lane format of packed GF(q) digits, and the tables and raw arithmetic behind
-FieldTower's primitives, live in field.py alone."""
+FieldTower's primitives, live in field.py alone; the CLI turns a library
+ValueError into a ConfigError in one place."""
 
 import ast
 import sys
@@ -63,3 +64,15 @@ def test_tower_privates_stay_in_field():
             if isinstance(node, ast.Attribute) and node.attr in TOWER_PRIVATES:
                 outside.add(f"{path.name}:{node.lineno}: {node.attr}")
     assert not outside, sorted(outside)
+
+
+def test_cli_translates_value_errors_in_one_place():
+    """The library checks the values it takes; cli.py reports its ValueError
+    through `_section` alone, so a new subcommand cannot grow its own copy."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    handlers = [(func.name, node.lineno) for func in ast.walk(tree)
+                if isinstance(func, ast.FunctionDef)
+                for node in ast.walk(func)
+                if isinstance(node, ast.ExceptHandler) and node.type is not None
+                and "ValueError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
+    assert [name for name, _ in handlers] == ["_section"], handlers

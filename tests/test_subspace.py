@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from rankcodes import (DecodingFailure, GabidulinCode, SubspaceBasis,
-                       SubspaceSubcode, TrivialSubcodeError, default_generator,
-                       moore_matrix, random_error, rank_of_vector)
+from rankcodes import (CoordinateSolver, DecodingFailure, FieldTower, GabidulinCode,
+                       SubfieldEmbedding, SubspaceBasis, SubspaceSubcode,
+                       TrivialSubcodeError, default_generator, moore_matrix, qlinalg,
+                       random_error, rank_of_vector)
 
 from gfq_reference import (codewords, messages, min_rank_distance, parent_parity_rows, span,
                            subcode_codewords, subcode_encodings)
@@ -33,6 +34,35 @@ def test_subspace_basis_validation(gf16):
     basis = SubspaceBasis(gf16, (1, 2, 4))
     assert basis.m == 3
     assert basis.contains(6) and not basis.contains(8)
+
+
+@pytest.mark.parametrize("q, n, elements", [(2, 12, (1, 2, 4, 8, 16, 32)), (3, 9, (1, 3, 9))])
+def test_subspace_basis_is_one_elimination(monkeypatch, q, n, elements):
+    """The basis is its own CoordinateSolver: its rank test and its
+    coordinates come from one kernel_rows, with no separate rank."""
+    tower = FieldTower(q, n)
+    calls = {"kernel_rows": 0, "rank_rows": 0}
+    for name in calls:
+        def counted(*args, _name=name, _fn=getattr(qlinalg, name)):
+            calls[_name] += 1
+            return _fn(*args)
+        monkeypatch.setattr(qlinalg, name, counted)
+    basis = SubspaceBasis(tower, elements)
+    assert calls == {"kernel_rows": 1, "rank_rows": 0}
+    assert isinstance(basis, CoordinateSolver) and basis.m == len(elements)
+
+
+def test_coords_is_the_checked_solve(gf16, gf64, tiny_code):
+    with pytest.raises(ValueError, match="linearly dependent"):
+        SubspaceBasis(gf16, (1, 2, 3))
+    emb = SubfieldEmbedding(gf64, 3)
+    for tower, solver in [(gf16, SubspaceBasis(gf16, (1, 2, 4))), (gf16, tiny_code._h_solver),
+                          (gf64, emb._sub_solver), (gf64, emb._full_solver)]:
+        for x in range(tower.order):
+            assert solver.coords(x) == solver.solve(x)
+            assert solver.contains(x) == (solver.solve(x) is not None)
+        with pytest.raises(ValueError, match="not an element"):
+            solver.coords(tower.order)
 
 
 def test_subspace_basis_rejects_non_integer_elements(gf16):
