@@ -266,7 +266,10 @@ def _cmd_simulate(args):
 
 def _cmd_subfield(args):
     cfg, tower, code = _load_code(args)
-    s = args.s if args.s is not None else (cfg.get("subfield") or {}).get("s")
+    section = cfg.get("subfield") or {}
+    if not isinstance(section, dict):
+        raise ConfigError(f"subfield: section must be an object, got {section!r}")
+    s = args.s if args.s is not None else section.get("s")
     if s is None:
         raise ConfigError("subfield degree required (config subfield.s or --s)")
     with _section("subfield"):

@@ -6,13 +6,14 @@ so x == sum(digit_i * q**i).  Elements of GF(q) are ints in [0, q).
 
 A FieldTower's arithmetic is fixed at construction: every operation is a
 pure function of its arguments.  See FieldTower for its mutable state:
-the `mul_count` counter and two caches of linear maps.
+the `mul_count` counter and three caches.
 """
 
 from __future__ import annotations
 
 import operator
 import struct
+import weakref
 from functools import cache
 
 # Default moduli that `find_irreducible` would not pick, coefficients
@@ -416,7 +417,9 @@ class FieldTower:
     `axpy(ys, c, xs)` is the row primitive [y + c x] of the GF(q^n)
     elimination: table-backed towers add log c once per row, table-less
     q = 2 builds c's comb window once per row, and table-less odd q
-    multiplies entry by entry.
+    multiplies entry by entry.  A table-less tower of even n with q^(n/2)
+    <= 2^16 eliminates in `_half`, its `_HalfField` GF(q^(n/2))[alpha],
+    built on first use and published whole (False on other towers).
 
     `linearized_images(coeffs)` gives the basis images of a linearized
     polynomial, the matrix of its root space, with no field product: the
@@ -431,7 +434,8 @@ class FieldTower:
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
     {0, 1}); table-backed `pow` counts one and table-less `pow` the
     products of its square and multiply, e.bit_length() + popcount(e).
-    It depends only on the calls made: building tables or maps never does.
+    The `_HalfField`'s `axpy` and `inv` count the same.  It depends only
+    on the calls made: building tables, maps or `_half` never does.
     Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
     outside [0, q^n); `axpy` and `linearized_images` check nothing, so the
     library checks words with `check_elements` where they come in.
@@ -476,6 +480,7 @@ class FieldTower:
             self._build_tables()
         self._frob = {}  # power i -> its LinearMap's bound image, table-less only
         self._power_maps = {}  # power p -> the word map of `linearized_images`
+        self._half = None  # the `_HalfField` of `_rref_ext`, or False
 
     # -- encoding ----------------------------------------------------------
 
@@ -730,6 +735,13 @@ class FieldTower:
                 acc = self.add(acc, self.mul(x, y))
         return acc
 
+    def _half_field(self):
+        """`_half`, built on first use (see the class docstring)."""
+        if self._half is None:
+            self._half = (self._exp is None and self.n % 2 == 0
+                          and self.q ** (self.n // 2) <= _TABLE_LIMIT and _HalfField(self))
+        return self._half
+
     # -- GF(q)-linear maps on words -------------------------------------------
 
     def word_map(self, rows) -> LinearMap:
@@ -850,3 +862,64 @@ class FieldTower:
 
     def __hash__(self):
         return hash((self.q, self.n, self.modulus))
+
+    def __getstate__(self):  # `_half` refers to its tower weakly, so it is rebuilt, not copied
+        return {**self.__dict__, "_half": None}
+
+
+class _HalfField:
+    """GF(q^n), n = 2s, as H[alpha] over the table-backed H = GF(q^s) (De Win,
+    Bosselaers, Vandenberghe, De Gersem and Vandewalle, ASIACRYPT '96; Paar,
+    1994): x0 + x1 alpha is the int x0 + x1 q^s, x over the basis {theta^i,
+    theta^i alpha} of `SubfieldEmbedding(tower, s)`, so `into` is its
+    coordinate map and `out` the map back.  With alpha^2 = A0 + A1 alpha,
+    c x = (u x0 + v x1) + (w x0 + z x1) alpha, u = c0, v = A0 c1, w = c1 and
+    z = c0 + A1 c1: four log lookups, the logs fixed per row.  log[0] is a
+    sentinel past exp's two periods, where exp reads 0.  The build counts
+    nothing; `inv` and `axpy` count as the tower's, and negation is its."""
+
+    def __init__(self, tower: FieldTower):
+        from .subfield import SubfieldEmbedding  # subfield imports qlinalg, which imports this
+        count, q, s = tower.mul_count, tower.q, tower.n // 2
+        emb = SubfieldEmbedding(tower, s)
+        full, theta, alpha = emb._full_solver, emb.generator, emb.ext_basis[1]
+        low = emb._sub_solver.solve(tower.pow(theta, s))  # H = GF(q)[x] / minpoly(theta)
+        h = FieldTower(q, s, [-c for c in low] + [1])
+        self.into, self.out = full._map.__call__, LinearMap(q, 2 * s, full.elements).__call__
+        A1, A0 = divmod(full._map(tower.mul(alpha, alpha)), h.order)
+        tower.mul_count = count
+        self.tower, self.q, self.s, self.order = weakref.proxy(tower), q, s, h.order  # no cycle
+        self.size = size = h.order - 1
+        self.log, self.exp = [2 * size] + h._log[1:], h._exp + [0] * (2 * size + 1)
+        self.lA = self.log[A0], self.log[A1]
+        self.add, self.turn = (operator.xor, 0) if q == 2 else (h.add, size // 2)
+
+    def inv(self, a: int) -> int:
+        """conj(a) / N(a): conj(a) = t - a1 alpha for t = a0 + A1 a1, N(a) =
+        a0 t - A0 a1^2, 1/N(a) = g^(size - log N(a)); turn is log(-1)."""
+        exp, log, (lA0, lA1), turn, size = self.exp, self.log, self.lA, self.turn, self.size
+        a1, a0 = divmod(a, self.order)
+        la1 = log[a1]
+        lt = log[self.add(a0, exp[lA1 + la1])]
+        lr = size - log[self.add(exp[log[a0] + lt], exp[(lA0 + turn) % size + log[exp[2 * la1]]])]
+        self.tower.mul_count += 1
+        return exp[lt + lr] + self.order * exp[la1 + (lr + turn) % size]
+
+    def axpy(self, ys, c: int, xs) -> list:
+        """ys with each y replaced by y + c x, x from xs, in place."""
+        exp, log, order, (lA0, lA1) = self.exp, self.log, self.order, self.lA
+        c1, c0 = divmod(c, order)
+        lc1 = log[c1]  # the logs of w = c1, u, v and z
+        lu, lv, lz = log[c0], log[exp[lA0 + lc1]], log[self.add(c0, exp[lA1 + lc1])]
+        self.tower.mul_count += len(ys)
+        s, mask, add, binary = self.s, order - 1, self.add, self.q == 2
+        for j, x in enumerate(xs):  # a loop: a comprehension reads these locals as cells
+            if x and binary:
+                a, b = log[x & mask], log[x >> s]
+                ys[j] ^= exp[lu + a] ^ exp[lv + b] ^ (exp[lc1 + a] ^ exp[lz + b]) << s
+            elif x:
+                (x1, x0), (y1, y0) = divmod(x, order), divmod(ys[j], order)
+                a, b = log[x0], log[x1]
+                ys[j] = (add(add(y0, exp[lu + a]), exp[lv + b])
+                         + order * add(add(y1, exp[lc1 + a]), exp[lz + b]))
+        return ys

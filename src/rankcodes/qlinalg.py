@@ -5,8 +5,9 @@ int sum row[j] * q**j, as field elements are rows of width n.  One odd-q
 elimination loop, `_reduce_lanes`, gives `kernel_rows` its kernels and
 coordinate maps and `rank_rows` its ranks; for q = 2 each keeps an XOR
 loop.  `_rref_ext` eliminates matrices over GF(q^n), whose entries are
-integer-encoded elements.  Also here: the rank-matrix counting formula and
-the rank-t error sampler used by the decoding experiments.
+integer-encoded elements, by the tower's row step `axpy` or its half
+field's.  Also here: the rank-matrix counting formula and the rank-t error
+sampler used by the decoding experiments.
 """
 
 from __future__ import annotations
@@ -212,22 +213,28 @@ def _free_basis(rows, pivots, ncols, neg):
 
 
 def _rref_ext(tower: FieldTower, rows):
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
+    """The pivot columns of `rows`, lists over GF(q^n) reduced in place to
+    reduced row echelon form by `inv` and the row step `axpy`: the tower's,
+    or its `_HalfField`'s, with the entries converted in and out once."""
+    half, q = tower._half_field(), tower.q
+    ring, ncols, pivots, r = half or tower, len(rows[0]), [], 0
+    if half:
+        rows[:] = [list(map(half.into, row)) for row in rows]
     for col in range(ncols):
         piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
         if piv is None:
             continue
         rows[r], rows[piv] = rows[piv], rows[r]
-        rows[r] = tower.axpy([0] * ncols, tower.inv(rows[r][col]), rows[r])
+        rows[r] = ring.axpy([0] * ncols, ring.inv(rows[r][col]), rows[r])
         for i in range(len(rows)):
             if i != r and rows[i][col]:  # row i - c * row r
-                rows[i] = tower.axpy(rows[i], tower.neg(rows[i][col]), rows[r])
+                rows[i] = ring.axpy(rows[i], tower.neg(rows[i][col]), rows[r])
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
+    if half:  # GF(q), its 0 and 1 above all, is fixed by both maps
+        rows[:] = [[half.out(x) if x >= q else x for x in row] for row in rows]
     return pivots
 
 
@@ -267,14 +274,14 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
     space (default: the whole field); A is a t x length q-ary matrix.  With
     mode="exact-rank" A is resampled until it has rank t, so rank(e) = t
     exactly, which needs t <= length; with mode="uniform-matrix" A is
-    uniform and rank(e) <= t.
+    uniform and rank(e) <= t.  ValueError on a negative length or t.
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
     if type(length) is not int or type(t) is not int:
         raise ValueError(f"length {length!r} and rank {t!r} must be ints")
-    if t < 0:
-        raise ValueError(f"target rank {t} is negative")
+    if t < 0 or length < 0:
+        raise ValueError(f"length {length} or target rank {t} is negative")
     if mode == "exact-rank" and t > length:
         raise ValueError(f"exact rank {t} exceeds the length {length}")
     if t == 0:

@@ -11,7 +11,8 @@ Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower, codes and `LinearizedPoly`:
-the rank of a matrix over GF(q^n), a subfield listed element by element,
+the rank of a matrix over GF(q^n), the GF(q^n) elimination loop on the
+tower's `axpy` and `inv`, a subfield listed element by element,
 the guarded enumerations of a code's messages and words, of a subspace
 and of a subspace subcode, the minimum rank distance of a code and the
 words of a subspace subcode, both by enumerating the code, the parity rows
@@ -282,6 +283,28 @@ def ext_rank(tower, matrix):
             rows[i] = [tower.sub(a, tower.mul(c, b)) for a, b in zip(rows[i], rows[rank])]
         rank += 1
     return rank
+
+
+def rref_ext(tower, rows):
+    """Gauss-Jordan elimination over GF(q^n) in place, returning the pivot
+    columns: the loop of `rankcodes.qlinalg._rref_ext` before it eliminated
+    in a half field, a row step at a time through the tower's own `axpy`
+    and `inv`, so it counts exactly as the library must."""
+    ncols, pivots, r = len(rows[0]), [], 0
+    for col in range(ncols):
+        piv = next((i for i in range(r, len(rows)) if rows[i][col]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = tower.axpy([0] * ncols, tower.inv(rows[r][col]), rows[r])
+        for i in range(len(rows)):
+            if i != r and rows[i][col]:
+                rows[i] = tower.axpy(rows[i], tower.neg(rows[i][col]), rows[r])
+        pivots.append(col)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
 
 
 def fixed_field(tower, s):

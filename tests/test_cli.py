@@ -265,6 +265,18 @@ def test_library_size_errors_name_their_section(tmp_path, capsys, command, secti
     assert "Traceback" not in err
 
 
+# the CLI checks the section's shape: an object, not a list or a string
+@pytest.mark.parametrize("section", [[3], "3"], ids=repr)
+def test_subfield_section_must_be_an_object(tmp_path, capsys, section):
+    cfg = {"field": {"q": 2, "n": 4}, "code": {"k": 2}, "subfield": section}
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    assert main(["subfield", "--config", str(path)]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("config error: subfield: ")
+    assert "Traceback" not in err
+
+
 def test_subfield_subcommand(tmp_path, capsys):
     cfg = {"field": {"q": 2, "n": 6}, "code": {"k": 4}, "subfield": {"s": 3}}
     path = tmp_path / "cfg.json"

@@ -20,7 +20,8 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
 from rankcodes.field import LinearMap, int_digits
-from rankcodes.qlinalg import kernel_rows
+from rankcodes import qlinalg
+from rankcodes.qlinalg import ext_nullspace, ext_solve, kernel_rows
 
 import gfq_reference as ref
 from gfq_reference import min_subspace_poly
@@ -275,6 +276,58 @@ def test_mul_and_axpy_match_reference(case):
     assert tower.axpy(ys, c, xs) == [ref.field_add(y, p, q, n) for y, p in zip(ys, products)]
     assert tower.mul_count - before == len(xs)
     event(f"q = {q}, {'table-less' if tower._exp is None else 'table-backed'}")
+
+
+# table-less towers of even n whose half field GF(q^(n/2)) has tables
+HALF_FIELD_SHAPES = [(2, 18), (2, 20), (2, 22), (3, 12), (5, 8), (7, 6)]
+
+
+@st.composite
+def ext_systems(draw):
+    """A consistent system over a half-field tower: random (so of full rank
+    but for its zeros and ones), singular (a
+    row a combination of two others) or inconsistent (that row's right-hand
+    side moved off it).  Entries include 0, 1 and elements with a zero half:
+    the subfield GF(q^(n/2)), as norms y^(1 + q^(n/2)), and its alpha multiples."""
+    tower = _tower(*draw(st.sampled_from(HALF_FIELD_SHAPES)))
+    s, element = tower.n // 2, st.integers(0, tower.order - 1)
+    norm = element.map(lambda y: tower.mul(y, tower.frobenius(y, s)))
+    entry = st.one_of(st.just(0), st.just(1), element, norm,
+                      norm.map(lambda h: tower.mul(h, tower.q)))
+    kind = draw(st.sampled_from(["random", "singular", "inconsistent"]))
+    nrows, ncols = draw(st.integers(1 if kind == "random" else 3, 5)), draw(st.integers(1, 6))
+    matrix = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
+    x = draw(st.lists(element, min_size=ncols, max_size=ncols))
+    rhs = [tower.dot(row, x) for row in matrix]
+    if kind != "random":  # row 0 = c row 1 + row 2, right-hand side alike
+        c = draw(element)
+        matrix[0] = tower.axpy(matrix[2], c, matrix[1])
+        rhs[0] = tower.add(rhs[2], tower.mul(c, rhs[1]))
+    if kind == "inconsistent":
+        rhs[0] = tower.add(rhs[0], draw(st.integers(1, tower.order - 1)))
+    return tower, matrix, rhs, kind
+
+
+@settings(max_examples=300, deadline=None)
+@given(ext_systems())
+def test_half_field_elimination_matches_reference_loop(case):
+    """`_rref_ext` in the half field gives the reference loop's pivots,
+    rows and count, and so do ext_nullspace and ext_solve built on it."""
+    tower, matrix, rhs, kind = case
+    results = []
+    for kernel in (qlinalg._rref_ext, ref.rref_ext):
+        before, rows = tower.mul_count, [list(row) for row in matrix]
+        pivots = kernel(tower, rows)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(qlinalg, "_rref_ext", kernel)
+            solved = ext_nullspace(tower, matrix), ext_solve(tower, matrix, rhs)
+        results.append((pivots, rows, solved, tower.mul_count - before))
+    assert tower._half and results[0] == results[1]
+    solution = results[0][2][1]
+    assert (solution is None) == (kind == "inconsistent")
+    if solution is not None:
+        assert [tower.dot(row, solution[0]) for row in matrix] == rhs
+    event(f"{kind}, GF({tower.q}^{tower.n})")
 
 
 # table-backed q in {2, 3, 5}, table-less (with the wide lanes of 17 and

@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 import random
 
 import pytest
@@ -7,7 +9,7 @@ from conftest import bounded
 from rankcodes import (CoordinateSolver, FieldTower, count_rank_matrices, ext_nullspace,
                        ext_solve, find_irreducible, is_irreducible, random_error,
                        random_rows, rank_leq_probability, rank_of_vector, rank_q, rank_rows)
-from rankcodes import qlinalg
+from rankcodes import field, qlinalg
 from rankcodes.qlinalg import kernel_rows
 
 import gfq_reference as ref
@@ -161,6 +163,44 @@ def test_ext_nullspace_over_gf4():
     assert gf4.add(x[0], gf4.mul(a, x[1])) == 0
 
 
+# odd n, a half field above 2^16, and table-backed towers, even n included
+NO_HALF_FIELD = [(2, 17), (3, 11), (2, 34), (2, 16), (2, 12), (3, 9), (3, 10), (251, 2)]
+
+
+@pytest.mark.parametrize("q, n", NO_HALF_FIELD)
+def test_other_towers_never_build_the_half_field(monkeypatch, q, n):
+    def refuse(tower):
+        raise AssertionError(f"a half field was built for {tower}")
+
+    monkeypatch.setattr(field, "_HalfField", refuse)
+    tower, rng = FieldTower(q, n), random.Random(q * 100 + n)
+    m = [[tower.random_element(rng) for _ in range(4)] for _ in range(3)]
+    assert len(ext_nullspace(tower, m)) == 1
+    assert ext_solve(tower, m, [1, 2, 3]) is not None
+    assert tower._half is False
+
+
+@pytest.mark.parametrize("q, n", [(2, 20), (3, 12)])
+def test_building_the_half_field_counts_nothing(q, n):
+    tower = FieldTower(q, n)
+    assert tower._half_field() and tower.mul_count == 0
+    # built inside the first elimination, it counts as the reference loop does
+    fresh, reference, rng = FieldTower(q, n), FieldTower(q, n), random.Random(n)
+    m = [[fresh.random_element(rng) for _ in range(5)] for _ in range(4)]
+    rows, ref_rows = [list(r) for r in m], [list(r) for r in m]
+    assert qlinalg._rref_ext(fresh, rows) == ref.rref_ext(reference, ref_rows)
+    assert rows == ref_rows and fresh.mul_count == reference.mul_count == 4 * (1 + 4 * 5)
+
+
+def test_a_tower_with_a_half_field_pickles_and_copies():
+    tower, m = FieldTower(2, 20), [[1, 5, 7], [9, 3, 2]]
+    kernel = ext_nullspace(tower, m)
+    assert tower._half
+    for twin in (pickle.loads(pickle.dumps(tower)), copy.deepcopy(tower)):
+        assert twin == tower and twin._half is None and twin.mul_count == tower.mul_count
+        assert ext_nullspace(twin, m) == kernel and twin._half.tower == twin
+
+
 # -- coordinate solver ----------------------------------------------------------
 
 def test_coordinate_solver_membership(gf16):
@@ -214,6 +254,10 @@ def test_random_error_validation(gf16):
         random_error(gf16, 4, -1, rng)
     with pytest.raises(ValueError, match="negative"):
         random_error(gf16, 4, -1, rng, mode="uniform-matrix")
+    # a negative length, whatever the rank and mode
+    for t, mode in itertools.product((0, 1), ("exact-rank", "uniform-matrix")):
+        with pytest.raises(ValueError, match="negative"):
+            random_error(gf16, -3, t, rng, mode=mode)
     # exact rank 3 cannot be spread over 2 positions
     with pytest.raises(ValueError, match="exceeds the length"):
         random_error(gf16, 2, 3, rng)

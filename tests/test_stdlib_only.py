@@ -2,7 +2,8 @@
 src/rankcodes is a standard-library module or the package itself.  And the
 lane format of packed GF(q) digits, and the tables and raw arithmetic behind
 FieldTower's primitives, live in field.py alone; the CLI turns a library
-ValueError into a ConfigError in one place."""
+ValueError into a ConfigError in one place; and the GF(q^n) row step runs
+in one elimination kernel."""
 
 import ast
 import sys
@@ -52,7 +53,7 @@ def test_lane_format_lives_in_field():
 # FieldTower's tables, map caches and raw arithmetic: the fast paths behind its primitives
 TOWER_PRIVATES = {"_exp", "_log", "_zech", "_frob", "_reduce", "_comb", "_mul_raw",
                   "_alpha_multiples", "_frobenius_map", "_frobenius_images",
-                  "_power_maps", "_power_map"}
+                  "_power_maps", "_power_map", "_half"}
 
 
 def test_tower_privates_stay_in_field():
@@ -76,3 +77,24 @@ def test_cli_translates_value_errors_in_one_place():
                 if isinstance(node, ast.ExceptHandler) and node.type is not None
                 and "ValueError" in {n.id for n in ast.walk(node.type) if isinstance(n, ast.Name)}]
     assert [name for name, _ in handlers] == ["_section"], handlers
+
+
+# the GF(q^n) row step [y + c x]: `FieldTower.axpy` and the `_HalfField`'s composite one
+ROW_STEPS = {"axpy"}
+
+
+def test_row_steps_run_only_in_the_one_elimination_kernel():
+    """ROADMAP's one elimination kernel: src/ names a row step nowhere but
+    inside `qlinalg._rref_ext` (a definition is no use of it)."""
+    outside, inside = set(), set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        kernel = {id(node) for func in ast.walk(tree)
+                  if isinstance(func, ast.FunctionDef) and func.name == "_rref_ext"
+                  for node in ast.walk(func)}
+        for node in ast.walk(tree):
+            name = getattr(node, "attr", None) or getattr(node, "id", None)
+            if isinstance(node, (ast.Attribute, ast.Name)) and name in ROW_STEPS:
+                (inside if id(node) in kernel else outside).add(f"{path.name}:{node.lineno}")
+    assert inside and all(at.startswith("qlinalg.py:") for at in inside), sorted(inside)
+    assert not outside, sorted(outside)

@@ -77,3 +77,9 @@ def test_out_of_range_ranks_still_count_zero():
 def test_evaluate_rejects_non_elements(gf16, x):
     with pytest.raises(ValueError, match="not an element"):
         LinearizedPoly(gf16, [1, 2]).evaluate(x)
+
+
+@pytest.mark.parametrize("vector", ["g", "h"])
+def test_code_vectors_must_be_lists_or_tuples(gf16, vector):
+    with pytest.raises(ValueError, match="list or tuple"):
+        GabidulinCode(gf16, 2, **{vector: 5})
