@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import operator
 import struct
-import weakref
 from functools import cache
 
 # Default moduli that `find_irreducible` would not pick, coefficients
@@ -434,8 +433,8 @@ class FieldTower:
     and one per `frobenius` that is not the identity (i = 0 mod n, or x in
     {0, 1}); table-backed `pow` counts one and table-less `pow` the
     products of its square and multiply, e.bit_length() + popcount(e).
-    The `_HalfField`'s `axpy` and `inv` count the same.  It depends only
-    on the calls made: building tables, maps or `_half` never does.
+    `_rref_ext` counts the `_HalfField`'s `axpy` and `inv` the same.  It
+    depends only on the calls made: building tables, maps or `_half` never does.
     Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
     outside [0, q^n); `axpy` and `linearized_images` check nothing, so the
     library checks words with `check_elements` where they come in.
@@ -736,7 +735,8 @@ class FieldTower:
         return acc
 
     def _half_field(self):
-        """`_half`, built on first use (see the class docstring)."""
+        """`_half`, built on first use; not a cached_property, whose write to
+        `__dict__` slows every later attribute lookup on the tower."""
         if self._half is None:
             self._half = (self._exp is None and self.n % 2 == 0
                           and self.q ** (self.n // 2) <= _TABLE_LIMIT and _HalfField(self))
@@ -863,9 +863,6 @@ class FieldTower:
     def __hash__(self):
         return hash((self.q, self.n, self.modulus))
 
-    def __getstate__(self):  # `_half` refers to its tower weakly, so it is rebuilt, not copied
-        return {**self.__dict__, "_half": None}
-
 
 class _HalfField:
     """GF(q^n), n = 2s, as H[alpha] over the table-backed H = GF(q^s) (De Win,
@@ -875,8 +872,9 @@ class _HalfField:
     coordinate map and `out` the map back.  With alpha^2 = A0 + A1 alpha,
     c x = (u x0 + v x1) + (w x0 + z x1) alpha, u = c0, v = A0 c1, w = c1 and
     z = c0 + A1 c1: four log lookups, the logs fixed per row.  log[0] is a
-    sentinel past exp's two periods, where exp reads 0.  The build counts
-    nothing; `inv` and `axpy` count as the tower's, and negation is its."""
+    sentinel past exp's two periods, where exp reads 0.  Nothing here counts:
+    the build undoes the embedding's counts, and `_rref_ext` counts `inv` and
+    `axpy` as the tower's.  Negation is the tower's."""
 
     def __init__(self, tower: FieldTower):
         from .subfield import SubfieldEmbedding  # subfield imports qlinalg, which imports this
@@ -888,7 +886,7 @@ class _HalfField:
         self.into, self.out = full._map.__call__, LinearMap(q, 2 * s, full.elements).__call__
         A1, A0 = divmod(full._map(tower.mul(alpha, alpha)), h.order)
         tower.mul_count = count
-        self.tower, self.q, self.s, self.order = weakref.proxy(tower), q, s, h.order  # no cycle
+        self.q, self.s, self.order = q, s, h.order
         self.size = size = h.order - 1
         self.log, self.exp = [2 * size] + h._log[1:], h._exp + [0] * (2 * size + 1)
         self.lA = self.log[A0], self.log[A1]
@@ -902,7 +900,6 @@ class _HalfField:
         la1 = log[a1]
         lt = log[self.add(a0, exp[lA1 + la1])]
         lr = size - log[self.add(exp[log[a0] + lt], exp[(lA0 + turn) % size + log[exp[2 * la1]]])]
-        self.tower.mul_count += 1
         return exp[lt + lr] + self.order * exp[la1 + (lr + turn) % size]
 
     def axpy(self, ys, c: int, xs) -> list:
@@ -911,7 +908,6 @@ class _HalfField:
         c1, c0 = divmod(c, order)
         lc1 = log[c1]  # the logs of w = c1, u, v and z
         lu, lv, lz = log[c0], log[exp[lA0 + lc1]], log[self.add(c0, exp[lA1 + lc1])]
-        self.tower.mul_count += len(ys)
         s, mask, add, binary = self.s, order - 1, self.add, self.q == 2
         for j, x in enumerate(xs):  # a loop: a comprehension reads these locals as cells
             if x and binary:

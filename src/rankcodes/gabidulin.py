@@ -10,6 +10,7 @@ through the error-span polynomial.
 from __future__ import annotations
 
 import functools
+from collections.abc import Sized
 
 from .field import FieldTower
 from .linpoly import LinearizedPoly
@@ -82,7 +83,7 @@ class GabidulinCode:
     Built from a generator vector (the parity vector is derived), from a
     parity vector (decode-only), or from both (checked for consistency).
     ValueError unless k is an int (not a bool) in 1..L-1 and each vector
-    given is a list or tuple.
+    given has a length.
 
     Encoding, m -> sum_i m_i g^[i], and the syndromes, w -> (sum_l w_l
     h_l^[i])_i, are GF(q)-linear maps on the q-ary expansion of a word.
@@ -96,8 +97,8 @@ class GabidulinCode:
     def __init__(self, tower: FieldTower, k: int, g=None, h=None):
         if g is None and h is None:
             raise ValueError("need a generator vector, a parity vector, or both")
-        if not all(v is None or isinstance(v, (list, tuple)) for v in (g, h)):
-            raise ValueError(f"g and h must each be a list or tuple, got {g!r} and {h!r}")
+        if not all(v is None or isinstance(v, Sized) for v in (g, h)):
+            raise ValueError(f"g and h must each have a length, got {g!r} and {h!r}")
         length = len(g) if g is not None else len(h)
         if type(k) is not int or not 1 <= k <= length - 1:
             raise ValueError(f"dimension {k!r} outside 1..{length - 1}")

@@ -215,9 +215,10 @@ def _free_basis(rows, pivots, ncols, neg):
 def _rref_ext(tower: FieldTower, rows):
     """The pivot columns of `rows`, lists over GF(q^n) reduced in place to
     reduced row echelon form by `inv` and the row step `axpy`: the tower's,
-    or its `_HalfField`'s, with the entries converted in and out once."""
+    or its `_HalfField`'s, with the entries converted in and out once and
+    the count added as the tower's would be."""
     half, q = tower._half_field(), tower.q
-    ring, ncols, pivots, r = half or tower, len(rows[0]), [], 0
+    ring, ncols, pivots, r, steps = half or tower, len(rows[0]), [], 0, 0
     if half:
         rows[:] = [list(map(half.into, row)) for row in rows]
     for col in range(ncols):
@@ -229,11 +230,13 @@ def _rref_ext(tower: FieldTower, rows):
         for i in range(len(rows)):
             if i != r and rows[i][col]:  # row i - c * row r
                 rows[i] = ring.axpy(rows[i], tower.neg(rows[i][col]), rows[r])
+                steps += 1
         pivots.append(col)
         r += 1
         if r == len(rows):
             break
-    if half:  # GF(q), its 0 and 1 above all, is fixed by both maps
+    if half:  # one per pivot's inv, one per entry of each axpy; GF(q) is fixed by both maps
+        tower.mul_count += len(pivots) * (1 + ncols) + steps * ncols
         rows[:] = [[half.out(x) if x >= q else x for x in row] for row in rows]
     return pivots
 

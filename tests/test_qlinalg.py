@@ -1,7 +1,9 @@
 import copy
+import gc
 import itertools
 import pickle
 import random
+import weakref
 
 import pytest
 from conftest import bounded
@@ -194,11 +196,26 @@ def test_building_the_half_field_counts_nothing(q, n):
 
 def test_a_tower_with_a_half_field_pickles_and_copies():
     tower, m = FieldTower(2, 20), [[1, 5, 7], [9, 3, 2]]
-    kernel = ext_nullspace(tower, m)
+    kernel, counted = ext_nullspace(tower, m), tower.mul_count
     assert tower._half
     for twin in (pickle.loads(pickle.dumps(tower)), copy.deepcopy(tower)):
-        assert twin == tower and twin._half is None and twin.mul_count == tower.mul_count
-        assert ext_nullspace(twin, m) == kernel and twin._half.tower == twin
+        assert twin == tower and twin._half is not tower._half and twin.mul_count == counted
+        assert ext_nullspace(twin, m) == kernel and twin.mul_count == 2 * counted
+
+
+def test_a_dropped_tower_goes_with_its_half_field_without_gc():
+    """No tower/half-field reference cycle holds a dropped tower until a full GC."""
+    tower = FieldTower(2, 20)
+    ext_nullspace(tower, [[1, 5, 7], [9, 3, 2]])
+    assert tower._half
+    gone, enabled = weakref.ref(tower), gc.isenabled()
+    gc.disable()
+    try:
+        del tower
+        assert gone() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 # -- coordinate solver ----------------------------------------------------------

@@ -79,13 +79,14 @@ def test_cli_translates_value_errors_in_one_place():
     assert [name for name, _ in handlers] == ["_section"], handlers
 
 
-# the GF(q^n) row step [y + c x]: `FieldTower.axpy` and the `_HalfField`'s composite one
-ROW_STEPS = {"axpy"}
+# the GF(q^n) row step [y + c x], `FieldTower.axpy` and the `_HalfField`'s
+# composite one, and `_half_field`, the tower's accessor of the half field
+ROW_STEPS = {"axpy", "_half_field"}
 
 
 def test_row_steps_run_only_in_the_one_elimination_kernel():
-    """ROADMAP's one elimination kernel: src/ names a row step nowhere but
-    inside `qlinalg._rref_ext` (a definition is no use of it)."""
+    """ROADMAP's one elimination kernel: src/ names a row step or the half
+    field nowhere but inside `qlinalg._rref_ext` (a definition is no use)."""
     outside, inside = set(), set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))

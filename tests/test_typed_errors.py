@@ -80,6 +80,10 @@ def test_evaluate_rejects_non_elements(gf16, x):
 
 
 @pytest.mark.parametrize("vector", ["g", "h"])
-def test_code_vectors_must_be_lists_or_tuples(gf16, vector):
-    with pytest.raises(ValueError, match="list or tuple"):
-        GabidulinCode(gf16, 2, **{vector: 5})
+def test_code_vectors_must_have_a_length(gf16, vector):
+    for bad in (5, iter([1, 2, 4, 8])):
+        with pytest.raises(ValueError, match="have a length"):
+            GabidulinCode(gf16, 2, **{vector: bad})
+    # any sized vector still builds the code
+    code = GabidulinCode(gf16, 1, **{vector: range(1, 3)})
+    assert getattr(code, vector) == (1, 2)
