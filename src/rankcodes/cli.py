@@ -218,7 +218,7 @@ def _cmd_simulate(args):
     with _section("parts"):
         dsc = DirectSumCode(code, parts)
     decode_trials = ch["decode_trials"]
-    if decode_trials and any(sub.is_trivial for sub in dsc.subcodes):
+    if decode_trials and None in dsc.parents:
         raise ConfigError("decode_trials needs every part dimension >= d")
     records = []
     for t in ch["t_values"]:

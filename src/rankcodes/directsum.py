@@ -19,11 +19,31 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import LinearMap, int_digits, is_prime
-from .gabidulin import DecodingFailure, GabidulinCode
+from .field import FieldTower, LinearMap, int_digits, is_prime
+from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import (CoordinateSolver, _check_counts, count_rank_matrices,
                       random_error, random_rows, rank_of_vector, rank_rows)
-from .subspace import SubspaceBasis, SubspaceSubcode, TrivialSubcodeError
+
+
+class TrivialSubcodeError(Exception):
+    """The subspace dimension is below the minimum distance, so the
+    subcode contains only the zero word."""
+
+
+class SubspaceBasis(CoordinateSolver):
+    """Ordered basis (beta_1, ..., beta_m) of a subspace of GF(q^n): a
+    `CoordinateSolver` over the betas, whose one element check labels
+    them "basis element" and whose one elimination gives both the rank
+    test and the coordinates.  `coords` and `contains` check x."""
+
+    def __init__(self, tower: FieldTower, elements):
+        super().__init__(tower, elements, "basis element")
+
+    def element(self, coords) -> int:
+        return self.tower.contract(coords, self.elements)
+
+    def __repr__(self):
+        return f"SubspaceBasis(m={self.m}, elements={self.elements})"
 
 
 def direct_sum_violations(parts) -> list:
@@ -99,12 +119,16 @@ def _spread_images(tower, columns, elements):
 class DirectSumCode:
     """The sum of subspace subcodes over pairwise disjoint subspaces.
 
-    The transfers are `LinearMap`s built here, applied with no field
-    product or coordinate solve.  The fold sends a word's L*n digits to its
-    N parent symbols and, for N < n, to L check symbols: each position's
-    complement coordinates, all zero exactly inside the sum.  The unfold
-    sends the N*n digits of the concatenated parent words to L symbols, the
-    sum of each part's transfer back.
+    Part i's parent [m_i, m_i-d+1, d] code, `parents[i]`, is materialized
+    on the vector beta^[n-d+2], whose Moore rows reproduce the parent
+    parity rows in reverse order; the ambient decoder is reused on it
+    verbatim.  A part with m_i < d adds only the zero word and has no
+    parent (None).  The transfers are `LinearMap`s built here, applied with
+    no field product or coordinate solve.  The fold sends a word's L*n
+    digits to its N parent symbols and, for N < n, to L check symbols: each
+    position's complement coordinates, all zero exactly inside the sum.
+    The unfold sends the N*n digits of the concatenated parent words to L
+    symbols, the sum of each part's transfer back.
     """
 
     def __init__(self, code: GabidulinCode, parts):
@@ -113,11 +137,20 @@ class DirectSumCode:
         problems = direct_sum_violations(parts)
         if problems:
             raise ValueError("; ".join(problems))
-        t, n, L = code.tower, code.tower.n, code.length
+        if code.length != code.tower.n:
+            raise ValueError("subspace subcodes need a full-length ambient code")
+        t, n, L, d = code.tower, code.tower.n, code.length, code.d
         self.code = code
         self.tower = t
         self.parts = parts
-        self.subcodes = [SubspaceSubcode(code, p) for p in parts]
+        self.parents = []
+        for basis in parts:
+            if basis.m >= d:
+                parent_h = tuple(t.frobenius(b, n - d + 2) for b in basis.elements)
+                parent_g = dual_vector(t, parent_h, d - 1)
+                self.parents.append(GabidulinCode(t, basis.m - d + 1, g=parent_g, h=parent_h))
+            else:
+                self.parents.append(None)
         self.dims = [p.m for p in parts]
         self.total_dim = N = sum(self.dims)
         self.concat = tuple(x for p in parts for x in p.elements)
@@ -140,12 +173,12 @@ class DirectSumCode:
 
     @property
     def cardinality(self) -> int:
-        d = self.code.d
-        return self.tower.order ** sum(m - (d - 1) for m in self.dims)
+        return self.tower.order ** self.message_length
 
     @property
     def message_length(self) -> int:
-        return sum(m - self.code.d + 1 for m in self.dims)
+        """Total parent dimension: a part with m < d adds only the zero word."""
+        return sum(p.k for p in self.parents if p is not None)
 
     def project(self, word):
         """Split a word in (V_1 + ... + V_u)^n into its unique per-subspace
@@ -170,17 +203,17 @@ class DirectSumCode:
     def encode(self, message):
         """Encode u blocks of lengths m_i - d + 1, one per part, each in its
         parent code, and unfold the parent codewords in one pass."""
-        for idx, sub in enumerate(self.subcodes):
-            if sub.is_trivial:
-                raise TrivialSubcodeError(
-                    f"part {idx} has dimension {sub.basis.m} < d = {self.code.d}")
+        if None in self.parents:
+            idx = self.parents.index(None)
+            raise TrivialSubcodeError(
+                f"part {idx} has dimension {self.dims[idx]} < d = {self.code.d}")
         message = tuple(message)
         if len(message) != self.message_length:
             raise ValueError(
                 f"message length {len(message)} != {self.message_length}")
         blocks = iter(message)
-        return self._unfold.word([s for sub in self.subcodes for s in
-                                  sub.parent.encode(itertools.islice(blocks, sub.parent.k))])
+        return self._unfold.word([s for parent in self.parents for s in
+                                  parent.encode(itertools.islice(blocks, parent.k))])
 
     def decode(self, received) -> DirectSumDecodeResult:
         """Per-component decoding: fold into the parent words, decode each,
@@ -190,11 +223,11 @@ class DirectSumCode:
         error rank is within capability."""
         received = tuple(received)
         outcomes, parent_words = [], []  # the parent codewords, concatenated
-        for idx, (sub, folded) in enumerate(zip(self.subcodes, self.to_parents(received))):
-            if sub.is_trivial:
+        for idx, (parent, folded) in enumerate(zip(self.parents, self.to_parents(received))):
+            if parent is None:
                 raise TrivialSubcodeError("trivial subcode has no parent decoder")
             try:
-                parent_words += sub.parent.decode(folded)[0]
+                parent_words += parent.decode(folded)[0]
                 outcomes.append(ComponentOutcome(idx, True))
             except DecodingFailure as exc:
                 outcomes.append(ComponentOutcome(idx, False, reason=str(exc)))

@@ -244,7 +244,7 @@ def _rref_ext(tower: FieldTower, rows):
 def ext_nullspace(tower: FieldTower, matrix):
     if not matrix:
         return []
-    rows = [list(row) for row in matrix]
+    rows = [list(tower.check_elements(row, "matrix entry")) for row in matrix]
     pivots = _rref_ext(tower, rows)
     return _free_basis(rows, pivots, len(rows[0]), tower.neg)
 
@@ -256,7 +256,8 @@ def ext_solve(tower: FieldTower, matrix, rhs):
     if not matrix:
         return [], []
     ncols = len(matrix[0])
-    rows = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    rows = [list(tower.check_elements(row, "matrix entry")) + [b]
+            for row, b in zip(matrix, tower.check_elements(rhs, "right-hand side"))]
     pivots = _rref_ext(tower, rows)
     if ncols in pivots:
         return None

@@ -9,7 +9,7 @@ import pytest
 from conftest import bounded, table_bytes
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
-                       SubspaceBasis, TrivialSubcodeError, decode_experiment,
+                       SubspaceBasis, SubspaceSubcode, TrivialSubcodeError, decode_experiment,
                        default_generator, direct_sum_violations,
                        random_error, rank_event_rate, rank_leq_probability,
                        rank_of_vector, sample_channel_error, success_probability)
@@ -103,7 +103,21 @@ def test_encode_single_part_reduces_to_subspace_encode(medium_code, gf4096):
     lone = DirectSumCode(medium_code, [tuple(2**i for i in range(8))])
     rng = random.Random(63)
     msg = tuple(gf4096.random_element(rng) for _ in range(lone.message_length))
-    assert lone.encode(msg) == lone.subcodes[0].encode(msg)
+    assert lone.encode(msg) == SubspaceSubcode(medium_code, lone.parts[0]).encode(msg)
+
+
+def test_building_a_direct_sum_builds_no_subspace_subcode(monkeypatch, gf4096):
+    """Each part's parent code is built in place; a SubspaceSubcode per
+    part would build a fold and an unfold map for every part again."""
+    def refuse(*args):
+        raise AssertionError("a SubspaceSubcode was built")
+
+    monkeypatch.setattr(SubspaceSubcode, "__init__", refuse)
+    code = GabidulinCode(gf4096, 10, g=default_generator(gf4096))  # [12,10,3]
+    dsc = DirectSumCode(code, [tuple(2**i for i in range(a, a + 4)) for a in (0, 4, 8)])
+    assert [(p.length, p.k, p.d) for p in dsc.parents] == [(4, 2, 3)] * 3
+    word = dsc.encode(range(1, 7))
+    assert dsc.decode(word).codeword == word
 
 
 def test_encode_injective_on_small_instance(gf64):
@@ -117,6 +131,19 @@ def test_encode_injective_on_small_instance(gf64):
     assert len(words) == dsc.cardinality
     for w in list(words)[:50]:
         assert code.is_codeword(w)
+
+
+def test_size_counts_only_parts_with_a_parent(gf64, tiny_code):
+    """A part with m < d adds only the zero word, so it adds nothing to the
+    message length, and the size is q^n to that length, an int."""
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3]
+    dsc = DirectSumCode(code, [(1, 2, 4, 8, 16), (32,)])  # m = 5 and 1
+    assert [p and p.k for p in dsc.parents] == [3, None]
+    assert dsc.message_length == 3 and dsc.cardinality == 64**3
+    empty = SubspaceBasis(tiny_code.tower, ())
+    for M in (DirectSumCode(tiny_code, [(1, 2), empty]), SubspaceSubcode(tiny_code, empty)):
+        assert M.message_length == 0
+        assert M.cardinality == 1 and type(M.cardinality) is int
 
 
 def test_encode_rejects_trivial_part(tiny_code):
@@ -184,14 +211,15 @@ def test_decode_trivial_part_raises_trivial_subcode_error(gf64):
         with pytest.raises(TrivialSubcodeError, match="no parent decoder"):
             dsc.decode(w)
         # the transfer needs no parent code, so it covers trivial parts too
+        subs = [SubspaceSubcode(code, p) for p in dsc.parts]
         assert dsc.to_parents(w) == tuple(
-            sub.to_parent(part) for sub, part in zip(dsc.subcodes, dsc.project(w)))
+            sub.to_parent(part) for sub, part in zip(subs, dsc.project(w)))
 
 
 def test_transfers_reject_wrong_word_length(gf64):
     code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3]
     dsc = DirectSumCode(code, [(1, 2, 4), (8, 16, 32)])
-    sub = dsc.subcodes[0]
+    sub = SubspaceSubcode(code, dsc.parts[0])
     # every component lies in V_1, so only the length is wrong
     for word in [(1, 2, 3), (1, 2, 3, 0, 0, 0, 0)]:
         for call in (dsc.project, dsc.to_parents, dsc.decode, sub.to_parent,
@@ -407,9 +435,9 @@ def test_transfers_match_per_position_reference(q, n, k, dims):
         message = [tower.random_element(rng) for _ in range(M.message_length)]
         codeword = M.encode(message)
         blocks, off = [], 0
-        for sub in M.subcodes:
-            blocks.append(sub.parent.encode(message[off:off + sub.parent.k]))
-            off += sub.parent.k
+        for parent in M.parents:
+            blocks.append(parent.encode(message[off:off + parent.k]))
+            off += parent.k
         assert codeword == ref.unfold(blocks, parts, h, q, n)
         t = rng.randrange(min(n, sum(dims)) + 1)
         channel = rng.choice(["uniform-matrix", "exact-rank"])
@@ -422,6 +450,11 @@ def test_transfers_match_per_position_reference(q, n, k, dims):
         received = tuple(tower.add(a, b) for a, b in zip(codeword, error))
         assert M.to_parents(received) == ref.fold(received, parts, h, q, n)
         assert M.project(received) == ref.project(received, parts, q, n)
+        # each part alone is a subspace subcode with the same transfer
+        for part, word, folded in zip(parts, M.project(received), M.to_parents(received)):
+            sub = SubspaceSubcode(code, part)
+            assert sub.to_parent(word) == ref.fold(word, [part], h, q, n)[0] == folded
+            assert sub.from_parent(folded) == ref.unfold([folded], [part], h, q, n) == word
     if sum(dims) < n:
         outside = next(b for b in tower.basis
                        if ref.coordinates(b, els, q, n) is None)

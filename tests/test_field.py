@@ -491,7 +491,7 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
                              emb.contains, emb.subfield_coords, emb.ext_coords):
                     with pytest.raises(ValueError, match=f"^element {bad!r} "):
                         call(bad)
-                for call in (basis.decompose, sub.to_parent, sub.decode,
+                for call in (sub.to_parent, sub.decode,
                              lambda w: sub.decode(w, route="ambient")):
                     with pytest.raises(ValueError, match=f"^word symbol {bad!r} "):
                         call(word)

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        FieldTower, GabidulinCode, LinearizedPoly, SubfieldEmbedding,
-                       compute_factorization, default_generator, is_irreducible,
+                       SubspaceSubcode, compute_factorization, default_generator, is_irreducible,
                        random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
 from rankcodes.field import LinearMap, int_digits
@@ -740,11 +740,11 @@ def _add_words(tower, words, length):
     return acc
 
 
-def _per_part_decode(M, received):
+def _per_part_decode(M, subs, received):
     """The per-part route: project, decode each part in its subspace
     subcode through its parent, and sum the parts that decoded."""
     outcomes, codewords, errors = [], [], []
-    for idx, (sub, part) in enumerate(zip(M.subcodes, M.project(received))):
+    for idx, (sub, part) in enumerate(zip(subs, M.project(received))):
         try:
             c, e = sub.decode(part, route="parent")
         except DecodingFailure as exc:
@@ -753,7 +753,7 @@ def _per_part_decode(M, received):
         outcomes.append((idx, True, ""))
         codewords.append(c)
         errors.append(e)
-    if len(codewords) < len(M.subcodes):
+    if len(codewords) < len(subs):
         return False, None, None, outcomes
     n = M.code.length
     return (True, _add_words(M.tower, codewords, n),
@@ -766,12 +766,13 @@ def test_direct_sum_codec_matches_per_part_route(case):
     M, message, error = case
     tower, n = M.tower, M.code.length
     blocks, off = [], 0
-    for sub in M.subcodes:
-        blocks.append(message[off:off + sub.parent.k])
-        off += sub.parent.k
+    for parent in M.parents:
+        blocks.append(message[off:off + parent.k])
+        off += parent.k
     codeword = M.encode(message)
+    subs = [SubspaceSubcode(M.code, p) for p in M.parts]
     assert codeword == _add_words(
-        tower, [sub.encode(b) for sub, b in zip(M.subcodes, blocks)], n)
+        tower, [sub.encode(b) for sub, b in zip(subs, blocks)], n)
     received = tuple(tower.add(a, b) for a, b in zip(codeword, error))
 
     parts = M.project(received)
@@ -785,7 +786,7 @@ def test_direct_sum_codec_matches_per_part_route(case):
             == rank_of_vector(tower, received))
 
     result = M.decode(received)
-    ok, want_c, want_e, outcomes = _per_part_decode(M, received)
+    ok, want_c, want_e, outcomes = _per_part_decode(M, subs, received)
     assert (result.ok, result.codeword, result.error) == (ok, want_c, want_e)
     assert [(o.index, o.ok, o.reason) for o in result.components] == outcomes
     event(f"q = {tower.q}, {len(M.parts)} parts, "

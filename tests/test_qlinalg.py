@@ -142,6 +142,23 @@ def test_ext_elimination_of_empty_and_mismatched_systems(gf16, gf27):
                 ext_solve(tower, matrix, rhs)
 
 
+def test_ext_elimination_rejects_entries_outside_the_field():
+    """One element check per matrix row and one on the right-hand side: an
+    entry outside [0, q^n) used to fail by chance or return a kernel, on
+    the log tables of GF(2^12) and in the half field of GF(2^20)."""
+    for tower in (FieldTower(2, 12), FieldTower(2, 20)):
+        assert ext_nullspace(tower, [[1, 1]]) == [[1, 1]]  # GF(2^20) builds its half field
+        for bad in (-5, tower.order, tower.order + 3, True, 2.0):
+            for matrix in ([[bad, 1]], [[1, bad]], [[1, 0], [7, bad]]):
+                with pytest.raises(ValueError, match=f"^matrix entry {bad!r} is not"):
+                    ext_nullspace(tower, matrix)
+                with pytest.raises(ValueError, match=f"^matrix entry {bad!r} is not"):
+                    ext_solve(tower, matrix, [1] * len(matrix))
+            with pytest.raises(ValueError, match=f"^right-hand side {bad!r} is not"):
+                ext_solve(tower, [[1, 0], [0, 1]], [3, bad])
+    assert tower._half
+
+
 def test_ext_nullspace_singular_system(gf16):
     # rows are scalar multiples: nullspace of a 2x2 rank-1 system is 1-dim
     row = [3, 7]

@@ -81,18 +81,9 @@ def test_empty_subspace_holds_only_zero(gf16, gf27):
             assert empty.coords(x) is None and not empty.contains(x)
 
 
-def test_decompose_recompose(tiny_sub, gf16):
-    basis = tiny_sub.basis
-    assert basis.decompose((0, 0, 0, 0)) == [[0] * 4 for _ in range(3)]
-    # (beta_1, beta_2, beta_3, 0) decomposes to [I | 0]
-    u = basis.decompose((1, 2, 4, 0))
-    assert u == [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0]]
-    rng = random.Random(50)
-    for _ in range(100):
-        m = [[rng.randrange(2) for _ in range(4)] for _ in range(3)]
-        assert basis.decompose(basis.recompose(m)) == m
-    with pytest.raises(ValueError, match="component 2"):
-        basis.decompose((1, 2, 8, 0))
+def test_to_parent_names_the_component_outside(tiny_sub):
+    with pytest.raises(ValueError, match="component 2 lies outside"):
+        tiny_sub.to_parent((1, 2, 8, 0))
 
 
 def test_transfer_of_basis_prefix(tiny_sub):
