@@ -4,7 +4,9 @@ When the subspaces pairwise intersect only in zero, a word is
 w = sum_i beta^(i) U_i over the concatenated basis, and part i transfers
 to the word h U_i^t of its shorter MRD parent code.  Both transfers are
 GF(q)-linear on the q-ary expansion of w, so precomputed word maps fold w
-into all u parent words and unfold parent codewords back.  Decoding
+into all u parent words and unfold parent codewords back.  Each part is a
+`SubspaceBasis`, the public name of `CoordinateSolver`: the one
+elimination that checks the basis also gives its coordinates.  Decoding
 succeeds whenever every projected error has rank at most the capability
 C, which can happen for total error ranks well above C; the exact success
 probability of that event under the uniform matrix channel is a product
@@ -19,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import FieldTower, LinearMap, int_digits, is_prime
+from .field import LinearMap, int_digits, is_prime
 from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import (CoordinateSolver, _check_counts, count_rank_matrices,
                       random_error, random_rows, rank_of_vector, rank_rows)
@@ -30,20 +32,7 @@ class TrivialSubcodeError(Exception):
     subcode contains only the zero word."""
 
 
-class SubspaceBasis(CoordinateSolver):
-    """Ordered basis (beta_1, ..., beta_m) of a subspace of GF(q^n): a
-    `CoordinateSolver` over the betas, whose one element check labels
-    them "basis element" and whose one elimination gives both the rank
-    test and the coordinates.  `coords` and `contains` check x."""
-
-    def __init__(self, tower: FieldTower, elements):
-        super().__init__(tower, elements, "basis element")
-
-    def element(self, coords) -> int:
-        return self.tower.contract(coords, self.elements)
-
-    def __repr__(self):
-        return f"SubspaceBasis(m={self.m}, elements={self.elements})"
+SubspaceBasis = CoordinateSolver  # an ordered basis of a subspace of GF(q^n)
 
 
 def direct_sum_violations(parts) -> list:
@@ -140,10 +129,7 @@ class DirectSumCode:
         if code.length != code.tower.n:
             raise ValueError("subspace subcodes need a full-length ambient code")
         t, n, L, d = code.tower, code.tower.n, code.length, code.d
-        self.code = code
-        self.tower = t
-        self.parts = parts
-        self.parents = []
+        self.code, self.tower, self.parts, self.parents = code, t, parts, []
         for basis in parts:
             if basis.m >= d:
                 parent_h = tuple(t.frobenius(b, n - d + 2) for b in basis.elements)

@@ -365,12 +365,14 @@ def _comb_window(b: int) -> tuple:
 
 def find_irreducible(q: int, n: int):
     """Smallest monic irreducible polynomial of degree n over GF(q)
-    in the base-q integer order of its low coefficients."""
+    in the base-q integer order of its low coefficients; one exists for
+    every n >= 1.  ValueError unless q is prime and n is an int >= 1."""
+    if type(n) is not int or n < 1:  # a bool is no degree
+        raise ValueError(f"degree n = {n!r} is not an int >= 1")
     for low in range(q**n):
         cand = int_digits(low, q, n) + (1,)
         if is_irreducible(cand, q):
             return cand
-    raise RuntimeError(f"no irreducible polynomial of degree {n} over GF({q})")
 
 
 class FieldTower:

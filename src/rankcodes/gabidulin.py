@@ -27,9 +27,11 @@ class DecodingFailure(Exception):
 
 
 def moore_matrix(tower: FieldTower, vector, rows: int):
-    """Matrix whose row i is the componentwise Frobenius power [i] of vector."""
+    """Matrix whose row i is the componentwise Frobenius power [i] of vector.
+    ValueError unless rows is an int >= 1 and each entry is an element."""
     if type(rows) is not int or rows < 1:
         raise ValueError(f"a Moore matrix needs at least one row, got {rows!r}")
+    vector = tower.check_elements(vector)
     return [[tower.frobenius(x, i) for x in vector] for i in range(rows)]
 
 
@@ -125,7 +127,7 @@ class GabidulinCode:
         self._encoder = tower.word_map(gen_rows) if g is not None else None
         self._syndrome_map = tower.word_map(zip(*moore_matrix(tower, h, self.d - 1)))
         self._h_solver = CoordinateSolver(tower, h)
-        if g is not None and any(any(self._syndromes(row)) for row in gen_rows):
+        if g is not None and any(any(self._syndrome_map.word(row)) for row in gen_rows):
             raise ValueError("generator and parity vectors are not dual")
 
     def encode(self, message):
@@ -141,10 +143,6 @@ class GabidulinCode:
         word = self.tower.check_elements(word, "word symbol")
         if len(word) != self.length:
             raise ValueError(f"word length {len(word)} != {self.length}")
-        return self._syndromes(word)
-
-    def _syndromes(self, word):
-        """`syndromes` of a word this code built, with no element check."""
         return self._syndrome_map.word(word)
 
     def is_codeword(self, word) -> bool:
@@ -201,7 +199,7 @@ class GabidulinCode:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))
         codeword = tuple(t.sub(yi, ei) for yi, ei in zip(y, error))
-        if any(self._syndromes(codeword)):
+        if any(self._syndrome_map.word(codeword)):
             raise DecodingFailure("residual", "corrected word has nonzero syndromes")
         return codeword, error
 

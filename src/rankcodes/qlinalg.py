@@ -151,7 +151,9 @@ def rank_of_vector(tower: FieldTower, vec) -> int:
 class CoordinateSolver:
     """GF(q)-coordinates of field elements over fixed independent elements
     b_1..b_m of a tower, kept as `elements`: solve(x) is the u with
-    sum u_j b_j = x.
+    sum u_j b_j = x.  It is also the public `SubspaceBasis`, an ordered
+    basis of a subspace of GF(q^n): its one elimination gives both the
+    rank test and the coordinates.
 
     One `kernel_rows` over [b_1..b_m, alpha^0..alpha^(n-1)] checks the
     rank and completes the b_j by the pivot powers alpha^p to a basis, and
@@ -159,21 +161,21 @@ class CoordinateSolver:
     holds u in the first m entries of E x and zeros below exactly when x
     lies in the span.  E is stored as a `LinearMap`, and its columns
     E alpha^i as base-q ints in `columns`.  The elements pass one
-    `check_elements`, labelled `what`; ValueError if they are dependent.
-    `coords` and `contains` check x, `solve` does not.
+    `check_elements`, labelled "basis element"; ValueError if they are
+    dependent.  `coords` and `contains` check x, `solve` does not.
     """
 
-    def __init__(self, tower: FieldTower, elements, what: str = "element"):
+    def __init__(self, tower: FieldTower, elements):
         q, n = tower.q, tower.n
-        elements = tower.check_elements(elements, what)
+        elements = tower.check_elements(elements, "basis element")
         self.tower, self.elements, self.m = tower, elements, len(elements)
-        r = self.rank = self.m
+        r = self.m
         # each kernel vector keyed by its free column, its top nonzero digit
         kernel = [int_digits(v, q, r + n) for v in kernel_rows(elements + tower.basis, q)]
         free = {max(i for i, d in enumerate(vec) if d): vec for vec in kernel}
-        rank = r - sum(1 for f in free if f < r)
-        if rank != r:
-            raise ValueError(f"{what}s are linearly dependent: rank {rank} < {r} over GF({q})")
+        if any(f < r for f in free):  # a free column among the b_j: they are dependent
+            raise ValueError(f"basis elements are linearly dependent: "
+                             f"rank {r - sum(f < r for f in free)} < {r} over GF({q})")
         basis = [c for c in range(r + n) if c not in free]
         self.columns = [tower.from_digits([-free[r + i][c] for c in basis]) if r + i in free
                         else q**basis.index(r + i) for i in range(n)]
@@ -183,7 +185,7 @@ class CoordinateSolver:
         """The coordinates of x over the elements as a list, or None if x
         is outside their span.  Checks nothing: x must be an element."""
         digits = self._map.digits(x)
-        return None if any(digits[self.rank:]) else list(digits[:self.rank])
+        return None if any(digits[self.m:]) else list(digits[:self.m])
 
     def coords(self, x: int):
         """`solve` after a check that x is an element."""
@@ -242,9 +244,12 @@ def _rref_ext(tower: FieldTower, rows):
 
 
 def ext_nullspace(tower: FieldTower, matrix):
+    """Nullspace basis over GF(q^n); ValueError on a non-element or a ragged row."""
     if not matrix:
         return []
     rows = [list(tower.check_elements(row, "matrix entry")) for row in matrix]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ValueError(f"matrix rows differ in length: {[len(row) for row in rows]}")
     pivots = _rref_ext(tower, rows)
     return _free_basis(rows, pivots, len(rows[0]), tower.neg)
 
@@ -258,6 +263,8 @@ def ext_solve(tower: FieldTower, matrix, rhs):
     ncols = len(matrix[0])
     rows = [list(tower.check_elements(row, "matrix entry")) + [b]
             for row, b in zip(matrix, tower.check_elements(rhs, "right-hand side"))]
+    if any(len(row) != ncols + 1 for row in rows):
+        raise ValueError(f"matrix rows differ in length: {[len(row) - 1 for row in rows]}")
     pivots = _rref_ext(tower, rows)
     if ncols in pivots:
         return None
@@ -270,15 +277,12 @@ def ext_solve(tower: FieldTower, matrix, rhs):
 # ---------------------------------------------------------------------------
 # sampling
 
-def random_error(tower: FieldTower, length: int, t: int, rng,
-                 support=None, mode: str = "exact-rank"):
-    """Error vector e = (E_1,...,E_t) A with values in span(support).
-
-    The E_j are sampled linearly independent over GF(q) inside the support
-    space (default: the whole field); A is a t x length q-ary matrix.  With
-    mode="exact-rank" A is resampled until it has rank t, so rank(e) = t
-    exactly, which needs t <= length; with mode="uniform-matrix" A is
-    uniform and rank(e) <= t.  ValueError on a negative length or t.
+def random_error(tower: FieldTower, length: int, t: int, rng, mode: str = "exact-rank"):
+    """Error vector e = (E_1,...,E_t) A: E_j sampled linearly independent
+    over GF(q), A a t x length q-ary matrix.  With mode="exact-rank" A is
+    resampled until it has rank t, so rank(e) = t exactly, which needs
+    t <= length; with mode="uniform-matrix" A is uniform and rank(e) <= t.
+    ValueError on a negative length or t, or t > n.
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
@@ -290,18 +294,11 @@ def random_error(tower: FieldTower, length: int, t: int, rng,
         raise ValueError(f"exact rank {t} exceeds the length {length}")
     if t == 0:
         return (0,) * length
-    q, dim = tower.q, tower.n
-    if support is not None:
-        support = tower.check_elements(support, "support element")
-        dim = len(support)
-        if rank_of_vector(tower, support) != dim:
-            raise ValueError("support elements are not linearly independent")
-    if t > dim:
-        raise ValueError(f"target rank {t} exceeds support dimension {dim}")
-    # a full-rank t x dim matrix; over the polynomial basis its rows are the values
-    values = random_rows(q, t, dim, rng, full_rank=True)
-    if support is not None:
-        values = [tower.contract(int_digits(v, q, dim), support) for v in values]
+    q, n = tower.q, tower.n
+    if t > n:
+        raise ValueError(f"target rank {t} exceeds the degree n = {n}")
+    # a full-rank t x n matrix; over the polynomial basis its rows are the values
+    values = random_rows(q, t, n, rng, full_rank=True)
     a = random_rows(q, t, length, rng, full_rank=mode == "exact-rank")
     cols = zip(*(int_digits(row, q, length) for row in a))
     return tuple(tower.contract(col, values) for col in cols)

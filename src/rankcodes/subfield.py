@@ -88,9 +88,6 @@ class SubfieldEmbedding:
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
                      for r in range(self.blocks))
 
-    def contract_ext(self, coords) -> int:
-        return self.tower.dot(coords, self.ext_basis)
-
     def __repr__(self):
         return f"SubfieldEmbedding(q={self.tower.q}, n={self.tower.n}, s={self.s})"
 

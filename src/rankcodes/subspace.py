@@ -5,7 +5,8 @@ codewords whose components all lie in V.  It is additive, not linear, and
 is carried bijectively onto a shorter [m, m-d+1, d] "parent" code by a
 rank-preserving coordinate transfer; en/decoding run through the parent.
 A subspace subcode is the direct sum of one part, so the transfer is the
-fold and unfold of `DirectSumCode`, where `SubspaceBasis` lives too.
+fold and unfold of `DirectSumCode`.  Its basis is a `SubspaceBasis`, the
+`CoordinateSolver` over beta_1..beta_m.
 """
 
 from __future__ import annotations

@@ -12,7 +12,8 @@ read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower, codes and `LinearizedPoly`:
 the rank of a matrix over GF(q^n), the GF(q^n) elimination loop on the
-tower's `axpy` and `inv`, a subfield listed element by element,
+tower's `axpy` and `inv`, a rank-t error confined to a subspace, drawn on
+the library's `random_rows`, a subfield listed element by element,
 the guarded enumerations of a code's messages and words, of a subspace
 and of a subspace subcode, the minimum rank distance of a code and the
 words of a subspace subcode, both by enumerating the code, the parity rows
@@ -25,7 +26,8 @@ decoder that solves every row of its locator system.
 import itertools
 
 from rankcodes import (DecodingFailure, LinearizedPoly as _LibraryLinearizedPoly,
-                       ext_nullspace, ext_solve, rank_of_vector)
+                       ext_nullspace, ext_solve, random_rows as _library_random_rows,
+                       rank_of_vector)
 from rankcodes.field import int_digits
 
 
@@ -307,6 +309,27 @@ def rref_ext(tower, rows):
     return pivots
 
 
+def random_support_error(tower, length, t, rng, support):
+    """A rank-t error with its values in span(support), drawn as
+    `rankcodes.random_error` in exact-rank mode draws over the whole field:
+    a full-rank t x m `random_rows` whose rows, contracted with the m
+    support elements, are the values, then a rank-t t x length matrix A,
+    and e = values * A.  ValueError unless the support is independent
+    field elements (labelled "support element") and t <= min(m, length)."""
+    support = tower.check_elements(support, "support element")
+    q, m = tower.q, len(support)
+    if rank_of_vector(tower, support) != m:
+        raise ValueError("support elements are not linearly independent")
+    if not 0 <= t <= min(m, length):
+        raise ValueError(f"target rank {t} exceeds support dimension {m} or length {length}")
+    if t == 0:
+        return (0,) * length
+    values = [tower.contract(int_digits(v, q, m), support)
+              for v in _library_random_rows(q, t, m, rng, full_rank=True)]
+    a = _library_random_rows(q, t, length, rng, full_rank=True)
+    return tuple(tower.contract(col, values) for col in zip(*(int_digits(r, q, length) for r in a)))
+
+
 def fixed_field(tower, s):
     """GF(q^s) inside the tower from its definition: every x with
     x^(q^s) = x, in ascending order."""
@@ -336,7 +359,8 @@ def span(basis):
     q = basis.tower.q
     if q**basis.m > ENUM_GUARD:
         raise ValueError("subspace too large to enumerate")
-    return [basis.element(int_digits(idx, q, basis.m)) for idx in range(q**basis.m)]
+    return [basis.tower.contract(int_digits(idx, q, basis.m), basis.elements)
+            for idx in range(q**basis.m)]
 
 
 def subcode_encodings(sub):

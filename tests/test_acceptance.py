@@ -26,7 +26,7 @@ from rankcodes import (DecodingFailure, DirectSumCode, FieldTower,
 from rankcodes.cli import main as cli_main
 
 from gfq_reference import (annihilates, codewords, ext_rank, fixed_field, min_rank_distance,
-                           subcode_codewords, subcode_encodings)
+                           random_support_error, subcode_codewords, subcode_encodings)
 
 
 class _Budget:
@@ -117,9 +117,9 @@ def test_c04_transfer_map_suite():
     sub = SubspaceSubcode(code, basis)
     rng = random.Random(4242)
     for _ in range(1000):
-        v = tuple(basis.element([rng.randrange(2) for _ in range(8)])
+        v = tuple(tower.contract([rng.randrange(2) for _ in range(8)], basis.elements)
                   for _ in range(12))
-        w = tuple(basis.element([rng.randrange(2) for _ in range(8)])
+        w = tuple(tower.contract([rng.randrange(2) for _ in range(8)], basis.elements)
                   for _ in range(12))
         fv = sub.to_parent(v)
         assert rank_of_vector(tower, fv) == rank_of_vector(tower, v)
@@ -166,7 +166,7 @@ def test_c06_route_equivalence():
         msg = tuple(tower.random_element(rng) for _ in range(sub.parent.k))
         sent = sub.encode(msg)
         t = trial % 3
-        err = random_error(tower, 12, t, rng, support=basis.elements)
+        err = random_support_error(tower, 12, t, rng, basis.elements)
         received = tuple(tower.add(a, b) for a, b in zip(sent, err))
         ambient = sub.decode(received, route="ambient")
         parent = sub.decode(received, route="parent")

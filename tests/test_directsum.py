@@ -63,7 +63,7 @@ def test_project_zero_and_single_part(pair66, gf4096):
     zero = (0,) * 12
     assert pair66.project(zero) == [zero, zero]
     rng = random.Random(60)
-    v1 = tuple(pair66.parts[0].element([rng.randrange(2) for _ in range(6)])
+    v1 = tuple(gf4096.contract([rng.randrange(2) for _ in range(6)], pair66.parts[0].elements)
                for _ in range(12))
     assert pair66.project(v1) == [v1, zero]
 

@@ -7,7 +7,7 @@ from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
                        SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, find_irreducible,
-                       is_irreducible, random_error)
+                       is_irreducible)
 from rankcodes.field import _DEFAULT_MODULI, LinearMap, _mod_lanes
 
 import gfq_reference as ref
@@ -451,7 +451,6 @@ def test_power_maps_shared_across_threads():
 
 
 def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
-    rng = random.Random(0)
     gf9 = FieldTower(3, 2)
     with bounded(5):
         with pytest.raises(ValueError, match="generator component 16"):
@@ -462,8 +461,6 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
             SubspaceBasis(gf9, [-1])
         with pytest.raises(ValueError, match="element 99"):
             CoordinateSolver(gf16, [1, 99])
-        with pytest.raises(ValueError, match="support element 32"):
-            random_error(gf16, 3, 1, rng, support=[1, 32])
         with pytest.raises(ValueError, match="element 2.0"):
             CoordinateSolver(gf16, [1, 2.0])
     assert gf16.check_elements(iter([0, 15])) == (0, 15)

@@ -261,8 +261,30 @@ def test_random_error_support_confinement(gf4096):
     support = tuple(2**i for i in range(6))
     solver = CoordinateSolver(gf4096, support)
     for _ in range(100):
-        e = random_error(gf4096, 12, 2, rng, support=support)
+        e = ref.random_support_error(gf4096, 12, 2, rng, support)
         assert all(solver.solve(x) is not None for x in e)
+
+
+@pytest.mark.parametrize("q, n", [(2, 12), (3, 5)])
+def test_random_support_error_over_the_field_is_the_library_stream(q, n):
+    # over the polynomial basis the support values are the sampled rows as
+    # they are, so the reference helper and random_error draw the same errors
+    tower = FieldTower(q, n)
+    ours, theirs = random.Random(5), random.Random(5)
+    for t in (0, 1, 2, 3, 3):
+        assert (ref.random_support_error(tower, 6, t, ours, tower.basis)
+                == random_error(tower, 6, t, theirs))
+
+
+def test_random_support_error_checks_its_support(gf16):
+    rng = random.Random(0)
+    with bounded(5):
+        with pytest.raises(ValueError, match="support element 32"):
+            ref.random_support_error(gf16, 3, 1, rng, [1, 32])
+        with pytest.raises(ValueError, match="not linearly independent"):
+            ref.random_support_error(gf16, 3, 1, rng, [1, 2, 3])
+        with pytest.raises(ValueError, match="exceeds"):
+            ref.random_support_error(gf16, 4, 3, rng, (1, 2))
 
 
 def test_random_error_rank_one_structure(gf16):
@@ -281,7 +303,7 @@ def test_random_error_uniform_mode_bounded(gf16):
 def test_random_error_validation(gf16):
     rng = random.Random(0)
     with pytest.raises(ValueError, match="exceeds"):
-        random_error(gf16, 4, 3, rng, support=(1, 2))
+        random_error(gf16, 8, 5, rng)
     with pytest.raises(ValueError, match="mode"):
         random_error(gf16, 4, 1, rng, mode="bogus")
     with pytest.raises(ValueError, match="negative"):

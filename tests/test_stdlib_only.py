@@ -2,12 +2,16 @@
 src/rankcodes is a standard-library module or the package itself.  And the
 lane format of packed GF(q) digits, and the tables and raw arithmetic behind
 FieldTower's primitives, live in field.py alone; the CLI turns a library
-ValueError into a ConfigError in one place; and the GF(q^n) row step runs
-in one elimination kernel."""
+ValueError into a ConfigError in one place; the GF(q^n) row step runs
+in one elimination kernel; and GF(q)-coordinates over fixed elements come
+from one class, `CoordinateSolver`, whose public name for a subspace basis
+is `SubspaceBasis`."""
 
 import ast
 import sys
 from pathlib import Path
+
+import rankcodes
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "rankcodes"
 
@@ -99,3 +103,17 @@ def test_row_steps_run_only_in_the_one_elimination_kernel():
                 (inside if id(node) in kernel else outside).add(f"{path.name}:{node.lineno}")
     assert inside and all(at.startswith("qlinalg.py:") for at in inside), sorted(inside)
     assert not outside, sorted(outside)
+
+
+def test_one_coordinate_class():
+    """A subspace basis is the `CoordinateSolver` over its elements, not a
+    wrapper around it: no class in src/ subclasses it, under either name."""
+    assert rankcodes.SubspaceBasis is rankcodes.CoordinateSolver
+    names = {"CoordinateSolver", "SubspaceBasis"}
+    subclasses = {f"{path.name}:{node.lineno}: {node.name}"
+                  for path in sorted(SRC.glob("*.py"))
+                  for node in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                  if isinstance(node, ast.ClassDef)
+                  and any((getattr(b, "id", None) or getattr(b, "attr", None)) in names
+                          for b in node.bases)}
+    assert not subclasses, sorted(subclasses)

@@ -5,10 +5,10 @@ import pytest
 from rankcodes import (CoordinateSolver, DecodingFailure, FieldTower, GabidulinCode,
                        SubfieldEmbedding, SubspaceBasis, SubspaceSubcode,
                        TrivialSubcodeError, default_generator, moore_matrix, qlinalg,
-                       random_error, rank_of_vector)
+                       rank_of_vector)
 
-from gfq_reference import (codewords, messages, min_rank_distance, parent_parity_rows, span,
-                           subcode_codewords, subcode_encodings)
+from gfq_reference import (codewords, messages, min_rank_distance, parent_parity_rows,
+                           random_support_error, span, subcode_codewords, subcode_encodings)
 
 
 @pytest.fixture(scope="module")
@@ -23,8 +23,8 @@ def medium_sub(medium_code, gf4096):
 
 
 def _rand_subspace_vector(rng, basis, length):
-    return tuple(basis.element([rng.randrange(basis.tower.q)
-                                for _ in range(basis.m)])
+    return tuple(basis.tower.contract([rng.randrange(basis.tower.q) for _ in range(basis.m)],
+                                      basis.elements)
                  for _ in range(length))
 
 
@@ -229,7 +229,7 @@ def test_decode_routes_agree(medium_sub, gf4096):
         msg = tuple(gf4096.random_element(rng) for _ in range(medium_sub.parent.k))
         c = medium_sub.encode(msg)
         t = trial % 3
-        e = random_error(gf4096, 12, t, rng, support=basis.elements)
+        e = random_support_error(gf4096, 12, t, rng, basis.elements)
         y = tuple(gf4096.add(a, b) for a, b in zip(c, e))
         ca, ea = medium_sub.decode(y, route="ambient")
         cp, ep = medium_sub.decode(y, route="parent")
@@ -286,7 +286,7 @@ def test_decode_failure_beyond_capability(medium_sub, gf4096):
     for _ in range(50):
         msg = tuple(gf4096.random_element(rng) for _ in range(medium_sub.parent.k))
         c = medium_sub.encode(msg)
-        e = random_error(gf4096, 12, 3, rng, support=medium_sub.basis.elements)
+        e = random_support_error(gf4096, 12, 3, rng, medium_sub.basis.elements)
         y = tuple(gf4096.add(a, b) for a, b in zip(c, e))
         outcomes = []
         for route in ("ambient", "parent"):

@@ -9,9 +9,9 @@ from conftest import bounded
 
 from rankcodes import (DirectSumCode, FieldTower, GabidulinCode, LinearizedPoly,
                        SubfieldEmbedding, count_rank_matrices, decode_experiment,
-                       default_generator, dual_vector, moore_matrix, random_error,
-                       random_rows, rank_event_rate, rank_leq_probability,
-                       success_probability)
+                       default_generator, dual_vector, ext_nullspace, ext_solve,
+                       find_irreducible, moore_matrix, random_error, random_rows,
+                       rank_event_rate, rank_leq_probability, success_probability)
 
 
 @pytest.fixture(scope="module")
@@ -25,6 +25,7 @@ def sized(gf16, gf64):
     return {
         "FieldTower q": lambda v: FieldTower(v, 3),
         "FieldTower n": lambda v: FieldTower(2, v),
+        "find_irreducible n": lambda v: find_irreducible(2, v),
         "GabidulinCode k": lambda v: GabidulinCode(gf16, v, g=g),
         "dual_vector k": lambda v: dual_vector(gf16, g, v),
         "moore_matrix rows": lambda v: moore_matrix(gf16, [1, 2], v),
@@ -47,8 +48,8 @@ def sized(gf16, gf64):
     }
 
 
-PARAMETERS = ["FieldTower q", "FieldTower n", "GabidulinCode k", "dual_vector k",
-              "moore_matrix rows", "SubfieldEmbedding s", "count_rank_matrices m",
+PARAMETERS = ["FieldTower q", "FieldTower n", "find_irreducible n", "GabidulinCode k",
+              "dual_vector k", "moore_matrix rows", "SubfieldEmbedding s", "count_rank_matrices m",
               "count_rank_matrices t", "count_rank_matrices r", "rank_leq_probability m",
               "rank_leq_probability t", "rank_leq_probability cap", "success_probability t",
               "success_probability capability", "random_rows rows", "random_rows width",
@@ -77,6 +78,31 @@ def test_out_of_range_ranks_still_count_zero():
 def test_evaluate_rejects_non_elements(gf16, x):
     with pytest.raises(ValueError, match="not an element"):
         LinearizedPoly(gf16, [1, 2]).evaluate(x)
+
+
+@pytest.mark.parametrize("n", [0, -1])
+def test_find_irreducible_rejects_a_degree_below_one(n):
+    # no scan first: degree 0 once ran through q^0 candidates to a RuntimeError
+    with bounded(1), pytest.raises(ValueError, match="degree"):
+        find_irreducible(2, n)
+
+
+@pytest.mark.parametrize("x", [-1, 16])
+def test_moore_matrix_rejects_non_elements(gf16, x):
+    # -1 once gave the row [-1] and its square read from the end of the log
+    # table; 16 indexed past the table
+    with pytest.raises(ValueError, match=f"element {x} is not an element"):
+        moore_matrix(gf16, [x], 2)
+
+
+@pytest.mark.parametrize("solve", [False, True])
+def test_ragged_matrix_rows_rejected(gf16, solve):
+    for matrix in ([[1, 2], [3]], [[1], [2, 3]]):
+        with pytest.raises(ValueError, match="rows differ in length"):
+            if solve:
+                ext_solve(gf16, matrix, [1, 1])
+            else:
+                ext_nullspace(gf16, matrix)
 
 
 @pytest.mark.parametrize("vector", ["g", "h"])
