@@ -40,11 +40,13 @@ def direct_sum_violations(parts) -> list:
 
     Empty list means the concatenated basis has full q-ary rank; otherwise
     each offending subspace pair is reported with its overlap dimension.
+    ValueError unless every part is a SubspaceBasis: a list has no tower.
     """
-    out = []
+    if not all(isinstance(p, SubspaceBasis) for p in parts):
+        raise ValueError("parts must be SubspaceBasis instances")
     if not parts:
         return ["no subspaces given"]
-    tower = parts[0].tower
+    out, tower = [], parts[0].tower
     for i in range(len(parts)):
         for j in range(i + 1, len(parts)):
             joint = parts[i].elements + parts[j].elements
@@ -52,8 +54,7 @@ def direct_sum_violations(parts) -> list:
             if overlap:
                 out.append(f"subspaces {i} and {j} overlap in dimension {overlap}")
     concat = tuple(x for p in parts for x in p.elements)
-    total = sum(p.m for p in parts)
-    deficiency = total - rank_of_vector(tower, concat)
+    deficiency = sum(p.m for p in parts) - rank_of_vector(tower, concat)
     if deficiency and not out:
         out.append(f"concatenated basis is rank deficient by {deficiency}")
     return out
@@ -117,7 +118,8 @@ class DirectSumCode:
     digits to its N parent symbols and, for N < n, to L check symbols: each
     position's complement coordinates, all zero exactly inside the sum.
     The unfold sends the N*n digits of the concatenated parent words to L
-    symbols, the sum of each part's transfer back.
+    symbols, the sum of each part's transfer back.  The channel's sampler is
+    that spread with unit columns: digit p of value a to beta_a at position p.
     """
 
     def __init__(self, code: GabidulinCode, parts):
@@ -150,8 +152,8 @@ class DirectSumCode:
         self._fold = LinearMap(t.q, n, fold, N + L if N < n else N)
         unfold = _spread_images(t, [code.parity_coordinates(b) for b in t.basis], self.concat)
         self._unfold = LinearMap(t.q, n, unfold, L)
-        # x -> sum_p digit_p(x) h_p: a channel value's parent symbol
-        self._to_h = LinearMap(t.q, n, code.h)
+        channel = [b * t.order**p for b in self.concat for p in range(n)]  # the spread by units
+        self._channel = LinearMap(t.q, n, channel, L)
 
     @property
     def capability(self) -> int:
@@ -310,8 +312,7 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     """One error vector from the rank-t channel: independent values
     alpha_1..alpha_t combined by a t x N q-ary matrix, expressed over the
     concatenated subspace basis."""
-    tower = M.tower
-    n, n_total = tower.n, M.total_dim
+    n, n_total = M.tower.n, M.total_dim
     if channel not in ("uniform-matrix", "exact-rank"):
         raise ValueError(f"unknown channel {channel!r}")
     if t > n:
@@ -319,9 +320,8 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
-    # combined values v_j, one per concatenated-basis coordinate: the error
-    # sum_j digit_p(v_j) beta_j at position p unfolds the v_j written over h
-    return M._unfold.word([M._to_h(x) for x in random_error(tower, n_total, t, rng, mode=channel)])
+    # values v_j, one per concatenated-basis coordinate, to sum_j digit_p(v_j) beta_j at p
+    return M._channel.word(random_error(M.tower, n_total, t, rng, mode=channel))
 
 
 def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,

@@ -129,7 +129,7 @@ def _lane_digits(v: int, q: int, lane: int, count: int):
 def _mod_lanes(v: int, q: int, lane: int, scale: int = 1) -> int:
     """scale * v with every lane taken mod q, for v >= 0 whose lanes have
     room for scale times their value (byte lanes scale in the translate)."""
-    if lane == 8:  # inline: the GF(q) elimination reduces after every row step
+    if lane == 8:  # inline: pivots, image sums and the exp-table fill reduce per step
         return int.from_bytes(v.to_bytes(-(-v.bit_length() // 8), "little").translate(
             _byte_mod(q)[scale]), "little")
     v *= scale
@@ -138,6 +138,41 @@ def _mod_lanes(v: int, q: int, lane: int, scale: int = 1) -> int:
     if lanes:
         return int.from_bytes(lanes.pack(*digits), "little")
     return int.from_bytes(b"".join(d.to_bytes(lane // 8, "little") for d in digits), "little")
+
+
+def _reduce_lanes(rows, q: int, bits: int, identity: bool, spread: bool = True):
+    """The odd-q elimination: rows[j], spread to a digit per lane of `bits`
+    unless already on them, each < q, over len(rows) identity lanes holding
+    e_j if `identity`, reduced against one pivot per leading lane.  Pivots
+    lead with 1; v - c p is v + (q - c) p, lanes taken mod q then: inline on
+    bytes (lanes <= q (q - 1) < 256), else by `_mod_lanes`.  Returns the
+    pivots and the rows left with no image digit; ValueError on a negative row."""
+    shift = len(rows) * bits if identity else 0
+    pivots, left, mask = {}, [], (1 << bits) - 1
+    table = bits == 8 and _byte_mod(q)[1]
+    for j, image in enumerate(rows):
+        v, at = identity << j * bits, shift
+        if not spread:
+            v, image = v | image << at, 0
+        while image > 0:  # inline, not a pass of its own: Monte Carlo ranks are a few rows
+            image, d = divmod(image, q)
+            v |= d << at
+            at += bits
+        while v >> shift:
+            top = (v.bit_length() - 1) // bits
+            c = v >> top * bits & mask
+            p = pivots.get(top)
+            if p is None:
+                pivots[top] = v if c == 1 else _mod_lanes(v, q, bits, pow(c, q - 2, q))
+                break
+            v += (q - c) * p
+            v = (int.from_bytes(v.to_bytes(top + 1, "little").translate(table), "little")
+                 if table else _mod_lanes(v, q, bits))
+        else:
+            if image < 0:  # a negative row skips the digit loop
+                raise ValueError(f"packed row {image} is negative")
+            left.append(v)
+    return pivots, left
 
 
 @cache
@@ -423,8 +458,8 @@ class FieldTower:
     built on first use and published whole (False on other towers).
 
     `linearized_images(coeffs)` gives the basis images of a linearized
-    polynomial, the matrix of its root space, with no field product: the
-    lanes of the power map for p at each nonzero c_p, summed.
+    polynomial with no field product: `_image_lanes` sums the lanes of the
+    power map for p at each nonzero c_p, where the root space reads them.
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as a `LinearMap`, applied with no field product: the encoder and
@@ -496,9 +531,12 @@ class FieldTower:
         return v
 
     def check_elements(self, elements, what: str = "element") -> tuple:
-        """The elements as a tuple; ValueError unless each is an int, not a
-        bool, in [0, q^n).  The one element check at the library boundary."""
-        elements = tuple(elements)
+        """The elements as a tuple; ValueError unless iterable, each an int,
+        not a bool, in [0, q^n).  The one element check at the library boundary."""
+        try:  # caught, not tested for first: this runs per word
+            elements = tuple(elements)
+        except TypeError:
+            raise ValueError(f"{what} list {elements!r} is not iterable") from None
         for x in elements:
             if isinstance(x, bool) or not (isinstance(x, int) and 0 <= x < self.order):
                 raise ValueError(
@@ -650,19 +688,20 @@ class FieldTower:
     def linearized_images(self, coeffs) -> list:
         """The basis images [sum_p c_p (alpha^i)^(q^p) for i < n] of the
         linearized polynomial sum_p c_p x^[p], coeffs[p] = c_p with p read
-        modulo n, with no field product; n counted per nonzero c_p.
+        modulo n, with no field product; n counted per nonzero c_p."""
+        w, m = self._image_lanes(coeffs)
+        return m._symbols(w) if m else [0] * self.n
 
-        Each term is the lanes of the word map c -> [c beta^i]_i, beta =
-        alpha^(q^p) (`_power_map`), summed on them (XOR for q = 2) and read
-        back once.  Odd q takes the sum mod q before each add, since a
-        `LinearMap` lane holds a term plus q - 1, not two terms."""
+    def _image_lanes(self, coeffs):
+        """(w, m): those images on the lanes of m, the last power map (None if
+        every c_p is 0), image i from lane i n on; odd q sums mod q per add."""
         n, m, w = self.n, None, 0
         for p, c in enumerate(coeffs):
             if c:
                 self.mul_count += n
                 m = self._power_maps.get(p % n) or self._power_map(p % n)
-                w = w ^ m._lanes(c) if m.lane == 1 else _mod_lanes(w, self.q, m.lane) + m._lanes(c)
-        return m._symbols(w) if m else [0] * n
+                w = w ^ m._lanes(c) if m.lane == 1 else _mod_lanes(w + m._lanes(c), self.q, m.lane)
+        return w, m
 
     def _power_map(self, p: int) -> LinearMap:
         """The word map c -> [c beta^i for i < n], beta = alpha^(q^p), published whole."""

@@ -42,7 +42,7 @@ def dual_vector(tower: FieldTower, g, k: int):
     mu = -(L-k-1), ..., k-1; it is canonicalized so its first nonzero
     component is 1.
     """
-    g = tuple(g)
+    g = tower.check_elements(g)
     length = len(g)
     if rank_of_vector(tower, g) != length:
         raise ValueError("generator vector components are linearly dependent")

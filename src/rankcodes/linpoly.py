@@ -40,11 +40,14 @@ class LinearizedPoly:
 
     def root_space_basis(self):
         """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree: one
-        `kernel_rows` over the basis images f(alpha^i), which
-        `FieldTower.linearized_images` gives with no field product."""
+        `kernel_rows` over the basis images f(alpha^i), taken with no field
+        product and left on the lanes `FieldTower._image_lanes` sums them in."""
         if self.is_zero:
             raise ValueError("zero polynomial vanishes everywhere")
-        return kernel_rows(self.tower.linearized_images(self.coeffs), self.tower.q)
+        t = self.tower
+        w, m = t._image_lanes(self.coeffs)
+        size = t.n * m.lane
+        return kernel_rows([w >> i * size & (1 << size) - 1 for i in range(t.n)], t.q, m.lane)
 
     def __eq__(self, other):
         return (isinstance(other, LinearizedPoly)

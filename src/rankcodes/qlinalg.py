@@ -2,18 +2,18 @@
 
 q-ary matrices are lists of packed rows: a row of width w is the base-q
 int sum row[j] * q**j, as field elements are rows of width n.  One odd-q
-elimination loop, `_reduce_lanes`, gives `kernel_rows` its kernels and
-coordinate maps and `rank_rows` its ranks; for q = 2 each keeps an XOR
-loop.  `_rref_ext` eliminates matrices over GF(q^n), whose entries are
-integer-encoded elements, by the tower's row step `axpy` or its half
-field's.  Also here: the rank-matrix counting formula and the rank-t error
+elimination loop, `field._reduce_lanes`, gives `kernel_rows` its kernels,
+coordinate maps and root spaces and `rank_rows` its ranks; for q = 2 each
+keeps an XOR loop.  `_rref_ext` eliminates matrices over GF(q^n), whose
+entries are integer-encoded elements, by the tower's row step `axpy` or its
+half field's.  Also here: the rank-matrix counting formula and the rank-t error
 sampler used by the decoding experiments.
 """
 
 from __future__ import annotations
 
-from .field import (FieldTower, LinearMap, _from_lanes, _lane_bits, _mod_lanes,
-                    _prime_factors, int_digits)
+from .field import (FieldTower, LinearMap, _from_lanes, _lane_bits, _prime_factors,
+                    _reduce_lanes, int_digits)
 
 
 # ---------------------------------------------------------------------------
@@ -74,36 +74,7 @@ def rank_rows(rows, q: int) -> int:
     return len(_reduce_lanes(rows, q, _lane_bits(q, q * (q - 1)), False)[0])
 
 
-def _reduce_lanes(images, q: int, bits: int, identity: bool):
-    """The odd-q elimination: row j is images[j], a digit per lane of `bits`,
-    above m = len(images) identity lanes holding e_j if `identity`, reduced
-    against one pivot per leading lane; pivots lead with 1 and v - c p is
-    v + (q - c) p, lanes then taken mod q.  Returns the pivots and the rows
-    left with no image digit.  ValueError on a negative image."""
-    shift = len(images) * bits if identity else 0
-    pivots, left, mask = {}, [], (1 << bits) - 1
-    for j, image in enumerate(images):
-        v, at = identity << j * bits, shift
-        while image > 0:
-            image, d = divmod(image, q)
-            v |= d << at
-            at += bits
-        while v >> shift:
-            top = (v.bit_length() - 1) // bits
-            c = v >> top * bits & mask
-            p = pivots.get(top)
-            if p is None:
-                pivots[top] = v if c == 1 else _mod_lanes(v, q, bits, pow(c, q - 2, q))
-                break
-            v = _mod_lanes(v + (q - c) * p, q, bits)
-        else:
-            if image:  # a negative row skips the digit loop, so image is still that row
-                raise ValueError(f"packed row {image} is negative")
-            left.append(v)
-    return pivots, left
-
-
-def kernel_rows(images, q: int):
+def kernel_rows(images, q: int, lane: int = 0):
     """Packed kernel basis of the GF(q)-linear map e_j -> images[j]: the
     RREF free-column basis, in ascending free column.
 
@@ -111,8 +82,8 @@ def kernel_rows(images, q: int):
     image digit, and leaves a kernel vector if its image part vanishes: 1
     at j, the rest at earlier pivot columns.  For q = 2 a row is the int
     image_j << m | 1 << j, reduced by XOR.  For odd q `_reduce_lanes` does
-    the reduction with a digit in each lane of `_lane_bits` (8 bits up to
-    q = 13).  ValueError unless q is prime, or on a negative row.
+    it on images already on `lane`-bit lanes, or spread onto `_lane_bits`
+    (8 bits to q = 13).  ValueError unless q is prime, or on a negative row.
     """
     m = len(images)
     if q == 2:
@@ -131,8 +102,8 @@ def kernel_rows(images, q: int):
                     raise ValueError(f"packed row {image} is negative")
                 kernel.append(v)
         return kernel
-    bits = _lane_bits(q, q * (q - 1))
-    kernel = _reduce_lanes(images, q, bits, True)[1]
+    bits = lane or _lane_bits(q, q * (q - 1))
+    kernel = _reduce_lanes(images, q, bits, True, not lane)[1]
     return [_from_lanes(v, q, bits, m, [q**i for i in range(m)])[0] for v in kernel]
 
 
@@ -243,28 +214,35 @@ def _rref_ext(tower: FieldTower, rows):
     return pivots
 
 
-def ext_nullspace(tower: FieldTower, matrix):
-    """Nullspace basis over GF(q^n); ValueError on a non-element or a ragged row."""
-    if not matrix:
-        return []
-    rows = [list(tower.check_elements(row, "matrix entry")) for row in matrix]
+def _ext_rows(tower: FieldTower, matrix) -> list:
+    """The rows as lists of checked entries; ValueError on a non-element or a ragged row."""
+    try:
+        rows = [list(tower.check_elements(row, "matrix entry")) for row in matrix]
+    except TypeError:  # each row's own check raises ValueError: the matrix is no iterable
+        raise ValueError(f"matrix {matrix!r} is not iterable") from None
     if any(len(row) != len(rows[0]) for row in rows):
         raise ValueError(f"matrix rows differ in length: {[len(row) for row in rows]}")
+    return rows
+
+
+def ext_nullspace(tower: FieldTower, matrix):
+    """Nullspace basis over GF(q^n); ValueError on a non-element or a ragged row."""
+    rows = _ext_rows(tower, matrix)
+    if not rows:
+        return []
     pivots = _rref_ext(tower, rows)
     return _free_basis(rows, pivots, len(rows[0]), tower.neg)
 
 
 def ext_solve(tower: FieldTower, matrix, rhs):
-    """Solve matrix * x = rhs, one rhs entry per row; None if inconsistent."""
-    if len(rhs) != len(matrix):
-        raise ValueError(f"{len(matrix)} rows but {len(rhs)} right-hand sides")
-    if not matrix:
+    """Solve matrix * x = rhs, one rhs entry per row; None if inconsistent.
+    ValueError on a non-element, a ragged row or a rhs of another length."""
+    rhs, rows = tower.check_elements(rhs, "right-hand side"), _ext_rows(tower, matrix)
+    if len(rhs) != len(rows):
+        raise ValueError(f"{len(rows)} rows but {len(rhs)} right-hand sides")
+    if not rows:
         return [], []
-    ncols = len(matrix[0])
-    rows = [list(tower.check_elements(row, "matrix entry")) + [b]
-            for row, b in zip(matrix, tower.check_elements(rhs, "right-hand side"))]
-    if any(len(row) != ncols + 1 for row in rows):
-        raise ValueError(f"matrix rows differ in length: {[len(row) - 1 for row in rows]}")
+    ncols, rows = len(rows[0]), [row + [b] for row, b in zip(rows, rhs)]
     pivots = _rref_ext(tower, rows)
     if ncols in pivots:
         return None

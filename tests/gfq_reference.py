@@ -12,7 +12,8 @@ read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower, codes and `LinearizedPoly`:
 the rank of a matrix over GF(q^n), the GF(q^n) elimination loop on the
-tower's `axpy` and `inv`, a rank-t error confined to a subspace, drawn on
+tower's `axpy` and `inv`, a direct sum's channel word as the unfold of
+parity symbols, a rank-t error confined to a subspace, drawn on
 the library's `random_rows`, a subfield listed element by element,
 the guarded enumerations of a code's messages and words, of a subspace
 and of a subspace subcode, the minimum rank distance of a code and the
@@ -28,7 +29,7 @@ import itertools
 from rankcodes import (DecodingFailure, LinearizedPoly as _LibraryLinearizedPoly,
                        ext_nullspace, ext_solve, random_rows as _library_random_rows,
                        rank_of_vector)
-from rankcodes.field import int_digits
+from rankcodes.field import LinearMap, int_digits
 
 
 def rref(rows, q):
@@ -307,6 +308,14 @@ def rref_ext(tower, rows):
         if r == len(rows):
             break
     return pivots
+
+
+def unfold_of_parity_symbols(M, values):
+    """The channel word of the values v_j composed of two library maps:
+    each v_j to the parent symbol sum_p digit_p(v_j) h_p by a `LinearMap`
+    of the parity vector h, then the direct sum's unfold of those symbols."""
+    to_h = LinearMap(M.tower.q, M.tower.n, M.code.h)
+    return M._unfold.word([to_h(x) for x in values])
 
 
 def random_support_error(tower, length, t, rng, support):

@@ -483,7 +483,7 @@ def test_direct_sum_maps_bounded_at_the_top_of_the_range(q, n, k):
         error = sample_channel_error(M, M.capability, rng)
         result = M.decode(tuple(tower.add(a, b) for a, b in zip(codeword, error)))
     assert result.ok and result.codeword == codeword and result.error == error
-    for linear_map in (M._fold, M._unfold, M._to_h):
+    for linear_map in (M._fold, M._unfold, M._channel):
         assert table_bytes(linear_map) < 10 * 2**20
 
 

@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import cache
 
 import pytest
+from conftest import bounded
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
@@ -19,7 +20,7 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        SubspaceSubcode, compute_factorization, default_generator, is_irreducible,
                        random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
-from rankcodes.field import LinearMap, int_digits
+from rankcodes.field import LinearMap, _lane_digits, _reduce_lanes, _to_lanes, int_digits
 from rankcodes import qlinalg
 from rankcodes.qlinalg import ext_nullspace, ext_solve, kernel_rows
 
@@ -371,6 +372,76 @@ def test_linearized_images_match_mul_and_frobenius(case):
 # and on the wide lanes of 17^4 and 257^2
 ROOT_SPACE_SHAPES = [(2, 6), (2, 12), (2, 17), (2, 20), (3, 5), (3, 11), (5, 3),
                      (5, 7), (17, 4), (257, 2)]
+
+
+# root spaces eliminated on the lanes of their images: byte lanes on the
+# table-backed 3^9, 5^6, 7^4 and 13^3 and the table-less 3^11, wide lanes on
+# the table-less 17^4 and 257^2
+LANE_ROOT_SHAPES = [(3, 9), (3, 11), (5, 6), (7, 4), (13, 3), (17, 4), (257, 2)]
+
+
+@st.composite
+def span_polys(draw):
+    """The minimal subspace polynomial of 1 to 4 nonzero values, whose
+    kernel is their span: nontrivial, so row steps run, where a random
+    polynomial's kernel is mostly trivial."""
+    tower = _tower(*draw(st.sampled_from(LANE_ROOT_SHAPES)))
+    values = draw(st.lists(st.integers(1, tower.order - 1), min_size=1, max_size=4))
+    return min_subspace_poly(tower, values), values
+
+
+@settings(max_examples=80, deadline=None)
+@given(span_polys())
+def test_lane_root_space_equals_kernel_rows_of_the_images(case):
+    f, values = case
+    tower = f.tower
+    with bounded(10):
+        kernel = f.root_space_basis()
+        assert kernel == kernel_rows(tower.linearized_images(f.coeffs), tower.q)
+        assert kernel == _root_space_reference(f)
+        assert len(kernel) == rank_of_vector(tower, values)
+    event(f"GF({tower.q}^{tower.n}), kernel dimension {len(kernel)}")
+
+
+def test_power_map_lanes_hold_a_row_step():
+    """A root space is eliminated on the lanes of its power maps, the word
+    maps c -> [c beta^i]_i, each lane reduced mod q.  A row step v + (q - c) p
+    of reduced v and p reaches (q - 1) + (q - 1)^2 = q (q - 1) in a lane,
+    and for n >= 2 the power map's lanes already hold that.  Odd-q lanes are
+    at least bytes, and for q <= 16 a byte holds 255 >= 16 * 15 >= q (q - 1).
+    Past q = 16 the power map, a map to a word of n symbols, has no tables
+    (tables need q^k <= 16), so its lanes hold n unreduced digit products
+    plus q - 1, n (q - 1)^2 + q - 1 >= q (q - 1).  At n = 1 a byte lane can
+    fall short (GF(17): 2 * 16 < 256 < 17 * 16), but there is one row, and a
+    single row takes no row step."""
+    for q, n in LANE_ROOT_SHAPES + [(3, 2), (13, 2), (17, 2), (3, 1), (17, 1), (127, 1)]:
+        tower = _tower(q, n)
+        lane = tower._image_lanes([0, 1])[1].lane
+        if n > 1:
+            assert (1 << lane) - 1 >= q * (q - 1), (q, n, lane)
+        else:  # x^[1] - x vanishes on all of GF(q)
+            assert LinearizedPoly(tower, [q - 1, 1]).root_space_basis() == [1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from([3, 5, 7, 11, 13]), st.lists(st.integers(0, 3**8), max_size=8),
+       st.booleans(), st.booleans())
+def test_inline_byte_reduction_equals_mod_lanes(q, rows, identity, spread):
+    """`_reduce_lanes` takes each row step mod q inline on byte lanes and by
+    `_mod_lanes` on wider ones: the same rows on 8- and 16-bit lanes leave
+    the same pivots and rows, digit for digit, spread in the loop or given
+    on their lanes."""
+    rows = [v % q**6 for v in rows]
+    count = 6 + len(rows) * identity
+
+    def reduced(bits):
+        given = rows if spread else _to_lanes(rows, q, bits, 6)
+        with bounded(5):
+            pivots, left = _reduce_lanes(given, q, bits, identity, spread)
+        return ({top: list(_lane_digits(v, q, bits, count)) for top, v in pivots.items()},
+                [list(_lane_digits(v, q, bits, count)) for v in left])
+
+    assert reduced(8) == reduced(16)
 
 
 @st.composite
@@ -793,6 +864,33 @@ def test_direct_sum_codec_matches_per_part_route(case):
           f"{'every part decodes' if ok else 'a part fails'}")
     if ok and rank_of_vector(tower, error) <= M.capability:
         assert (want_c, want_e) == (codeword, error)
+
+
+# (q, n, k, g, part dimensions): the benchmark's three workloads, parts
+# taken from the polynomial basis, and a sum of N = 6 < n = 8
+CHANNEL_CODES = {"paper-q2n12": (2, 12, 8, None, [6, 6]),
+                 "tableless-q2n20": (2, 20, 12, "basis", [10, 10]),
+                 "oddq-q3n9": (3, 9, 7, None, [3, 3, 3]),
+                 "N < n": (3, 8, 6, None, [3, 3])}
+
+
+@cache
+def _channel_code(name):
+    q, n, k, g, dims = CHANNEL_CODES[name]
+    tower = _tower(q, n)
+    code = GabidulinCode(tower, k, g=tower.basis if g else default_generator(tower))
+    offsets = list(itertools.accumulate(dims, initial=0))
+    return DirectSumCode(code, [tower.basis[a:b] for a, b in itertools.pairwise(offsets)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(sorted(CHANNEL_CODES)), st.randoms(use_true_random=False))
+def test_channel_map_equals_the_unfold_of_parity_symbols(name, rng):
+    M = _channel_code(name)
+    with bounded(10):
+        values = [M.tower.random_element(rng) for _ in range(M.total_dim)]
+        assert M._channel.word(values) == ref.unfold_of_parity_symbols(M, values)
+    event(name)
 
 
 @st.composite

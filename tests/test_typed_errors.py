@@ -7,11 +7,12 @@ import random
 import pytest
 from conftest import bounded
 
-from rankcodes import (DirectSumCode, FieldTower, GabidulinCode, LinearizedPoly,
-                       SubfieldEmbedding, count_rank_matrices, decode_experiment,
-                       default_generator, dual_vector, ext_nullspace, ext_solve,
-                       find_irreducible, moore_matrix, random_error, random_rows,
-                       rank_event_rate, rank_leq_probability, success_probability)
+from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
+                       LinearizedPoly, SubfieldEmbedding, SubspaceBasis, count_rank_matrices,
+                       decode_experiment, default_generator, direct_sum_violations,
+                       dual_vector, ext_nullspace, ext_solve, find_irreducible, moore_matrix,
+                       random_error, random_rows, rank_event_rate, rank_leq_probability,
+                       rank_of_vector, success_probability)
 
 
 @pytest.fixture(scope="module")
@@ -113,3 +114,39 @@ def test_code_vectors_must_have_a_length(gf16, vector):
     # any sized vector still builds the code
     code = GabidulinCode(gf16, 1, **{vector: range(1, 3)})
     assert getattr(code, vector) == (1, 2)
+
+
+# a vector that is no iterable, and the name each check gives it
+NON_ITERABLES = {
+    "CoordinateSolver": (lambda t: CoordinateSolver(t, 5), "basis element list"),
+    "rank_of_vector": (lambda t: rank_of_vector(t, 5), "element list"),
+    "moore_matrix": (lambda t: moore_matrix(t, 5, 2), "element list"),
+    "dual_vector": (lambda t: dual_vector(t, 5, 1), "element list"),
+    "LinearizedPoly": (lambda t: LinearizedPoly(t, 5), "coefficient list"),
+    "ext_nullspace": (lambda t: ext_nullspace(t, 5), "matrix"),
+    "ext_nullspace row": (lambda t: ext_nullspace(t, [5]), "matrix entry list"),
+    "ext_solve row": (lambda t: ext_solve(t, [5], [1]), "matrix entry list"),
+    "ext_solve rhs": (lambda t: ext_solve(t, [[1, 2]], 5), "right-hand side list"),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(NON_ITERABLES))
+def test_non_iterable_vectors_raise_value_error_naming_them(gf16, entry):
+    call, what = NON_ITERABLES[entry]
+    with pytest.raises(ValueError, match=f"^{what} 5 is not iterable$"):
+        call(gf16)
+
+
+def test_ext_solve_takes_an_iterator_row_as_ext_nullspace_does(gf16):
+    assert ext_solve(gf16, [iter([1, 2])], [1]) == ext_solve(gf16, [[1, 2]], [1])
+    assert ext_solve(gf16, [iter([1, 2]), (3, 4)], iter([5, 6])) == ext_solve(
+        gf16, [[1, 2], [3, 4]], [5, 6])
+    assert ext_nullspace(gf16, [iter([1, 2])]) == ext_nullspace(gf16, [[1, 2]])
+
+
+def test_direct_sum_violations_takes_only_subspace_bases(gf16):
+    # a plain list has no tower to take ranks in
+    for parts in ([[1], [2]], [SubspaceBasis(gf16, [1]), [2]]):
+        with pytest.raises(ValueError, match="SubspaceBasis"):
+            direct_sum_violations(parts)
+    assert direct_sum_violations([SubspaceBasis(gf16, [1]), SubspaceBasis(gf16, [2])]) == []
