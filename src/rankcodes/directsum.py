@@ -21,10 +21,13 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import LinearMap, int_digits, is_prime
+from .field import LinearMap, _draw_lanes, _rank_reaches, int_digits, is_prime
 from .gabidulin import DecodingFailure, GabidulinCode, dual_vector
 from .qlinalg import (CoordinateSolver, _check_counts, count_rank_matrices,
                       random_error, random_rows, rank_of_vector, rank_rows)
+
+
+_PASS_WORDS = 1 << 16  # random words a pass of `_lane_successes` draws: caps its lanes
 
 
 class TrivialSubcodeError(Exception):
@@ -123,6 +126,10 @@ class DirectSumCode:
     """
 
     def __init__(self, code: GabidulinCode, parts):
+        try:  # as check_elements: ValueError, naming the list
+            parts = list(parts)
+        except TypeError:
+            raise ValueError(f"part list {parts!r} is not iterable") from None
         parts = [p if isinstance(p, SubspaceBasis) else SubspaceBasis(code.tower, p)
                  for p in parts]
         problems = direct_sum_violations(parts)
@@ -287,24 +294,63 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
         raise ValueError(f"unknown channel {channel!r}")
     if trials < 1:
         raise ValueError("need at least one trial")
-    n_total = sum(dims)
-    if channel == "exact-rank" and t > n_total:
+    n_total, full = sum(dims), channel == "exact-rank"
+    if full and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= sum(dims) = {n_total}, got t = {t}")
-    # block i of a packed row is (row // q**offset_i) % q**m_i
-    blocks = [(q**sum(dims[:i]), q**m, m) for i, m in enumerate(dims)]
-    successes = 0
+    # the column spans of the blocks that can fail: more than C columns and rows
+    spans = [(a, b) for a, b in itertools.pairwise(itertools.accumulate(dims, initial=0))
+             if min(t, b - a) > capability]
     rng = random.Random(f"{seed}:0")
-    for _ in range(trials):
-        rows = random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
-        for low, span, m in blocks:
-            if rank_rows([r // low % span for r in rows], q) > capability:
-                break
-        else:
-            successes += 1
+    if not spans:
+        successes = trials
+    elif (q == 2 or q * q <= 256) and (
+            _pass_lanes(q, t, n_total) >= 4 * max(b - a for a, b in spans)):
+        successes = _lane_successes(q, spans, capability, t, n_total, trials, rng, full)
+    else:  # block [a, b) of a packed row is (row // q**a) % q**(b - a)
+        successes = 0
+        for _ in range(trials):
+            rows = random_rows(q, t, n_total, rng, full_rank=full)
+            successes += all(rank_rows([r // q**a % q**(b - a) for r in rows], q) <= capability
+                             for a, b in spans)
     freq = successes / trials
     half = 3.0 * math.sqrt(freq * (1.0 - freq) / trials)
     return MonteCarloResult(successes, trials, freq, half)
+
+
+def _pass_lanes(q: int, t: int, n_total: int) -> int:
+    """Attempts in a pass of at most _PASS_WORDS random words: q = 2 draws
+    a row as whole words, odd q at least a word per entry.  The lanes pay
+    where a pass holds at least 4 attempts per column of the widest ranked
+    block, since a pass takes about t m^2 int operations to rank a t x m
+    block and the per-trial loop t m; at 4 m the two tie on square q = 2
+    blocks with C = m - 1, the lanes' worst case, where no scan stops early."""
+    return max(1, _PASS_WORDS // (t * (-(-n_total // 32) if q == 2 else n_total)))
+
+
+def _lane_successes(q, spans, capability, t, n_total, trials, rng, full) -> int:
+    """`rank_event_rate`'s count on lanes: passes of attempts, one per lane,
+    each pass drawn by one `_draw_lanes` and ranked by one `_rank_reaches`
+    per span.  On the exact-rank channel the trials are the first `trials`
+    attempts of full rank t, as `random_rows` redraws; a pass draws enough
+    attempts for the trials left, with three standard deviations to spare,
+    so another pass is rarely needed."""
+    p = math.prod(1 - float(q) ** (i - n_total) for i in range(t)) if full else 1.0
+    successes, left, lanes = 0, trials, _pass_lanes(q, t, n_total)
+    while left:
+        need = min(left, lanes)
+        count = math.ceil((need + 3 * math.sqrt(need * (1 - p))) / p) if full else need
+        columns = _draw_lanes(q, t, n_total, count, rng)
+        accepted = _rank_reaches(columns, t, q, count) if full else (1 << count) - 1
+        failed = 0
+        for a, b in spans:
+            failed |= _rank_reaches(columns[a:b], capability + 1, q, count)
+        if accepted.bit_count() > left:  # keep the lowest `left` accepted lanes
+            above = format(accepted, "b")[::-1].split("1", left)[-1]
+            accepted &= (1 << accepted.bit_length() - len(above)) - 1
+        successes += (accepted & ~failed).bit_count()
+        left -= accepted.bit_count()
+    return successes
 
 
 def sample_channel_error(M: DirectSumCode, t: int, rng,

@@ -154,7 +154,7 @@ def _reduce_lanes(rows, q: int, bits: int, identity: bool, spread: bool = True):
         v, at = identity << j * bits, shift
         if not spread:
             v, image = v | image << at, 0
-        while image > 0:  # inline, not a pass of its own: Monte Carlo ranks are a few rows
+        while image > 0:  # inline: packed rows of any width, a negative one left as it is
             image, d = divmod(image, q)
             v |= d << at
             at += bits
@@ -173,6 +173,102 @@ def _reduce_lanes(rows, q: int, bits: int, identity: bool, spread: bool = True):
                 raise ValueError(f"packed row {image} is negative")
             left.append(v)
     return pivots, left
+
+
+# Monte Carlo on lanes (bitslicing; Biham, FSE 1997): attempt j of a pass sits
+# in lane j of every int, one bit for q = 2 and a byte for odd q <= 13, so one
+# int operation acts on the same entry of every attempt's matrix.
+
+@cache
+def _digit_tables(q: int) -> tuple:
+    """Byte translate tables for odd q, q^2 <= 256: a word's top byte to its
+    getrandbits(q.bit_length()) value, the bytes that value rejects (>= q),
+    nonzero to 0xff, b to 1 / b mod q, and a q + b to a b and to -a b mod q."""
+    top = 8 - q.bit_length()
+    return (bytes(b >> top for b in range(256)), bytes(b for b in range(256) if b >> top >= q),
+            bytes(255 * (b > 0) for b in range(256)), bytes(pow(b, q - 2, q) for b in range(256)),
+            bytes(b // q * (b % q) % q for b in range(256)),
+            bytes(-(b // q) * (b % q) % q for b in range(256)))
+
+
+def _draw_lanes(q: int, t: int, width: int, count: int, rng) -> list:
+    """Entry (r, c) of `count` t x width q-ary matrices, t, width >= 1, as
+    columns[c][r] with attempt j in lane j, drawn from rng exactly as that
+    many random_rows(q, t, width, rng) calls draw them.  getrandbits(32 k) is
+    the next k 32-bit words, word i at bits 32 i; getrandbits(w <= 32) is the
+    top w bits of one word, and a wider draw its ceil(w / 32) words, the last
+    shifted right (test_getrandbits_is_little_endian_words).  So for q = 2 a
+    row is its words, and entry (r, c) of every attempt is one strided slice
+    of their binary string.  Odd q draws a word per digit still owed, keeps
+    each top byte shifted down and deletes those >= q, until none is owed:
+    digit (j, r, c) is then byte j t width + r width + c."""
+    if q == 2:  # entry (r, c) of attempt j: bit j stride + r row + c, + cut in the last word
+        row = 32 * -(-width // 32)
+        stride, cut = row * t, row - width  # the right shift of a row's last word
+        bits = format(rng.getrandbits(stride * count), f"0{stride * count}b")  # bit i at -1 - i
+        return [[int(bits[stride - 1 - r * row - c - cut * (c >= row - 32)::stride], 2)
+                 for r in range(t)] for c in range(width)]
+    high, reject = _digit_tables(q)[:2]
+    chunks, owed = [], t * width * count
+    while owed:
+        chunks.append(rng.getrandbits(32 * owed).to_bytes(4 * owed, "little")[3::4]
+                      .translate(high, reject))
+        owed -= len(chunks[-1])
+    digits = b"".join(chunks)
+    return [[int.from_bytes(digits[r * width + c::t * width], "little") for r in range(t)]
+            for c in range(width)]
+
+
+def _rank_reaches(columns, k: int, q: int, count: int) -> int:
+    """Bit j set where matrix j of `count` on lanes, columns[c][r] as
+    `_draw_lanes` gives them, has rank >= k >= 1.  Column by column, each
+    earlier pivot step is applied to the column first, then the pivot in
+    each lane is the first row with a nonzero entry, found as masks, and
+    the step is kept: every row with a nonzero entry there is reduced by the
+    pivot row, which reduces itself to zero and is never picked again.
+    ge[i] masks the lanes of rank >= i, and the scan stops once every lane
+    reaches k.  q = 2 reduces by AND and XOR; odd q takes each product a b
+    by one translate of a q + b, each inverse by a translate, and each sum
+    mod q by a translate."""
+    def lanes(v, table):
+        return int.from_bytes(v.to_bytes(count, "little").translate(table), "little")
+
+    if q != 2:
+        nonzero, inverse, times, minus = _digit_tables(q)[2:]
+        mod = _byte_mod(q)[1]
+    done = (1 << count) - 1 if q == 2 else int.from_bytes(b"\xff" * count, "little")
+    ge, steps = [-1] + [0] * k, []
+    for i, col in enumerate(columns):
+        for pivots, coefs in steps:
+            p = 0  # the pivot row's entry in this column
+            for m, y in zip(pivots, col):
+                p |= m & y
+            if p and q == 2:
+                col = [y ^ c & p for c, y in zip(coefs, col)]
+            elif p:
+                col = [lanes(y + lanes(c * q + p, times), mod) if c else y
+                       for c, y in zip(coefs, col)]
+        masks = col if q == 2 else [y and lanes(y, nonzero) for y in col]
+        pivots, taken = [], 0
+        for m in masks:
+            pivots.append(m & ~taken)
+            taken |= m
+        if not taken:
+            continue
+        for j in range(k, 0, -1):
+            ge[j] |= ge[j - 1] & taken
+        if ge[k] == done or i == len(columns) - 1:
+            break
+        if q != 2:  # -y / p, the pivot entry p in each lane
+            inv = 0
+            for m, y in zip(pivots, col):
+                inv |= m & y
+            inv = lanes(inv, inverse)
+            col = [y and lanes(y * q + inv, minus) for y in col]
+        steps.append((pivots, col))
+    if q == 2:
+        return ge[k]
+    return int(ge[k].to_bytes(count, "big").translate(_byte_numerals(2)), 2)  # 0xff mod 2 = 1
 
 
 @cache
@@ -912,10 +1008,11 @@ class _HalfField:
     theta^i alpha} of `SubfieldEmbedding(tower, s)`, so `into` is its
     coordinate map and `out` the map back.  With alpha^2 = A0 + A1 alpha,
     c x = (u x0 + v x1) + (w x0 + z x1) alpha, u = c0, v = A0 c1, w = c1 and
-    z = c0 + A1 c1: four log lookups, the logs fixed per row.  log[0] is a
-    sentinel past exp's two periods, where exp reads 0.  Nothing here counts:
-    the build undoes the embedding's counts, and `_rref_ext` counts `inv` and
-    `axpy` as the tower's.  Negation is the tower's."""
+    z = c0 + A1 c1: four log lookups, the logs fixed per row.  H's tables
+    serve, padded in place: log[0] is a sentinel past exp's two periods,
+    where exp reads 0.  Nothing here counts: the build undoes the
+    embedding's counts, and `_rref_ext` counts `inv` and `axpy` as the
+    tower's.  Negation is the tower's."""
 
     def __init__(self, tower: FieldTower):
         from .subfield import SubfieldEmbedding  # subfield imports qlinalg, which imports this
@@ -929,7 +1026,8 @@ class _HalfField:
         tower.mul_count = count
         self.q, self.s, self.order = q, s, h.order
         self.size = size = h.order - 1
-        self.log, self.exp = [2 * size] + h._log[1:], h._exp + [0] * (2 * size + 1)
+        h._log[0], h._exp[2 * size:] = 2 * size, [0] * (2 * size + 1)  # h.add reads neither
+        self.log, self.exp = h._log, h._exp
         self.lA = self.log[A0], self.log[A1]
         self.add, self.turn = (operator.xor, 0) if q == 2 else (h.add, size // 2)
 

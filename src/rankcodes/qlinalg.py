@@ -4,10 +4,11 @@ q-ary matrices are lists of packed rows: a row of width w is the base-q
 int sum row[j] * q**j, as field elements are rows of width n.  One odd-q
 elimination loop, `field._reduce_lanes`, gives `kernel_rows` its kernels,
 coordinate maps and root spaces and `rank_rows` its ranks; for q = 2 each
-keeps an XOR loop.  `_rref_ext` eliminates matrices over GF(q^n), whose
-entries are integer-encoded elements, by the tower's row step `axpy` or its
-half field's.  Also here: the rank-matrix counting formula and the rank-t error
-sampler used by the decoding experiments.
+keeps an XOR loop; Monte Carlo ranks a pass of matrices at once, one per
+lane, by `field._rank_reaches`.  `_rref_ext` eliminates matrices over
+GF(q^n), whose entries are integer-encoded elements, by the tower's row
+step `axpy` or its half field's.  Also here: the rank-matrix counting
+formula and the rank-t error sampler used by the decoding experiments.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ def rank_rows(rows, q: int) -> int:
     """Rank over GF(q) of packed rows: for q = 2 by XOR against one pivot per
     leading bit, otherwise the pivot count of `_reduce_lanes` with no identity
     lanes, so no kernel vector is gathered.  ValueError on a negative row."""
-    # q = 2 inline: a helper slowed rank_event_rate 4-18%.  Odd q shares kernel_rows'
-    # _reduce_lanes: 1.15x the kernel_rows count on q = 3 MC ranks, 1.30x if inlined
+    # q = 2 inline: random_rows' full-rank check and rank_of_vector run it per channel
+    # draw and per decode check, on a few short rows.  Odd q shares kernel_rows' loop
     if q == 2:
         pivots = {}
         for v in rows:

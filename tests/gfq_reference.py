@@ -25,10 +25,11 @@ decoder that solves every row of its locator system.
 """
 
 import itertools
+import random
 
 from rankcodes import (DecodingFailure, LinearizedPoly as _LibraryLinearizedPoly,
                        ext_nullspace, ext_solve, random_rows as _library_random_rows,
-                       rank_of_vector)
+                       rank_of_vector, rank_rows)
 from rankcodes.field import LinearMap, int_digits
 
 
@@ -316,6 +317,25 @@ def unfold_of_parity_symbols(M, values):
     of the parity vector h, then the direct sum's unfold of those symbols."""
     to_h = LinearMap(M.tower.q, M.tower.n, M.code.h)
     return M._unfold.word([to_h(x) for x in values])
+
+
+def rank_event_successes(q, dims, capability, t, trials, seed, channel="uniform-matrix"):
+    """The successes of `rankcodes.rank_event_rate` by its per-trial loop
+    before it ranked a pass of trials on lanes: each t x N matrix drawn by
+    the library's `random_rows`, each column block ranked by `rank_rows`."""
+    n_total = sum(dims)
+    # block i of a packed row is (row // q**offset_i) % q**m_i
+    blocks = [(q**sum(dims[:i]), q**m, m) for i, m in enumerate(dims)]
+    successes = 0
+    rng = random.Random(f"{seed}:0")
+    for _ in range(trials):
+        rows = _library_random_rows(q, t, n_total, rng, full_rank=channel == "exact-rank")
+        for low, span, m in blocks:
+            if rank_rows([r // low % span for r in rows], q) > capability:
+                break
+        else:
+            successes += 1
+    return successes
 
 
 def random_support_error(tower, length, t, rng, support):

@@ -1,7 +1,9 @@
+import itertools
 import math
 import random
 import re
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import gfq_reference as ref
@@ -338,6 +340,67 @@ def test_rank_event_rate_exact_rank_needs_t_within_dims():
             rank_event_rate(q, [2], 1, 3, 10, seed=1, channel="exact-rank")
     # the uniform channel has no such limit: rank stays <= sum(dims)
     assert rank_event_rate(2, [2], 1, 3, 10, seed=1).trials == 10
+
+
+def test_rank_event_rate_zero_dimension_parts():
+    # no part, or parts of dimension 0: every block has rank 0, on either channel
+    for q, dims in itertools.product((2, 3, 17), ([], [0], [0, 0])):
+        for channel in ("uniform-matrix", "exact-rank"):
+            assert rank_event_rate(q, dims, 0, 0, 7, seed=1, channel=channel).successes == 7
+    # a zero-dimension part beside others counts as they do alone
+    for q, channel in itertools.product((2, 3, 17), ("uniform-matrix", "exact-rank")):
+        got = [rank_event_rate(q, dims, 1, 2, 300, seed=4, channel=channel).successes
+               for dims in ([0, 2, 0, 3], [2, 3])]
+        assert got[0] == got[1] == ref.rank_event_successes(q, [2, 3], 1, 2, 300, 4, channel)
+
+
+def _refuse_the_per_trial_loop(*args, **kwargs):
+    raise AssertionError("rank_event_rate drew a trial by random_rows")
+
+
+@pytest.mark.parametrize("q", [2, 3, 13])
+def test_rank_event_rate_carries_its_count_over_passes(monkeypatch, q):
+    # passes of 8 attempts: on the exact-rank channel about 2/3 of a q = 2
+    # pass is of full rank, so each pass counts what it accepted, the next
+    # carries on, and the last keeps only the trials still owed
+    monkeypatch.setattr(directsum, "_pass_lanes", lambda q, t, n_total: 8)
+    for channel in ("uniform-matrix", "exact-rank"):
+        with monkeypatch.context() as lanes_only:
+            lanes_only.setattr(directsum, "random_rows", _refuse_the_per_trial_loop)
+            got = rank_event_rate(q, [1, 2], 1, 2, 200, seed=9, channel=channel).successes
+        assert 0 < got < 200
+        assert got == ref.rank_event_successes(q, [1, 2], 1, 2, 200, 9, channel)
+
+
+def test_rank_event_rate_ranks_wide_blocks_trial_by_trial(monkeypatch):
+    # 128 rows of 4 words: a pass holds 128 attempts, under 4 per column of
+    # the 128-column block, where ranking on lanes would cost more per trial
+    def refuse(*args):
+        raise AssertionError("a wide block was ranked on lanes")
+
+    monkeypatch.setattr(directsum, "_rank_reaches", refuse)
+    for channel in ("uniform-matrix", "exact-rank"):
+        got = rank_event_rate(2, [128], 127, 128, 4, seed=3, channel=channel).successes
+        assert got == ref.rank_event_successes(2, [128], 127, 128, 4, 3, channel)
+
+
+@pytest.mark.parametrize("q, dims, capability, t", [(2, [6, 6], 2, 3), (3, [3, 3, 3], 1, 2)])
+def test_rank_event_rate_many_trials_in_bounded_time_and_memory(monkeypatch, q, dims,
+                                                                capability, t):
+    # passes of at most _PASS_WORDS random words: the peak does not grow with trials
+    monkeypatch.setattr(directsum, "random_rows", _refuse_the_per_trial_loop)
+    exact = float(success_probability(q, dims, capability, t))
+    peaks = []
+    for trials in (20_000, 300_000):
+        tracemalloc.start()
+        try:
+            with bounded(20):
+                mc = rank_event_rate(q, dims, capability, t, trials, seed=2024)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert abs(mc.frequency - exact) <= mc.half_width
+    assert peaks[1] < 16e6 and peaks[1] < 1.5 * peaks[0] + 1e6, peaks
 
 
 def test_sample_channel_error_rejects_t_beyond_n(gf64):

@@ -1,6 +1,6 @@
 """Property-based tests over random shapes for q in {2, 3, 5, 7}, up to
 q = 13 for the log tables under random moduli and the subfields, up to
-q = 257 for the Gabidulin codec, up to q = 65521 for table-less products
+q = 17 for the Monte Carlo passes, up to q = 257 for the Gabidulin codec, up to q = 65521 for table-less products
 and inverses, and up to q = 2^32 + 15 for the GF(q) elimination and the
 linear maps, whose lanes then pass 64 bits."""
 
@@ -21,7 +21,7 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
 from rankcodes.field import LinearMap, _lane_digits, _reduce_lanes, _to_lanes, int_digits
-from rankcodes import qlinalg
+from rankcodes import directsum, qlinalg
 from rankcodes.qlinalg import ext_nullspace, ext_solve, kernel_rows
 
 import gfq_reference as ref
@@ -917,6 +917,42 @@ def test_exact_success_probability_matches_enumeration(case):
                     for lo, hi in zip(offsets, offsets[1:]))
     want = Fraction(hits, q ** (t * width))
     assert success_probability(q, dims, capability, t, form="exact") == want
+
+
+@st.composite
+def monte_carlo_cases(draw):
+    """`rank_event_rate`'s arguments: q on bit lanes, byte lanes and past
+    them (17), 0 to 3 parts of dimension 0 to 6 (for q = 2 also 30 to 40,
+    so a row passes 32 bits), t from 0, C from 0 to N, either channel, and
+    passes of 4 m to 4 m + 40 attempts for the widest part m, the fewest
+    that take the lanes, so that `trials` spans several passes."""
+    q = draw(st.sampled_from([2, 2, 2, 3, 5, 7, 11, 13, 17]))
+    dim = st.integers(0, 6) | st.integers(30, 40) if q == 2 else st.integers(0, 6)
+    dims = draw(st.lists(dim, min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=3))
+    channel = draw(st.sampled_from(["uniform-matrix", "exact-rank"]))
+    n_total = sum(dims)
+    top = min(n_total if channel == "exact-rank" else n_total + 2, 8)
+    t = draw(st.integers(0, top) | st.just(min(max(dims, default=0), top)))
+    capability = draw(st.just(max(t - 1, 0)) | st.integers(0, n_total))
+    return (q, dims, capability, t, draw(st.integers(1, 60)), draw(st.integers(0, 2**32)),
+            channel, draw(st.integers(0, 40)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(monte_carlo_cases())
+def test_rank_event_rate_equals_the_per_trial_loop(case):
+    """A pass of attempts on lanes counts the successes of the per-trial
+    loop on the same stream, for every q (q = 17 takes that loop), on the
+    exact-rank channel too, where accepted attempts carry over passes."""
+    *args, channel, extra = case
+    lanes = 4 * max(args[1], default=0) + extra
+    with pytest.MonkeyPatch.context() as mp, bounded(10):
+        mp.setattr(directsum, "_pass_lanes", lambda q, t, n_total: lanes)
+        got = directsum.rank_event_rate(*args, channel=channel).successes
+        assert got == ref.rank_event_successes(*args, channel=channel)
+    q, trials = args[0], args[4]
+    event(f"{'bits' if q == 2 else 'bytes' if q < 17 else 'loop'}, "
+          f"{'all' if got == trials else 'none' if got == 0 else 'some'} succeed")
 
 
 # every (q, n) with q^n <= 2^12 for q in {2, 3, 5, 7, 13}

@@ -211,6 +211,19 @@ def test_building_the_half_field_counts_nothing(q, n):
     assert rows == ref_rows and fresh.mul_count == reference.mul_count == 4 * (1 + 4 * 5)
 
 
+@pytest.mark.parametrize("q, n", [(3, 12), (5, 8), (2, 20)])
+def test_the_half_field_tables_are_its_subfield_towers(q, n):
+    """One copy of H's log and exp tables: on odd q the half field keeps H
+    for its Zech add and reads H's own lists, padded in place past exp's
+    two periods; q = 2 adds by XOR and keeps the lists alone."""
+    half = FieldTower(q, n)._half_field()
+    assert half.log[0] == 2 * half.size and len(half.exp) == 4 * half.size + 1
+    assert not any(half.exp[2 * half.size:])
+    if q != 2:
+        h = half.add.__self__
+        assert half.log is h._log and half.exp is h._exp
+
+
 def test_a_tower_with_a_half_field_pickles_and_copies():
     tower, m = FieldTower(2, 20), [[1, 5, 7], [9, 3, 2]]
     kernel, counted = ext_nullspace(tower, m), tower.mul_count
@@ -347,6 +360,22 @@ def test_randrange_is_the_getrandbits_rejection_loop(q):
                 d = loop.getrandbits(q.bit_length())
             assert rng.randrange(q) == d
         assert rng.random() == loop.random()
+
+
+@pytest.mark.parametrize("k", [1, 4, 12, 31, 32, 33, 40, 64, 65, 100])
+def test_getrandbits_is_little_endian_words(k):
+    # rank_event_rate draws a pass of random_rows calls as one getrandbits of
+    # 32-bit words (field._draw_lanes) and relies on this layout; if a Python
+    # release changes it, this fails by name instead of every Monte Carlo count
+    words = -(-k // 32)
+    for seed in range(5):
+        rng, batch = random.Random(seed), random.Random(seed)
+        stream = batch.getrandbits(32 * 3 * words)  # 32 j bits: the next j words, word i at 32 i
+        for i in range(3):
+            row = [stream >> 32 * (i * words + w) & 0xFFFFFFFF for w in range(words)]
+            row[-1] >>= 32 * words - k  # k <= 32: the top k bits of one word
+            assert rng.getrandbits(k) == sum(w << 32 * j for j, w in enumerate(row))
+        assert rng.random() == batch.random()
 
 
 @pytest.mark.parametrize("q", [3, 17, 257])  # lanes of 8, 16 and 32 bits

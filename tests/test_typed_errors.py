@@ -127,6 +127,8 @@ NON_ITERABLES = {
     "ext_nullspace row": (lambda t: ext_nullspace(t, [5]), "matrix entry list"),
     "ext_solve row": (lambda t: ext_solve(t, [5], [1]), "matrix entry list"),
     "ext_solve rhs": (lambda t: ext_solve(t, [[1, 2]], 5), "right-hand side list"),
+    "DirectSumCode": (lambda t: DirectSumCode(GabidulinCode(t, 2, g=default_generator(t)), 5),
+                      "part list"),
 }
 
 
