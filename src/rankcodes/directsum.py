@@ -122,7 +122,8 @@ class DirectSumCode:
     position's complement coordinates, all zero exactly inside the sum.
     The unfold sends the N*n digits of the concatenated parent words to L
     symbols, the sum of each part's transfer back.  The channel's sampler is
-    that spread with unit columns: digit p of value a to beta_a at position p.
+    that spread with unit columns: digit p of value a to beta_a at position p,
+    built on first use by `sample_channel_error`, its one reader (None before).
     """
 
     def __init__(self, code: GabidulinCode, parts):
@@ -159,8 +160,7 @@ class DirectSumCode:
         self._fold = LinearMap(t.q, n, fold, N + L if N < n else N)
         unfold = _spread_images(t, [code.parity_coordinates(b) for b in t.basis], self.concat)
         self._unfold = LinearMap(t.q, n, unfold, L)
-        channel = [b * t.order**p for b in self.concat for p in range(n)]  # the spread by units
-        self._channel = LinearMap(t.q, n, channel, L)
+        self._channel = None  # the channel's sampler, built by its first call
 
     @property
     def capability(self) -> int:
@@ -259,8 +259,7 @@ def success_probability(q: int, dims, capability: int, t: int,
     (N - C)(t - C) with N = sum(dims) agrees with it only for one part;
     for u parts it is larger by (u - 1) * C * (t - C).
     """
-    _check_counts(q, [("t", t), ("capability", capability),
-                      *(("part dimension", m) for m in dims)])
+    dims = _check_counts(q, [("t", t), ("capability", capability)], dims)
     if form == "exact":
         p = Fraction(1)
         for m in dims:
@@ -286,8 +285,7 @@ def rank_event_rate(q: int, dims, capability: int, t: int, trials: int,
     exact product formula describes); channel="exact-rank" conditions it
     on full rank t.  The trials draw from random.Random(f"{seed}:0").
     """
-    _check_counts(q, [("t", t), ("capability", capability), ("trials", trials),
-                      *(("part dimension", m) for m in dims)])
+    dims = _check_counts(q, [("t", t), ("capability", capability), ("trials", trials)], dims)
     if not is_prime(q):  # the draws and their ranks are taken mod q
         raise ValueError(f"q = {q} is not a prime")
     if channel not in ("uniform-matrix", "exact-rank"):
@@ -366,6 +364,9 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
     if channel == "exact-rank" and t > n_total:
         raise ValueError(
             f"exact-rank channel needs t <= total dimension {n_total}, got t = {t}")
+    if M._channel is None:  # built whole, then published by one assignment
+        units = [b * M.tower.order**p for b in M.concat for p in range(n)]
+        M._channel = LinearMap(M.tower.q, n, units, M.code.length)
     # values v_j, one per concatenated-basis coordinate, to sum_j digit_p(v_j) beta_j at p
     return M._channel.word(random_error(M.tower, n_total, t, rng, mode=channel))
 

@@ -140,6 +140,20 @@ def _mod_lanes(v: int, q: int, lane: int, scale: int = 1) -> int:
     return int.from_bytes(b"".join(d.to_bytes(lane // 8, "little") for d in digits), "little")
 
 
+def _alpha_steps(v: int, tops: int, low: int, q: int, lane: int, n: int, steps: int) -> list:
+    """[v, alpha v, ..., alpha^steps v], digit i of each element packed in v in its lane i,
+    lanes < q: a step shifts v a lane up, folds each overflowed top lane (marked
+    in `tops`) back times low = alpha^n = -(f - x^n), and takes lanes mod q (q = 2: XOR)."""
+    out = [v]
+    for _ in range(steps):
+        v <<= lane
+        over = v & tops
+        v = (v ^ over ^ (over >> n * lane) * low if q == 2
+             else _mod_lanes(v - over + (over >> n * lane) * low, q, lane))
+        out.append(v)
+    return out
+
+
 def _reduce_lanes(rows, q: int, bits: int, identity: bool, spread: bool = True):
     """The odd-q elimination: rows[j], spread to a digit per lane of `bits`
     unless already on them, each < q, over len(rows) identity lanes holding
@@ -529,8 +543,8 @@ class FieldTower:
     both span two periods of i.  g is the smallest candidate with
     g^((q^n-1)/p) != 1 for every prime p | q^n - 1, so g has full order.
     Its powers fill `_exp` in bulk, as packed columns of about sqrt(q^n),
-    each g times the one before by whole-int shifts and adds on the lanes
-    of `_lane_bits`, each sum taken mod q by `_mod_lanes` (`_build_tables`).
+    each g times the one before by the alpha-steps of `_alpha_steps` and
+    adds on the lanes of `_lane_bits`, sums taken mod q (`_build_tables`).
     Larger fields are table-less: odd-q `add` goes digit by digit, `mul`
     for odd q is one int product of the operands' lanes reduced by `_prem`
     (`_poly_lane` lanes, the modulus on them in `_mod_poly`), and for q = 2
@@ -559,7 +573,8 @@ class FieldTower:
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as a `LinearMap`, applied with no field product: the encoder and
-    the syndrome map of a Gabidulin code.
+    the syndrome map of a Gabidulin code.  Its images, the alpha-multiples
+    of each row, step the whole row on those lanes, table-less odd q too.
 
     `mul_count` counts one per `mul`, one per `axpy` entry, n per nonzero
     coefficient of `linearized_images` (one per image), one per `inv`,
@@ -595,6 +610,8 @@ class FieldTower:
             raise ValueError("modulus is reducible over GF(q)")
         self.modulus = modulus
         self._mod_int = self.from_digits(modulus)
+        bits = _lane_bits(q, q * (q - 1))  # alpha^n = -(f - x^n) on the lanes of `_alpha_steps`
+        self._alpha_n = sum(-c % q << bits * i for i, c in enumerate(modulus[:-1]))
         self._lane = lane = _poly_lane(q, n)  # and the modulus on its lanes:
         self._mod_poly = sum(c << lane * i for i, c in enumerate(modulus))
         self.mul_count = 0
@@ -891,28 +908,26 @@ class FieldTower:
         return LinearMap(self.q, self.n, images, len(rows[0]))
 
     def _alpha_multiples(self, row) -> list:
-        """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n.
-        For q = 2 each step is one shift of the whole packed row and one
-        reduction of the bits that overflowed their entry; for odd q each
-        entry steps by `_mul_raw` with alpha = q (n = 1 takes no step)."""
-        n, offsets = self.n, [self.order**l for l in range(len(row))]
-        if self.q == 2:
-            word = sum(map(operator.mul, row, offsets))
-            tops = sum(1 << n * l for l in range(1, len(row) + 1))
-            low = self._mod_int ^ 1 << n  # alpha^n
-            out = [word]
-            for _ in range(n - 1):
-                word <<= 1
-                over = word & tops
-                word ^= over ^ (over >> n) * low
-                out.append(word)
+        """The words alpha^j row for j = 0..n-1, entry l at digit offset l*n:
+        the row packed on lanes, entry l in lanes l*n on, stepped whole by
+        `_alpha_steps`, each word read back by `_from_lanes` for odd q.
+        Table-backed odd q looks each entry up, alpha^j x = g^(log x + j log
+        alpha), as lanes are slower there (n = 1 takes no step)."""
+        n, q, count, exp, log = self.n, self.q, len(row), self._exp, self._log
+        if q != 2 and exp:
+            offsets, size = [self.order**l for l in range(count)], self.order - 1
+            step = log[q] if n > 1 else 0  # log alpha
+            return [sum(exp[(log[x] + j * step) % size] * o for x, o in zip(row, offsets) if x)
+                    for j in range(n)]
+        lane = _lane_bits(q, q * (q - 1))
+        row = row if q == 2 else _to_lanes(row, q, lane, n)
+        word = sum(x << lane * n * l for l, x in enumerate(row))
+        tops = ((1 << lane) - 1) * sum(1 << lane * n * l for l in range(1, count + 1))
+        out = _alpha_steps(word, tops, self._alpha_n, q, lane, n, n - 1)
+        if q == 2:
             return out
-        out = []
-        for j in range(n):
-            if j:
-                row = [self._mul_raw(x, self.q) for x in row]
-            out.append(sum(map(operator.mul, row, offsets)))
-        return out
+        powers = [q**i for i in range(count * n)]
+        return [_from_lanes(w, q, lane, count * n, powers)[0] for w in out]
 
     # -- discrete-log tables --------------------------------------------------
 
@@ -930,20 +945,16 @@ class FieldTower:
         lane = _lane_bits(q, q * (q - 1))
         slot = 16 if q == 2 else n * lane
         lane0 = ((1 << lane) - 1).to_bytes(slot // 8, "little")  # lane 0 of a slot
-        neg = sum(-m % q << lane * k for k, m in enumerate(self.modulus[:-1]))  # alpha^n
         add = operator.xor if q == 2 else lambda a, b: _mod_lanes(a + b, q, lane)
 
         def times(x, c, count):
             """c times each of the `count` elements packed in x: Horner over
-            the digits of c, where an alpha-step shifts the whole int a lane
-            and adds the top digits it pushed out back in times -modulus."""
+            the digits of c, each alpha-step one of `_alpha_steps`."""
             tops = int.from_bytes(lane0 * count, "little") << n * lane
             acc = 0
             for d in reversed(int_digits(c, q, n)):
                 if acc:  # no alpha-steps before the top nonzero digit
-                    acc <<= lane
-                    over = acc & tops
-                    acc = add(acc ^ over, (over >> n * lane) * neg)
+                    acc = _alpha_steps(acc, tops, self._alpha_n, q, lane, n, 1)[1]
                 if d:  # x itself for a top digit of 1
                     acc = add(acc, x * d) if acc or d > 1 else x
             return acc

@@ -39,23 +39,35 @@ def dual_vector(tower: FieldTower, g, k: int):
     """Parity vector h of the code with generator vector g and dimension k.
 
     h is the unique (up to scalar) solution of sum_i g_i^[mu] h_i = 0 for
-    mu = -(L-k-1), ..., k-1; it is canonicalized so its first nonzero
-    component is 1.
+    mu = -(L-k-1), ..., k-1, scaled to lead with 1: for L < n the system's
+    kernel over GF(q^n).  For L = n it is (g*)^[k], as sum_i g_i^[mu] g*_i is
+    1 for mu = 0 mod n and 0 otherwise for g* the trace-dual basis, Tr(g_i
+    g*_j) = delta_ij (Lidl and Niederreiter, Finite Fields, 2.3).  g*_j has
+    the digits of column j of (D H)^-1, D the digits of g and H[l][m] =
+    Tr(alpha^(l+m)) from Newton's identities on the modulus: column m of D H
+    contracts tr[m:m+n] with D's columns, and one CoordinateSolver inverts it.
     """
     g = tower.check_elements(g)
-    length = len(g)
+    length, n, q = len(g), tower.n, tower.q
     if rank_of_vector(tower, g) != length:
         raise ValueError("generator vector components are linearly dependent")
     if type(k) is not int or not 1 <= k <= length - 1:
         raise ValueError(f"dimension {k!r} outside 1..{length - 1}")
-    rows = [[tower.frobenius(gi, mu) for gi in g]
-            for mu in range(-(length - k - 1), k)]
-    basis = ext_nullspace(tower, rows)
-    if len(basis) != 1:
-        raise ValueError("dual system is degenerate")  # pragma: no cover
-    h = basis[0]
-    lead = next(x for x in h if x)
-    scale = tower.inv(lead)
+    if length == n:
+        f, tr = tower.modulus, [n % q]  # tr[e] = Tr(alpha^e), the power sums of f's roots
+        for e in range(1, 2 * n - 1):
+            s = sum(f[n - i] * tr[e - i] for i in range(1, min(e, n + 1)))
+            tr.append(-(s + (e * f[n - e] if e <= n else 0)) % q)
+        cols = [tower.from_digits(col) for col in zip(*map(tower.digits, g))]
+        solver = CoordinateSolver(tower, [tower.contract(tr[m:m + n], cols) for m in range(n)])
+        h = [tower.frobenius(tower.contract(solver.solve(q**j)), k) for j in range(n)]
+    else:
+        basis = ext_nullspace(tower, [[tower.frobenius(gi, mu) for gi in g]
+                                      for mu in range(-(length - k - 1), k)])
+        if len(basis) != 1:
+            raise ValueError("dual system is degenerate")  # pragma: no cover
+        h = basis[0]
+    scale = tower.inv(next(x for x in h if x))
     h = tuple(tower.mul(scale, x) for x in h)
     if rank_of_vector(tower, h) != length:
         raise ValueError("dual vector is rank deficient")  # pragma: no cover
@@ -82,7 +94,8 @@ def default_generator(tower: FieldTower):
 class GabidulinCode:
     """[L, k, d = L-k+1] maximum-rank-distance code over GF(q^n), L <= n.
 
-    Built from a generator vector (the parity vector is derived), from a
+    Built from a generator vector (the parity vector is derived by
+    `dual_vector`, for L = n from the trace-dual basis of g), from a
     parity vector (decode-only), or from both (checked for consistency).
     ValueError unless k is an int (not a bool) in 1..L-1 and each vector
     given has a length.

@@ -286,13 +286,19 @@ def random_error(tower: FieldTower, length: int, t: int, rng, mode: str = "exact
 # ---------------------------------------------------------------------------
 # counting
 
-def _check_counts(q, counts):
-    """ValueError unless q is a prime power and each (what, value) is an int >= 0."""
+def _check_counts(q, counts, dims=()) -> tuple:
+    """`dims` as a tuple, read once; ValueError unless q is a prime power, dims
+    is iterable and each (what, value) and dimension in dims is an int >= 0."""
     if not (isinstance(q, int) and len(_prime_factors(q)) == 1):
         raise ValueError(f"q = {q!r} is not a prime power")
-    for what, v in counts:
+    try:
+        dims = tuple(dims)
+    except TypeError:
+        raise ValueError(f"part dimension list {dims!r} is not iterable") from None
+    for what, v in [*counts, *(("part dimension", m) for m in dims)]:
         if isinstance(v, bool) or not isinstance(v, int) or v < 0:
             raise ValueError(f"{what} must be a nonnegative integer, got {v!r}")
+    return dims
 
 
 def count_rank_matrices(q: int, m: int, t: int, r: int) -> int:

@@ -118,15 +118,9 @@ class SubfieldFactorization:
 
 
 def block_diagonal(block, copies: int):
-    rows = len(block)
     cols = len(block[0]) if block else 0
-    out = []
-    for b in range(copies):
-        for r in range(rows):
-            row = [0] * (cols * copies)
-            row[b * cols:(b + 1) * cols] = block[r]
-            out.append(row)
-    return out
+    return [[0] * cols * b + list(row) + [0] * cols * (copies - 1 - b)
+            for b in range(copies) for row in block]
 
 
 def compute_factorization(code: GabidulinCode, s: int,

@@ -12,9 +12,11 @@ read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower, codes and `LinearizedPoly`:
 the rank of a matrix over GF(q^n), the GF(q^n) elimination loop on the
-tower's `axpy` and `inv`, a direct sum's channel word as the unfold of
-parity symbols, a rank-t error confined to a subspace, drawn on
-the library's `random_rows`, a subfield listed element by element,
+tower's `axpy` and `inv`, a parity vector as the kernel of its dual
+system, the alpha-multiples of a row stepped entry by entry, a direct
+sum's channel word as the unfold of parity symbols, a rank-t error
+confined to a subspace, drawn on the library's `random_rows`, a subfield
+listed element by element,
 the guarded enumerations of a code's messages and words, of a subspace
 and of a subspace subcode, the minimum rank distance of a code and the
 words of a subspace subcode, both by enumerating the code, the parity rows
@@ -309,6 +311,29 @@ def rref_ext(tower, rows):
         if r == len(rows):
             break
     return pivots
+
+
+def dual_vector_by_elimination(tower, g, k):
+    """The parity vector of `rankcodes.dual_vector` as it was found before
+    full-length codes took the trace-dual basis: the one kernel vector of
+    sum_i g_i^[mu] h_i = 0, mu = -(L-k-1)..k-1, over GF(q^n), scaled to
+    lead with 1."""
+    rows = [[tower.frobenius(gi, mu) for gi in g] for mu in range(-(len(g) - k - 1), k)]
+    (h,) = ext_nullspace(tower, rows)
+    scale = tower.inv(next(x for x in h if x))
+    return tuple(tower.mul(scale, x) for x in h)
+
+
+def alpha_multiples_by_entry(tower, row):
+    """The words alpha^j row for j < n, entry l at digit offset l n, as
+    `FieldTower._alpha_multiples` stepped odd q before lanes: each entry
+    times alpha = q by the tower's `_mul_raw`."""
+    offsets, out = [tower.order**l for l in range(len(row))], []
+    for j in range(tower.n):
+        if j:
+            row = [tower._mul_raw(x, tower.q) for x in row]
+        out.append(sum(x * o for x, o in zip(row, offsets)))
+    return out
 
 
 def unfold_of_parity_symbols(M, values):

@@ -354,6 +354,18 @@ def test_rank_event_rate_zero_dimension_parts():
         assert got[0] == got[1] == ref.rank_event_successes(q, [2, 3], 1, 2, 300, 4, channel)
 
 
+def test_part_dimensions_read_once_from_an_iterator():
+    # an iterator of part dimensions counts as its list, on both entries
+    for q, dims, capability, t in [(2, [6, 6], 2, 3), (3, [3, 3, 3], 1, 2)]:
+        assert (rank_event_rate(q, iter(dims), capability, t, 100, seed=1)
+                == rank_event_rate(q, dims, capability, t, 100, seed=1))
+        for form in ("exact", "leading-order"):
+            assert (success_probability(q, iter(dims), capability, t, form)
+                    == success_probability(q, dims, capability, t, form))
+    assert rank_event_rate(2, iter([6, 6]), 2, 3, 100, seed=1).successes == 2
+    assert success_probability(2, iter([6, 6]), 2, 3) < Fraction(12, 1000)
+
+
 def _refuse_the_per_trial_loop(*args, **kwargs):
     raise AssertionError("rank_event_rate drew a trial by random_rows")
 
@@ -421,6 +433,19 @@ def test_sample_channel_error_exact_rank_needs_t_within_dims(gf16):
     assert len(sample_channel_error(dsc, 3, rng)) == 4
     with pytest.raises(ValueError, match="channel"):
         sample_channel_error(dsc, 1, rng, channel="bogus")
+
+
+def test_channel_map_is_built_on_first_sample(gf64):
+    # only sample_channel_error reads the channel map, so a build leaves it out
+    code = GabidulinCode(gf64, 4, g=default_generator(gf64))  # [6,4,3] C=1
+    for M in (DirectSumCode(code, [(1, 2, 4), (8, 16, 32)]),
+              SubspaceSubcode(code, SubspaceBasis(gf64, (1, 2, 4, 8)))):
+        assert M._channel is None
+        first = sample_channel_error(M, 1, random.Random(3))
+        channel = M._channel
+        assert channel is not None
+        assert sample_channel_error(M, 1, random.Random(3)) == first
+        assert M._channel is channel
 
 
 def test_sample_channel_error_lands_in_sum_space(pair66, gf4096):

@@ -275,6 +275,15 @@ def test_default_generator_table_less_n20():
     assert rank_of_vector(tower, g) == 20
 
 
+def test_full_length_odd_q_code_builds_in_seconds_at_n_64():
+    # the parity vector comes from the trace-dual basis, with no
+    # elimination over GF(3^64), and the word maps step alpha on lanes
+    with bounded(15):
+        tower = FieldTower(3, 64)
+        code = GabidulinCode(tower, 32, g=tower.basis)
+    assert code.h[0] == 1 and rank_of_vector(tower, code.h) == 64
+
+
 @pytest.mark.parametrize("q, n, k", [(2, 64, 32), (3, 30, 15)])
 def test_codec_maps_bounded_at_the_top_of_the_range(q, n, k):
     # the word-wide maps read 4-bit chunks (q^k <= 16 digits), which keeps

@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 
 from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        FieldTower, GabidulinCode, LinearizedPoly, SubfieldEmbedding,
-                       SubspaceSubcode, compute_factorization, default_generator, is_irreducible,
-                       random_error, random_rows, rank_of_vector, rank_q, rank_rows,
+                       SubspaceSubcode, compute_factorization, default_generator, dual_vector,
+                       is_irreducible, random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
 from rankcodes.field import LinearMap, _lane_digits, _reduce_lanes, _to_lanes, int_digits
 from rankcodes import directsum, qlinalg
@@ -774,6 +774,67 @@ def test_tables_match_stepping_scan_for_random_moduli(case):
     assert tower._zech == (None if q == 2 else ref.zech_table(q, n, exp, log))
 
 
+# q in {2, 3, 5, 7} up to n = 12, table-less towers among them, and the
+# table-less q = 2 towers past 2^16 that the bench and the goldens build
+DUAL_SHAPES = [(q, n) for q in (2, 3, 5, 7) for n in range(2, 13)] + [(2, 17), (2, 20)]
+
+
+@st.composite
+def full_length_cases(draw):
+    """A tower of DUAL_SHAPES, on its default modulus or, up to order
+    4096, on the first irreducible one at or after a random start; a
+    full-rank generator vector of length n and a dimension k."""
+    q, n = draw(st.sampled_from(DUAL_SHAPES))
+    tower = _tower(q, n)
+    if q**n <= 4096 and draw(st.booleans()):
+        start = draw(st.integers(0, q**n - 1))
+        low = next(low for low in itertools.chain(range(start, q**n), range(start))
+                   if is_irreducible(ref.digits(low, q, n) + [1], q))
+        tower = FieldTower(q, n, ref.digits(low, q, n) + [1])
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    g = ()
+    while len(g) < n:
+        x = tower.random_element(rng)
+        if rank_of_vector(tower, g + (x,)) == len(g) + 1:
+            g += (x,)
+    return tower, g, draw(st.integers(1, n - 1))
+
+
+@settings(max_examples=150, deadline=None)
+@given(full_length_cases())
+def test_trace_dual_parity_vector_equals_the_elimination(case):
+    """For L = n, `dual_vector` takes (g*)^[k] from the trace-dual basis g*
+    of g with no elimination over GF(q^n): the dual system's kernel vector."""
+    tower, g, k = case
+    h = dual_vector(tower, g, k)
+    assert h == ref.dual_vector_by_elimination(tower, g, k)
+    code = GabidulinCode(tower, k, g=g)
+    assert code.h == h
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}")
+
+
+# table-less odd q, on byte lanes for q = 3, 5, 7 and 16-bit lanes for
+# q = 31; then the log lookups of table-backed odd q, n = 1 included, and
+# the q = 2 lanes with and without tables
+LANE_ALPHA_SHAPES = [(3, 11), (3, 12), (5, 7), (7, 6), (31, 4)]
+ALPHA_SHAPES = LANE_ALPHA_SHAPES + [(3, 1), (3, 9), (5, 3), (2, 12), (2, 20)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(ALPHA_SHAPES), st.data())
+def test_alpha_multiples_equal_the_per_entry_steps(shape, data):
+    """A word map's alpha-multiples, a whole row stepped on lanes (or an
+    entry looked up, table-backed odd q), equal the per-entry `_mul_raw`
+    steps' words, zero entries and single entries too."""
+    tower = _tower(*shape)
+    element = st.integers(0, tower.order - 1)
+    entry = st.one_of(st.just(0), st.just(1), st.just(tower.order - 1), element)
+    row = data.draw(st.lists(entry, min_size=1, max_size=tower.n + 1))
+    assert tower._alpha_multiples(row) == ref.alpha_multiples_by_entry(tower, row)
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}, "
+          f"{'one entry' if len(row) == 1 else 'a zero entry' if 0 in row else 'no zero'}")
+
+
 # largest extension degree drawn per q for direct sums: GF(2^8), GF(3^7),
 # GF(5^5); every shape leaves room for two parts of dimension >= d = 2
 DIRECT_SUM_MAX_N = {2: 8, 3: 7, 5: 5}
@@ -887,6 +948,7 @@ def _channel_code(name):
 @given(st.sampled_from(sorted(CHANNEL_CODES)), st.randoms(use_true_random=False))
 def test_channel_map_equals_the_unfold_of_parity_symbols(name, rng):
     M = _channel_code(name)
+    sample_channel_error(M, 0, rng)  # the map is built on first use; t = 0 draws nothing
     with bounded(10):
         values = [M.tower.random_element(rng) for _ in range(M.total_dim)]
         assert M._channel.word(values) == ref.unfold_of_parity_symbols(M, values)

@@ -129,6 +129,9 @@ NON_ITERABLES = {
     "ext_solve rhs": (lambda t: ext_solve(t, [[1, 2]], 5), "right-hand side list"),
     "DirectSumCode": (lambda t: DirectSumCode(GabidulinCode(t, 2, g=default_generator(t)), 5),
                       "part list"),
+    "rank_event_rate": (lambda t: rank_event_rate(2, 5, 1, 1, 10, seed=1),
+                        "part dimension list"),
+    "success_probability": (lambda t: success_probability(2, 5, 1, 1), "part dimension list"),
 }
 
 
