@@ -13,6 +13,7 @@ import argparse
 import contextlib
 import csv
 import json
+import random
 import sys
 
 from .directsum import DirectSumCode, decode_experiment, rank_event_rate, success_probability
@@ -39,10 +40,6 @@ def _load_config(path) -> dict:
         raise ConfigError(f"cannot read config: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @contextlib.contextmanager
@@ -101,12 +98,12 @@ def _channel(cfg: dict, args) -> dict:
         ch["t_values"] = args.t
     if ch.get("seed") is None:
         raise ConfigError("a seed is required (config channel.seed or --seed)")
-    if not _is_int(ch.get("trials")) or ch["trials"] < 1:
+    if type(ch.get("trials")) is not int or ch["trials"] < 1:
         raise ConfigError("channel.trials must be a positive integer")
     t_values = ch.get("t_values")
-    if not isinstance(t_values, list) or not all(_is_int(t) and t >= 0 for t in t_values):
+    if not isinstance(t_values, list) or not all(type(t) is int and t >= 0 for t in t_values):
         raise ConfigError("channel.t_values must be a list of nonnegative integers")
-    if not _is_int(ch["decode_trials"]) or ch["decode_trials"] < 0:
+    if type(ch["decode_trials"]) is not int or ch["decode_trials"] < 0:
         raise ConfigError("channel.decode_trials must be a nonnegative integer")
     if ch["mode"] not in ("uniform-matrix", "exact-rank"):
         raise ConfigError(f"unknown channel mode {ch['mode']!r}")
@@ -169,8 +166,6 @@ def _cmd_code_info(args):
 
 
 def _cmd_roundtrip(args):
-    import random
-
     _, tower, code = _load_code(args)
     if code.g is None:
         raise ConfigError("roundtrip needs a generator vector")

@@ -158,7 +158,7 @@ class DirectSumCode:
             fold = [img + t.from_digits(cols[e][N:]) * t.order**(N + p)
                     for img, (p, e) in zip(fold, itertools.product(range(L), range(n)))]
         self._fold = LinearMap(t.q, n, fold, N + L if N < n else N)
-        unfold = _spread_images(t, [code.parity_coordinates(b) for b in t.basis], self.concat)
+        unfold = _spread_images(t, [code.h_basis.solve(b) for b in t.basis], self.concat)
         self._unfold = LinearMap(t.q, n, unfold, L)
         self._channel = None  # the channel's sampler, built by its first call
 

@@ -44,18 +44,10 @@ _TABLE_LIMIT = 1 << 16
 
 
 def is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
+    """Whether p is prime, by `_prime_factors`; ValueError unless p is an int, not a bool."""
+    if type(p) is not int:
+        raise ValueError(f"{p!r} is not an int")
+    return p > 1 and _prime_factors(p) == [p]
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -66,7 +58,7 @@ def _prime_factors(n: int) -> list[int]:
             out.append(f)
             while n % f == 0:
                 n //= f
-        f += 1
+        f += 1 if f == 2 else 2
     if n > 1:
         out.append(n)
     return out
@@ -1029,8 +1021,8 @@ class _HalfField:
         from .subfield import SubfieldEmbedding  # subfield imports qlinalg, which imports this
         count, q, s = tower.mul_count, tower.q, tower.n // 2
         emb = SubfieldEmbedding(tower, s)
-        full, theta, alpha = emb._full_solver, emb.generator, emb.ext_basis[1]
-        low = emb._sub_solver.solve(tower.pow(theta, s))  # H = GF(q)[x] / minpoly(theta)
+        full, theta, alpha = emb.full_basis, emb.generator, emb.ext_basis[1]
+        low = emb.sub_basis.solve(tower.pow(theta, s))  # H = GF(q)[x] / minpoly(theta)
         h = FieldTower(q, s, [-c for c in low] + [1])
         self.into, self.out = full._map.__call__, LinearMap(q, 2 * s, full.elements).__call__
         A1, A0 = divmod(full._map(tower.mul(alpha, alpha)), h.order)

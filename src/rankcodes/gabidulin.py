@@ -9,7 +9,6 @@ through the error-span polynomial.
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Sized
 
 from .field import FieldTower
@@ -35,6 +34,16 @@ def moore_matrix(tower: FieldTower, vector, rows: int):
     return [[tower.frobenius(x, i) for x in vector] for i in range(rows)]
 
 
+def _traces(tower: FieldTower, count: int) -> list:
+    """Tr(alpha^e), e < count, by Newton's identities on the modulus' roots."""
+    f, n, q = tower.modulus, tower.n, tower.q
+    tr = [n % q]
+    for e in range(1, count):
+        s = sum(f[n - i] * tr[e - i] for i in range(1, min(e, n + 1)))
+        tr.append(-(s + (e * f[n - e] if e <= n else 0)) % q)
+    return tr
+
+
 def dual_vector(tower: FieldTower, g, k: int):
     """Parity vector h of the code with generator vector g and dimension k.
 
@@ -44,8 +53,8 @@ def dual_vector(tower: FieldTower, g, k: int):
     1 for mu = 0 mod n and 0 otherwise for g* the trace-dual basis, Tr(g_i
     g*_j) = delta_ij (Lidl and Niederreiter, Finite Fields, 2.3).  g*_j has
     the digits of column j of (D H)^-1, D the digits of g and H[l][m] =
-    Tr(alpha^(l+m)) from Newton's identities on the modulus: column m of D H
-    contracts tr[m:m+n] with D's columns, and one CoordinateSolver inverts it.
+    Tr(alpha^(l+m)) from `_traces`: column m of D H contracts tr[m:m+n] with
+    D's columns, and one CoordinateSolver inverts it.
     """
     g = tower.check_elements(g)
     length, n, q = len(g), tower.n, tower.q
@@ -54,10 +63,7 @@ def dual_vector(tower: FieldTower, g, k: int):
     if type(k) is not int or not 1 <= k <= length - 1:
         raise ValueError(f"dimension {k!r} outside 1..{length - 1}")
     if length == n:
-        f, tr = tower.modulus, [n % q]  # tr[e] = Tr(alpha^e), the power sums of f's roots
-        for e in range(1, 2 * n - 1):
-            s = sum(f[n - i] * tr[e - i] for i in range(1, min(e, n + 1)))
-            tr.append(-(s + (e * f[n - e] if e <= n else 0)) % q)
+        tr = _traces(tower, 2 * n - 1)
         cols = [tower.from_digits(col) for col in zip(*map(tower.digits, g))]
         solver = CoordinateSolver(tower, [tower.contract(tr[m:m + n], cols) for m in range(n)])
         h = [tower.frobenius(tower.contract(solver.solve(q**j)), k) for j in range(n)]
@@ -77,13 +83,12 @@ def dual_vector(tower: FieldTower, g, k: int):
 def default_generator(tower: FieldTower):
     """Canonical generator vector: the Frobenius orbit of the smallest
     normal element.  A normal element has nonzero trace, the sum of its
-    orbit (a basis).  With k the first index where Tr(alpha^k) != 0, every
-    element below q^k has trace 0, so the orbit-rank scan starts at q^k;
-    for n > 1 it starts at q or above, since the orbit of an element of
-    GF(q) has rank 1."""
+    orbit (a basis).  With k the first index where Tr(alpha^k) != 0 (from
+    `_traces`), every element below q^k has trace 0, so the orbit-rank scan
+    starts at q^k; for n > 1 it starts at q or above, since the orbit of an
+    element of GF(q) has rank 1."""
     n = tower.n
-    k = next(i for i, b in enumerate(tower.basis)
-             if functools.reduce(tower.add, [tower.frobenius(b, j) for j in range(n)]))
+    k = next(i for i, tr in enumerate(_traces(tower, n)) if tr)
     for cand in range(max(tower.q**k, tower.q if n > 1 else 1), tower.order):
         orbit = tuple(tower.frobenius(cand, i) for i in range(n))
         if rank_of_vector(tower, orbit) == n:
@@ -107,6 +112,8 @@ class GabidulinCode:
     leave `mul_count` alone.  `encode`, `syndromes` and `is_codeword` check
     their input with `check_elements`; the checks of words the code built
     itself (the duality check and decode's residual check) skip it.
+    `h_basis`, the `SubspaceBasis` over h, gives coordinates over h (None outside
+    its span, only for L < n) to decode's locators and a `DirectSumCode`'s unfold.
     """
 
     def __init__(self, tower: FieldTower, k: int, g=None, h=None):
@@ -139,7 +146,7 @@ class GabidulinCode:
         gen_rows = moore_matrix(tower, g, k) if g is not None else None
         self._encoder = tower.word_map(gen_rows) if g is not None else None
         self._syndrome_map = tower.word_map(zip(*moore_matrix(tower, h, self.d - 1)))
-        self._h_solver = CoordinateSolver(tower, h)
+        self.h_basis = CoordinateSolver(tower, h)
         if g is not None and any(any(self._syndrome_map.word(row)) for row in gen_rows):
             raise ValueError("generator and parity vectors are not dual")
 
@@ -160,11 +167,6 @@ class GabidulinCode:
 
     def is_codeword(self, word) -> bool:
         return not any(self.syndromes(word))
-
-    def parity_coordinates(self, x: int):
-        """q-ary coordinates of x over the parity basis (h_1, ..., h_L),
-        or None when x lies outside their span (possible only for L < n)."""
-        return self._h_solver.coords(x)
 
     def decode(self, received):
         """Return (codeword, error) with rank(error) <= capability.
@@ -207,7 +209,7 @@ class GabidulinCode:
         f = len(values)
         x, _ = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(f)],
                          [t.frobenius(synd[l], -l) for l in range(f)])
-        locators = [self._h_solver.solve(xj) for xj in x]
+        locators = [self.h_basis.solve(xj) for xj in x]
         if None in locators:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))

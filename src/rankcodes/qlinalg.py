@@ -109,9 +109,16 @@ def kernel_rows(images, q: int, lane: int = 0):
 
 
 def rank_q(matrix, q: int) -> int:
-    """Rank over GF(q) of a matrix given as row lists, by `rank_rows`."""
-    rows = [sum(v % q * q**j for j, v in enumerate(row)) for row in matrix]
-    return rank_rows(rows, q)
+    """Rank over GF(q) of a matrix given as row lists, by `rank_rows`.  ValueError unless
+    its rows are iterables of one length of ints (not bools) in [0, q)."""
+    try:
+        rows = [tuple(row) for row in matrix]
+    except TypeError:
+        raise ValueError(f"matrix {matrix!r} or one of its rows is not iterable") from None
+    if len(set(map(len, rows))) > 1 or not all(type(v) is int and 0 <= v < q
+                                               for row in rows for v in row):
+        raise ValueError(f"need rows of one length of ints in [0, {q!r}), got {rows!r}")
+    return rank_rows([sum(v * q**j for j, v in enumerate(row)) for row in rows], q)
 
 
 def rank_of_vector(tower: FieldTower, vec) -> int:

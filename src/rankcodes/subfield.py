@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from .directsum import success_probability
 from .field import FieldTower, int_digits
 from .gabidulin import GabidulinCode, moore_matrix
 from .linpoly import LinearizedPoly
@@ -29,7 +30,8 @@ class SubfieldEmbedding:
 
     Carries a canonical polynomial basis (1, theta, ..., theta^(s-1)) of
     the subfield over GF(q) and a basis (1, alpha, ..., alpha^(n/s - 1))
-    of the big field over the subfield, plus the coordinate maps for both.
+    of the big field over the subfield.  Coordinates come from the public
+    `SubspaceBasis` objects `sub_basis`, over the theta^e, and `full_basis`.
 
     theta is the smallest element, as an int, of degree s, found by counting.
     The fixed field is the root space of x^[s] - x, whose `root_space_basis`
@@ -58,7 +60,7 @@ class SubfieldEmbedding:
             tower, tuple(tower.pow(x, i) for i in range(s))) == s)
         self.generator = theta
         self.poly_basis = tuple(tower.pow(theta, i) for i in range(s))
-        self._sub_solver = CoordinateSolver(tower, self.poly_basis)
+        self.sub_basis = CoordinateSolver(tower, self.poly_basis)
 
         if ext_basis is None:
             alpha = q if n > 1 else 1
@@ -70,20 +72,15 @@ class SubfieldEmbedding:
         self.ext_basis = ext_basis
         # combined q-ary basis a_e * gamma_r, block-major in r
         combined = [tower.mul(a, g) for g in ext_basis for a in self.poly_basis]
-        self._full_solver = CoordinateSolver(tower, combined)
+        self.full_basis = CoordinateSolver(tower, combined)
 
     def contains(self, x: int) -> bool:
         x, = self.tower.check_elements((x,))
         return self.tower.frobenius(x, self.s) == x
 
-    def subfield_coords(self, x: int):
-        """GF(q) coordinates of a subfield element over the polynomial
-        basis, or None when x is not in the subfield."""
-        return self._sub_solver.coords(x)
-
     def ext_coords(self, x: int):
         """Subfield coordinates of any x over the extension basis."""
-        digits = self._full_solver.coords(x)
+        digits = self.full_basis.coords(x)
         t, s = self.tower, self.s
         return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
                      for r in range(self.blocks))
@@ -97,7 +94,7 @@ def _qary_expansion(emb: SubfieldEmbedding, rows):
     GF(q) coordinate column over the subfield polynomial basis."""
     out = []
     for row in rows:
-        coords = [emb._sub_solver.solve(x) for x in row]
+        coords = [emb.sub_basis.solve(x) for x in row]
         if None in coords:
             raise ValueError("entry is not a subfield element")
         out.extend([c[e] for c in coords] for e in range(emb.s))
@@ -118,8 +115,12 @@ class SubfieldFactorization:
 
 
 def block_diagonal(block, copies: int):
-    cols = len(block[0]) if block else 0
-    return [[0] * cols * b + list(row) + [0] * cols * (copies - 1 - b)
+    """blockdiag(block, ..., block) with `copies` copies.  ValueError unless
+    copies is an int >= 1 and the block's rows are lists of equal length."""
+    if not (type(copies) is int and copies >= 1 and isinstance(block, list)
+            and all(isinstance(row, list) and len(row) == len(block[0]) for row in block)):
+        raise ValueError(f"need copies >= 1 of equal-length row lists: {copies!r}, {block!r}")
+    return [[0] * len(row) * b + row + [0] * len(row) * (copies - 1 - b)
             for b in range(copies) for row in block]
 
 
@@ -146,7 +147,7 @@ def compute_factorization(code: GabidulinCode, s: int,
     if code.d - 2 >= s:
         raise ValueError(f"need d - 2 < s (d = {code.d}, s = {s})")
 
-    cols = [emb._full_solver.solve(x) for x in code.h]
+    cols = [emb.full_basis.solve(x) for x in code.h]
     transform = [list(row) for row in zip(*cols)]
     block = moore_matrix(tower, emb.poly_basis, code.d - 1)
     big = block_diagonal(block, emb.blocks)
@@ -189,8 +190,6 @@ def subfield_success_probability(code: GabidulinCode, s: int, t: int,
                                  form: str = "exact"):
     """Probability of decoding t errors in the subfield subcode: the
     direct-sum formula with n/s parts of dimension s."""
-    from .directsum import success_probability
-
     tower = code.tower
     _check_degree(tower, s)
     return success_probability(tower.q, [s] * (tower.n // s),

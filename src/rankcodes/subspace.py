@@ -12,7 +12,7 @@ fold and unfold of `DirectSumCode`.  Its basis is a `SubspaceBasis`, the
 from __future__ import annotations
 
 from .directsum import DirectSumCode, SubspaceBasis, TrivialSubcodeError
-from .gabidulin import DecodingFailure, GabidulinCode
+from .gabidulin import GabidulinCode
 
 
 class SubspaceSubcode(DirectSumCode):
@@ -45,23 +45,9 @@ class SubspaceSubcode(DirectSumCode):
 
     # -- coding ---------------------------------------------------------------
 
-    def decode(self, received, route: str = "parent"):
-        """Decode a received word with components in V.
-
-        route="parent" maps through the transfer and decodes in the parent
-        code; route="ambient" decodes in the full-length code directly.
-        Both return the same (codeword, error) whenever the error rank is
-        within capability.
-        """
-        if route not in ("parent", "ambient"):
-            raise ValueError(f"unknown decoding route {route!r}")
-        received = tuple(received)
-        if route == "ambient":
-            self.to_parent(received)  # the fold enforces the V^n precondition
-            codeword, error = self.code.decode(received)
-            if not all(self.basis.contains(x) for x in codeword):
-                raise DecodingFailure("subspace", "nearest codeword leaves the subspace")
-            return codeword, error
+    def decode(self, received):
+        """Fold a word of V^n, decode it in the parent code and unfold the codeword
+        and error; TrivialSubcodeError for m < d.  Ambient decoding is `self.code.decode`."""
         if self.is_trivial:
             raise TrivialSubcodeError("trivial subcode has no parent decoder")
         pc, pe = self.parent.decode(self.to_parent(received))

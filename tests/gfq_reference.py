@@ -22,8 +22,9 @@ and of a subspace subcode, the minimum rank distance of a code and the
 words of a subspace subcode, both by enumerating the code, the parity rows
 that define a subcode's parent, the expansion of a parity vector over a
 subfield, membership in a kernel of parity rows, the minimal subspace
-polynomial, a check on the decoder's root spaces, and the Gabidulin
-decoder that solves every row of its locator system.
+polynomial, a check on the decoder's root spaces, the Gabidulin
+decoder that solves every row of its locator system, and a subspace
+subcode decoded in its full-length code, the oracle of its parent route.
 """
 
 import itertools
@@ -480,11 +481,23 @@ def decode_full_locator(code, received):
                     [t.frobenius(synd[l], -l) for l in range(r)])
     if sol is None:
         raise DecodingFailure("locator", "locator system is inconsistent")
-    locators = [code.parity_coordinates(xj) for xj in sol[0]]
+    locators = [code.h_basis.coords(xj) for xj in sol[0]]
     if None in locators:
         raise DecodingFailure("locator", "error locator outside the span of h")
     error = tuple(t.contract(col, values) for col in zip(*locators))
     return tuple(t.sub(yi, ei) for yi, ei in zip(y, error)), error
+
+
+def ambient_decode(sub, received):
+    """Decode a word of V^n in the full-length code directly: the fold
+    checks that every component lies in V, then `sub.code.decode`, and a
+    nearest codeword that leaves V fails at the "subspace" stage."""
+    received = tuple(received)
+    sub.to_parent(received)  # the fold enforces the V^n precondition
+    codeword, error = sub.code.decode(received)
+    if not all(sub.basis.contains(x) for x in codeword):
+        raise DecodingFailure("subspace", "nearest codeword leaves the subspace")
+    return codeword, error
 
 
 class LinearizedPoly(_LibraryLinearizedPoly):

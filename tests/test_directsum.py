@@ -225,7 +225,7 @@ def test_transfers_reject_wrong_word_length(gf64):
     # every component lies in V_1, so only the length is wrong
     for word in [(1, 2, 3), (1, 2, 3, 0, 0, 0, 0)]:
         for call in (dsc.project, dsc.to_parents, dsc.decode, sub.to_parent,
-                     sub.decode, lambda w: sub.decode(w, route="ambient")):
+                     sub.decode, lambda w: ref.ambient_decode(sub, w)):
             with pytest.raises(ValueError, match="word length"):
                 call(word)
 

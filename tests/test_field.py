@@ -7,7 +7,7 @@ from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
                        SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, find_irreducible,
-                       is_irreducible)
+                       is_irreducible, is_prime)
 from rankcodes.field import _DEFAULT_MODULI, LinearMap, _mod_lanes
 
 import gfq_reference as ref
@@ -55,6 +55,21 @@ def _poly_mul(a, b):
         for j, bj in enumerate(b):
             out[i + j] ^= ai & bj
     return tuple(out)
+
+
+def test_is_prime_equals_a_sieve():
+    # one trial division serves is_prime and _prime_factors; odd f only after 2
+    limit = 5000
+    sieve = [False, False] + [True] * (limit - 1)
+    for p in range(2, limit + 1):
+        if sieve[p]:
+            sieve[p * p::p] = [False] * len(range(p * p, limit + 1, p))
+    assert [p for p in range(limit + 1) if is_prime(p)] == [
+        p for p in range(limit + 1) if sieve[p]]
+    assert not any(is_prime(p) for p in (-7, -2, -1))
+    for p, want in [(65521, True), (65537, True), (2**31 - 1, True), (10**9 + 7, True),
+                    (561, False), (65521 * 65537, False)]:
+        assert is_prime(p) is want, p
 
 
 def test_non_prime_base_rejected():
@@ -484,12 +499,12 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
                     with pytest.raises(ValueError, match=f"{what} {bad!r} "):
                         call(word[1:] if call == code.encode else word)
                 # single symbols at the subspace and subfield boundary
-                for call in (basis.coords, basis.contains, code.parity_coordinates,
-                             emb.contains, emb.subfield_coords, emb.ext_coords):
+                for call in (basis.coords, basis.contains, code.h_basis.coords,
+                             emb.contains, emb.sub_basis.coords, emb.ext_coords):
                     with pytest.raises(ValueError, match=f"^element {bad!r} "):
                         call(bad)
                 for call in (sub.to_parent, sub.decode,
-                             lambda w: sub.decode(w, route="ambient")):
+                             lambda w: ref.ambient_decode(sub, w)):
                     with pytest.raises(ValueError, match=f"^word symbol {bad!r} "):
                         call(word)
                 with pytest.raises(ValueError, match=f"^element {bad!r} "):

@@ -8,7 +8,7 @@ import itertools
 import math
 import random
 from fractions import Fraction
-from functools import cache
+from functools import cache, reduce
 
 import pytest
 from conftest import bounded
@@ -21,7 +21,7 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        is_irreducible, random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
 from rankcodes.field import LinearMap, _lane_digits, _reduce_lanes, _to_lanes, int_digits
-from rankcodes import directsum, qlinalg
+from rankcodes import directsum, gabidulin, qlinalg
 from rankcodes.qlinalg import ext_nullspace, ext_solve, kernel_rows
 
 import gfq_reference as ref
@@ -780,17 +780,24 @@ DUAL_SHAPES = [(q, n) for q in (2, 3, 5, 7) for n in range(2, 13)] + [(2, 17), (
 
 
 @st.composite
-def full_length_cases(draw):
-    """A tower of DUAL_SHAPES, on its default modulus or, up to order
-    4096, on the first irreducible one at or after a random start; a
-    full-rank generator vector of length n and a dimension k."""
-    q, n = draw(st.sampled_from(DUAL_SHAPES))
-    tower = _tower(q, n)
+def drawn_towers(draw, shapes=DUAL_SHAPES):
+    """A tower of `shapes`, on its default modulus or, up to order 4096,
+    on the first irreducible one at or after a random start."""
+    q, n = draw(st.sampled_from(shapes))
     if q**n <= 4096 and draw(st.booleans()):
         start = draw(st.integers(0, q**n - 1))
         low = next(low for low in itertools.chain(range(start, q**n), range(start))
                    if is_irreducible(ref.digits(low, q, n) + [1], q))
-        tower = FieldTower(q, n, ref.digits(low, q, n) + [1])
+        return FieldTower(q, n, ref.digits(low, q, n) + [1])
+    return _tower(q, n)
+
+
+@st.composite
+def full_length_cases(draw):
+    """A tower of `drawn_towers`, a full-rank generator vector of length n
+    and a dimension k."""
+    tower = draw(drawn_towers())
+    n = tower.n
     rng = random.Random(draw(st.integers(0, 2**32)))
     g = ()
     while len(g) < n:
@@ -810,6 +817,20 @@ def test_trace_dual_parity_vector_equals_the_elimination(case):
     assert h == ref.dual_vector_by_elimination(tower, g, k)
     code = GabidulinCode(tower, k, g=g)
     assert code.h == h
+    event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}")
+
+
+@settings(max_examples=150, deadline=None)
+@given(drawn_towers(DUAL_SHAPES + [(3, 11)]))
+def test_traces_equal_the_frobenius_sums(tower):
+    """Newton's identities on the modulus give Tr(alpha^e), the sum of the
+    Frobenius orbit of alpha^e, for every e < 2n - 1 that `dual_vector` reads."""
+    n, alpha = tower.n, tower.basis[1]
+    orbit_sums = []
+    for e in range(2 * n - 1):
+        x = tower.pow(alpha, e)
+        orbit_sums.append(reduce(tower.add, [tower.frobenius(x, j) for j in range(n)]))
+    assert gabidulin._traces(tower, 2 * n - 1) == orbit_sums
     event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}")
 
 
@@ -878,7 +899,7 @@ def _per_part_decode(M, subs, received):
     outcomes, codewords, errors = [], [], []
     for idx, (sub, part) in enumerate(zip(subs, M.project(received))):
         try:
-            c, e = sub.decode(part, route="parent")
+            c, e = sub.decode(part)
         except DecodingFailure as exc:
             outcomes.append((idx, False, str(exc)))
             continue

@@ -5,7 +5,8 @@ FieldTower's primitives, live in field.py alone; the CLI turns a library
 ValueError into a ConfigError in one place; the GF(q^n) row step runs
 in one elimination kernel; and GF(q)-coordinates over fixed elements come
 from one class, `CoordinateSolver`, whose public name for a subspace basis
-is `SubspaceBasis`."""
+is `SubspaceBasis`, reached as a public attribute, not through a method that
+only forwards to it."""
 
 import ast
 import sys
@@ -117,3 +118,26 @@ def test_one_coordinate_class():
                   and any((getattr(b, "id", None) or getattr(b, "attr", None)) in names
                           for b in node.bases)}
     assert not subclasses, sorted(subclasses)
+
+
+def _only_forwards(func):
+    """Whether the body past the docstring is one `return self.<attr>.<method>(...)`."""
+    body = func.body[1:] if ast.get_docstring(func) is not None else func.body
+    if len(body) != 1 or not isinstance(body[0], ast.Return):
+        return False
+    call = body[0].value
+    return (isinstance(call, ast.Call) and isinstance(call.func, ast.Attribute)
+            and isinstance(call.func.value, ast.Attribute)
+            and isinstance(call.func.value.value, ast.Name) and call.func.value.value.id == "self")
+
+
+def test_no_method_only_forwards_to_another_object():
+    """Such a method adds a name and nothing else: callers reach the
+    attribute's object directly, as they do `code.h_basis`."""
+    forwards = {f"{path.name}:{func.lineno}: {cls.name}.{func.name}"
+                for path in sorted(SRC.glob("*.py"))
+                for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+                if isinstance(cls, ast.ClassDef)
+                for func in cls.body
+                if isinstance(func, ast.FunctionDef) and _only_forwards(func)}
+    assert not forwards, sorted(forwards)

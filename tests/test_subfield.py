@@ -116,10 +116,10 @@ def test_trivial_embedding_s_equals_n(gf16):
 
 def test_subfield_coordinates_roundtrip(gf64, emb3, gf8):
     for x in gf8:
-        coords = emb3.subfield_coords(x)
+        coords = emb3.sub_basis.coords(x)
         assert coords is not None
         assert gf64.contract(coords, emb3.poly_basis) == x
-    assert emb3.subfield_coords(2) is None  # alpha has degree 6, not in GF(8)
+    assert emb3.sub_basis.coords(2) is None  # alpha has degree 6, not in GF(8)
 
 
 def test_ext_coords_roundtrip(gf64, emb3):

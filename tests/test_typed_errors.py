@@ -8,11 +8,12 @@ import pytest
 from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
-                       LinearizedPoly, SubfieldEmbedding, SubspaceBasis, count_rank_matrices,
-                       decode_experiment, default_generator, direct_sum_violations,
-                       dual_vector, ext_nullspace, ext_solve, find_irreducible, moore_matrix,
-                       random_error, random_rows, rank_event_rate, rank_leq_probability,
-                       rank_of_vector, success_probability)
+                       LinearizedPoly, SubfieldEmbedding, SubspaceBasis, block_diagonal,
+                       count_rank_matrices, decode_experiment, default_generator,
+                       direct_sum_violations, dual_vector, ext_nullspace, ext_solve,
+                       find_irreducible, is_prime, moore_matrix, random_error, random_rows,
+                       rank_event_rate, rank_leq_probability, rank_of_vector, rank_q,
+                       success_probability)
 
 
 @pytest.fixture(scope="module")
@@ -155,3 +156,42 @@ def test_direct_sum_violations_takes_only_subspace_bases(gf16):
         with pytest.raises(ValueError, match="SubspaceBasis"):
             direct_sum_violations(parts)
     assert direct_sum_violations([SubspaceBasis(gf16, [1]), SubspaceBasis(gf16, [2])]) == []
+
+
+# calls that once answered wrong or raised TypeError: rank_q read 2 as 0 over GF(2),
+# -1 as 2 over GF(3) and a ragged matrix as padded; block_diagonal gave [] for
+# copies -1 and ragged rows for a ragged block; is_prime(2.0) was True
+BAD_CALLS = {
+    "rank_q entry q": lambda: rank_q([[1, 2]], 2),
+    "rank_q negative entry": lambda: rank_q([[1, -1]], 3),
+    "rank_q ragged": lambda: rank_q([[1], [0, 1]], 2),
+    "rank_q not iterable": lambda: rank_q(5, 2),
+    "rank_q row not iterable": lambda: rank_q([5], 2),
+    "rank_q float entry": lambda: rank_q([[1.5]], 3),
+    "rank_q bool entry": lambda: rank_q([[True, 0]], 2),
+    "block_diagonal copies -1": lambda: block_diagonal([[1]], -1),
+    "block_diagonal copies 0": lambda: block_diagonal([[1]], 0),
+    "block_diagonal copies True": lambda: block_diagonal([[1]], True),
+    "block_diagonal copies 2.0": lambda: block_diagonal([[1]], 2.0),
+    "block_diagonal ragged": lambda: block_diagonal([[1, 2], [3]], 2),
+    "block_diagonal not a list": lambda: block_diagonal(5, 2),
+    "block_diagonal tuple row": lambda: block_diagonal([(1, 2)], 2),
+    "is_prime float": lambda: is_prime(2.0),
+    "is_prime string": lambda: is_prime("7"),
+    "is_prime bool": lambda: is_prime(True),
+    "is_prime None": lambda: is_prime(None),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_CALLS))
+def test_bad_matrices_blocks_and_primes_raise_value_error(name):
+    with bounded(5), pytest.raises(ValueError):
+        BAD_CALLS[name]()
+
+
+def test_valid_matrices_and_blocks_still_answer():
+    assert rank_q([[1, 0], [0, 1]], 2) == 2 and rank_q([[1, 2], [2, 1]], 3) == 1
+    assert rank_q([], 2) == 0 and rank_q([[], []], 3) == 0
+    assert rank_q(iter([iter([1, 2]), (2, 4)]), 5) == 1
+    assert block_diagonal([[1, 2]], 2) == [[1, 2, 0, 0], [0, 0, 1, 2]]
+    assert block_diagonal([[1], [2]], 1) == [[1], [2]] and block_diagonal([], 3) == []
