@@ -90,12 +90,9 @@ def _channel(cfg: dict, args) -> dict:
     if not isinstance(ch, dict):
         raise ConfigError(f"channel section must be an object, got {ch!r}")
     ch = {"mode": "uniform-matrix", "decode_trials": 0, **ch}
-    if getattr(args, "trials", None) is not None:
-        ch["trials"] = args.trials
-    if getattr(args, "seed", None) is not None:
-        ch["seed"] = args.seed
-    if getattr(args, "t", None) is not None:
-        ch["t_values"] = args.t
+    for key, flag in (("trials", "trials"), ("seed", "seed"), ("t_values", "t")):
+        if getattr(args, flag, None) is not None:
+            ch[key] = getattr(args, flag)
     if ch.get("seed") is None:
         raise ConfigError("a seed is required (config channel.seed or --seed)")
     if type(ch.get("trials")) is not int or ch["trials"] < 1:
@@ -111,15 +108,12 @@ def _channel(cfg: dict, args) -> dict:
 
 
 def _emit(records, args):
-    lines = [json.dumps(r, sort_keys=True, separators=(",", ":")) for r in records]
-    out_path = getattr(args, "output", None)
-    if out_path:
-        with open(out_path, "w") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+    text = "".join(json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n" for r in records)
+    if getattr(args, "output", None):
+        with open(args.output, "w") as fh:
+            fh.write(text)
     else:
-        for line in lines:
-            print(line)
+        sys.stdout.write(text)
     csv_path = getattr(args, "csv", None)
     if csv_path and records:
         keys = sorted({k for r in records for k in _flatten(r)})
@@ -149,15 +143,9 @@ def _flatten(record, prefix=""):
 def _cmd_code_info(args):
     _, tower, code = _load_code(args)
     record = {
-        "q": tower.q,
-        "n": tower.n,
-        "modulus": list(tower.modulus),
-        "length": code.length,
-        "k": code.k,
-        "d": code.d,
-        "capability": code.capability,
-        "g": list(code.g) if code.g is not None else None,
-        "h": list(code.h),
+        "q": tower.q, "n": tower.n, "modulus": list(tower.modulus),
+        "length": code.length, "k": code.k, "d": code.d, "capability": code.capability,
+        "g": list(code.g) if code.g is not None else None, "h": list(code.h),
         "generator_rank": rank_of_vector(tower, code.g) if code.g is not None else None,
         "parity_rank": rank_of_vector(tower, code.h),
     }
@@ -229,19 +217,10 @@ def _cmd_simulate(args):
         record = {
             "command": "simulate",
             "params": {
-                "q": tower.q,
-                "n": tower.n,
-                "modulus": list(tower.modulus),
-                "k": code.k,
-                "d": code.d,
-                "capability": dsc.capability,
-                "dims": dsc.dims,
-                "parts": [list(p.elements) for p in dsc.parts],
-                "t": t,
-                "mode": ch["mode"],
-                "trials": ch["trials"],
-                "decode_trials": decode_trials,
-                "seed": ch["seed"],
+                "q": tower.q, "n": tower.n, "modulus": list(tower.modulus),
+                "k": code.k, "d": code.d, "capability": dsc.capability, "dims": dsc.dims,
+                "parts": [list(p.elements) for p in dsc.parts], "t": t, "mode": ch["mode"],
+                "trials": ch["trials"], "decode_trials": decode_trials, "seed": ch["seed"],
             },
             "exact_probability": float(exact),
             "exact_fraction": [exact.numerator, exact.denominator],
@@ -274,13 +253,8 @@ def _cmd_subfield(args):
     if not ok:
         raise InternalError(f"uniqueness verification failed: {problem}")
     record = {
-        "command": "subfield",
-        "q": tower.q,
-        "n": tower.n,
-        "k": code.k,
-        "d": code.d,
-        "s": factz.s,
-        "subfield_basis": list(factz.subfield_basis),
+        "command": "subfield", "q": tower.q, "n": tower.n, "k": code.k, "d": code.d,
+        "s": factz.s, "subfield_basis": list(factz.subfield_basis),
         "ext_basis": list(factz.ext_basis),
         "A": [list(r) for r in factz.block],
         "S": [list(r) for r in factz.transform],
@@ -305,44 +279,29 @@ def build_parser() -> argparse.ArgumentParser:
         description="Rank-metric code constructions and decoding experiments")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def command(name, func, help, config=True):
+        p = sub.add_parser(name, help=help)
+        if config:
+            p.add_argument("--config", required=True)
         p.add_argument("--output", help="write JSON Lines here instead of stdout")
         p.add_argument("--csv", help="also write a flat CSV projection")
+        p.set_defaults(func=func)
+        return p
 
-    p_info = sub.add_parser("code-info", help="resolve and describe a code")
-    p_info.add_argument("--config", required=True)
-    add_common(p_info)
-    p_info.set_defaults(func=_cmd_code_info)
-
-    p_rt = sub.add_parser("roundtrip", help="seeded encode/decode round-trips")
-    p_rt.add_argument("--config", required=True)
+    command("code-info", _cmd_code_info, "resolve and describe a code")
+    p_rt = command("roundtrip", _cmd_roundtrip, "seeded encode/decode round-trips")
     p_rt.add_argument("--trials", type=int, default=100)
     p_rt.add_argument("--t", type=int, default=1, help="error rank per trial")
     p_rt.add_argument("--seed", type=int)
-    add_common(p_rt)
-    p_rt.set_defaults(func=_cmd_roundtrip)
-
-    p_sim = sub.add_parser("simulate", help="Monte Carlo success-rate campaign")
-    p_sim.add_argument("--config", required=True)
+    p_sim = command("simulate", _cmd_simulate, "Monte Carlo success-rate campaign")
     p_sim.add_argument("--trials", type=int)
     p_sim.add_argument("--seed", type=int)
     p_sim.add_argument("--t", type=int, nargs="+", help="override t values")
-    add_common(p_sim)
-    p_sim.set_defaults(func=_cmd_simulate)
-
-    p_sf = sub.add_parser("subfield", help="compute the subfield factorization")
-    p_sf.add_argument("--config", required=True)
+    p_sf = command("subfield", _cmd_subfield, "compute the subfield factorization")
     p_sf.add_argument("--s", type=int)
-    add_common(p_sf)
-    p_sf.set_defaults(func=_cmd_subfield)
-
-    p_cnt = sub.add_parser("count", help="count q-ary matrices by rank")
-    p_cnt.add_argument("q", type=int)
-    p_cnt.add_argument("m", type=int)
-    p_cnt.add_argument("t", type=int)
-    p_cnt.add_argument("rank", type=int)
-    add_common(p_cnt)
-    p_cnt.set_defaults(func=_cmd_count)
+    p_cnt = command("count", _cmd_count, "count q-ary matrices by rank", config=False)
+    for name in ("q", "m", "t", "rank"):
+        p_cnt.add_argument(name, type=int)
     return parser
 
 

@@ -11,6 +11,7 @@ the `mul_count` counter and three caches.
 
 from __future__ import annotations
 
+import math
 import operator
 import struct
 from functools import cache
@@ -43,11 +44,35 @@ _DEFAULT_MODULI = {
 _TABLE_LIMIT = 1 << 16
 
 
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)  # the first 13 primes
+_MR_LIMIT = 3317044064679887385961981
+_MR_PRODUCT = math.prod(_MR_BASES)  # gcd(p, it) > 1: a base divides p
+
+
 def is_prime(p: int) -> bool:
-    """Whether p is prime, by `_prime_factors`; ValueError unless p is an int, not a bool."""
-    if type(p) is not int:
-        raise ValueError(f"{p!r} is not an int")
-    return p > 1 and _prime_factors(p) == [p]
+    """Whether p is prime: Miller-Rabin on `_MR_BASES`, exact below `_MR_LIMIT` (psi_13; Sorenson
+    and Webster, Math. Comp. 2017): for p - 1 = d 2^s, d odd, b^d = 1 or b^(d 2^j) = -1, j < s.
+    ValueError unless p is an int, not a bool, below `_MR_LIMIT`."""
+    if type(p) is not int or p >= _MR_LIMIT:
+        raise ValueError(f"{p!r} is not an int below {_MR_LIMIT}, the primality test's range")
+    if p < 2 or math.gcd(p, _MR_PRODUCT) > 1:
+        return p in _MR_BASES
+    s = ((p - 1) & (1 - p)).bit_length() - 1
+    return all(x == 1 or p - 1 in (pow(x, 1 << j, p) for j in range(s))
+               for x in (pow(b, (p - 1) >> s, p) for b in _MR_BASES))
+
+
+@cache
+def _is_prime_power(q) -> bool:
+    """Whether q is p^k, p prime, k >= 1: p is the integer k-th root of q, by Newton
+    from above, for the largest k that has an exact one.  `is_prime`'s range."""
+    for k in range(q.bit_length(), 0, -1) if q > 1 else ():
+        r = 1 << -(-q.bit_length() // k)
+        while (s := ((k - 1) * r + q // r ** (k - 1)) // k) < r:
+            r = s
+        if r ** k == q:
+            return is_prime(r)
+    return False
 
 
 def _prime_factors(n: int) -> list[int]:
@@ -562,6 +587,8 @@ class FieldTower:
     `linearized_images(coeffs)` gives the basis images of a linearized
     polynomial with no field product: `_image_lanes` sums the lanes of the
     power map for p at each nonzero c_p, where the root space reads them.
+    At q-degree 1 a table-backed tower needs no images: `_degree_one_roots`
+    finds the root space by one discrete log.
 
     `word_map(rows)` builds the GF(q)-linear map u -> sum_i u_i rows_i on
     words as a `LinearMap`, applied with no field product: the encoder and
@@ -569,10 +596,11 @@ class FieldTower:
     of each row, step the whole row on those lanes, table-less odd q too.
 
     `mul_count` counts one per `mul`, one per `axpy` entry, n per nonzero
-    coefficient of `linearized_images` (one per image), one per `inv`,
-    and one per `frobenius` that is not the identity (i = 0 mod n, or x in
-    {0, 1}); table-backed `pow` counts one and table-less `pow` the
-    products of its square and multiply, e.bit_length() + popcount(e).
+    coefficient of `linearized_images` (one per image) and of
+    `_degree_one_roots`, one per `inv`, and one per `frobenius` that is not
+    the identity (i = 0 mod n, or x in {0, 1}); table-backed `pow` counts one
+    and table-less `pow` the products of its square and multiply,
+    e.bit_length() + popcount(e).
     `_rref_ext` counts the `_HalfField`'s `axpy` and `inv` the same.  It
     depends only on the calls made: building tables, maps or `_half` never does.
     Table-less `mul`, `inv` and `frobenius` raise ValueError on an operand
@@ -808,6 +836,22 @@ class FieldTower:
                 w = w ^ m._lanes(c) if m.lane == 1 else _mod_lanes(w + m._lanes(c), self.q, m.lane)
         return w, m
 
+    def _degree_one_roots(self, c0: int, c1: int):
+        """The `kernel_rows` basis of the roots of c0 x + c1 x^q, c1 != 0, counted
+        as `_image_lanes` counts; None without tables.  A root x != 0 has
+        x^(q-1) = -c0/c1 = g^a, so one exists iff (q-1) | a (Lidl and Niederreiter,
+        Finite Fields, 3.4): g^(a/(q-1)), scaled to a top digit of 1."""
+        if self._exp is None:
+            return None
+        self.mul_count += self.n * (1 + (c0 != 0))
+        log, size, q = self._log, self.order - 1, self.q
+        a = (log[self.neg(c0)] - log[c1]) % size
+        if not c0 or a % (q - 1):
+            return []
+        b = a // (q - 1)
+        top = next(filter(None, reversed(self.digits(self._exp[b]))))
+        return [self._exp[b + size - log[top]]]
+
     def _power_map(self, p: int) -> LinearMap:
         """The word map c -> [c beta^i for i < n], beta = alpha^(q^p), published whole."""
         self._power_maps[p] = m = self.word_map([self._frobenius_images(p)])
@@ -871,14 +915,6 @@ class FieldTower:
             out = [self.add(y, self._mul_raw(c, x)) for y, x in zip(ys, xs)]
         self.mul_count += len(out)
         return out
-
-    def dot(self, xs, ys) -> int:
-        """sum x_i y_i over GF(q^n); each nonzero product is one counted mul."""
-        acc = 0
-        for x, y in zip(xs, ys):
-            if x and y:
-                acc = self.add(acc, self.mul(x, y))
-        return acc
 
     def _half_field(self):
         """`_half`, built on first use; not a cached_property, whose write to

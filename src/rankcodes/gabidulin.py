@@ -13,7 +13,7 @@ from collections.abc import Sized
 
 from .field import FieldTower
 from .linpoly import LinearizedPoly
-from .qlinalg import CoordinateSolver, ext_nullspace, ext_solve, rank_of_vector
+from .qlinalg import CoordinateSolver, _rref_ext, ext_nullspace, rank_of_vector
 
 
 class DecodingFailure(Exception):
@@ -173,8 +173,9 @@ class GabidulinCode:
 
         The key equation gives the error-span polynomial, its root space the
         error values, and a square f x f solve (f the error rank) their
-        locators.  Raises DecodingFailure when no codeword lies within the
-        decoding radius; its `stage` names the step that gave up:
+        locators; `_rref_ext` reduces both systems directly, as the decoder
+        built them itself.  Raises DecodingFailure when no codeword lies within
+        the decoding radius; its `stage` names the step that gave up:
         "key-equation", "root-space", "locator" (a locator outside the span
         of h) or "residual", the one consistency test, which rejects a
         corrected word with nonzero syndromes.
@@ -188,28 +189,30 @@ class GabidulinCode:
         # matrix factors as X E^T through the Moore matrices of the error
         # locators and values, so for error rank <= C its rank is the error
         # rank f and its lowest kernel vector is the monic error-span
-        # polynomial of q-degree f.
-        kernel = ext_nullspace(t, [[t.frobenius(synd[l - p], p) for p in range(cap + 1)]
-                                   for l in range(cap, r)])
-        if not kernel or not any(kernel[0][1:]):
+        # polynomial of q-degree f.  Reduced, f is its first free column and
+        # the columns before are the pivots of rows 0..f-1: sigma_i = -rows[i][f].
+        rows = [[t.frobenius(synd[l - p], p) for p in range(cap + 1)] for l in range(cap, r)]
+        pivots = _rref_ext(t, rows)
+        f = next((c for c in range(cap + 1) if c not in pivots), 0)
+        if not f:
             raise DecodingFailure("key-equation",
                                   f"no error of rank <= {cap} fits the syndromes")
-        sigma = LinearizedPoly(t, kernel[0])
+        sigma = LinearizedPoly(t, [t.neg(rows[i][f]) for i in range(f)] + [1])
         values = sigma.root_space_basis()
-        if len(values) != sigma.q_degree:
-            raise DecodingFailure("root-space",
-                                  f"{len(values)} roots for q-degree {sigma.q_degree}")
+        if len(values) != f:
+            raise DecodingFailure("root-space", f"{len(values)} roots for q-degree {f}")
         # Solve sum_j values_j^[-l] x_j = synd_l^[-l] on rows l = 0..f-1; x_j
         # is the h-expansion of the error locator combination for value j.
         # Those rows are the inverse-Frobenius Moore matrix of the f
-        # GF(q)-independent values, so the block is invertible and always
-        # solves.  The error then has syndromes sum_j values_j x_j^[l], so
-        # rows f..d-2 hold exactly when the corrected word's syndromes are
-        # zero: the residual check is the one consistency test.
-        f = len(values)
-        x, _ = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(f)],
-                         [t.frobenius(synd[l], -l) for l in range(f)])
-        locators = [self.h_basis.solve(xj) for xj in x]
+        # GF(q)-independent values, so the block is invertible: reduced with
+        # its right-hand side, it leaves x in that column.  The error then has
+        # syndromes sum_j values_j x_j^[l], so rows f..d-2 hold exactly when
+        # the corrected word's syndromes are zero: the residual check is the
+        # one consistency test.
+        rows = [[t.frobenius(v, -l) for v in values] + [t.frobenius(synd[l], -l)]
+                for l in range(f)]
+        _rref_ext(t, rows)
+        locators = [self.h_basis.solve(row[f]) for row in rows]
         if None in locators:
             raise DecodingFailure("locator", "error locator outside the span of h")
         error = tuple(t.contract(col, values) for col in zip(*locators))

@@ -41,10 +41,14 @@ class LinearizedPoly:
     def root_space_basis(self):
         """q-ary basis of the kernel {x : f(x) = 0}; size <= q_degree: one
         `kernel_rows` over the basis images f(alpha^i), taken with no field
-        product and left on the lanes `FieldTower._image_lanes` sums them in."""
+        product and left on the lanes `FieldTower._image_lanes` sums them in; at
+        q-degree 1 a table-backed tower's `_degree_one_roots`, by one discrete log."""
         if self.is_zero:
             raise ValueError("zero polynomial vanishes everywhere")
         t = self.tower
+        roots = t._degree_one_roots(*self.coeffs) if len(self.coeffs) == 2 else None
+        if roots is not None:
+            return roots
         w, m = t._image_lanes(self.coeffs)
         size = t.n * m.lane
         return kernel_rows([w >> i * size & (1 << size) - 1 for i in range(t.n)], t.q, m.lane)

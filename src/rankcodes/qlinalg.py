@@ -13,7 +13,7 @@ formula and the rank-t error sampler used by the decoding experiments.
 
 from __future__ import annotations
 
-from .field import (FieldTower, LinearMap, _from_lanes, _lane_bits, _prime_factors,
+from .field import (FieldTower, LinearMap, _from_lanes, _is_prime_power, _lane_bits,
                     _reduce_lanes, int_digits)
 
 
@@ -55,7 +55,12 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
 def rank_rows(rows, q: int) -> int:
     """Rank over GF(q) of packed rows: for q = 2 by XOR against one pivot per
     leading bit, otherwise the pivot count of `_reduce_lanes` with no identity
-    lanes, so no kernel vector is gathered.  ValueError on a negative row."""
+    lanes, so no kernel vector is gathered.  ValueError on a negative row, and
+    unless q is an int and rows an iterable of ints, bools excluded."""
+    if type(rows) not in (list, tuple) and hasattr(rows, "__iter__"):  # read an iterator once
+        rows = list(rows)
+    if type(q) is not int or type(rows) not in (list, tuple) or {*map(type, rows)} - {int}:
+        raise ValueError(f"need packed int rows and an int q, got {rows!r} and {q!r}")
     # q = 2 inline: random_rows' full-rank check and rank_of_vector run it per channel
     # draw and per decode check, on a few short rows.  Odd q shares kernel_rows' loop
     if q == 2:
@@ -296,7 +301,7 @@ def random_error(tower: FieldTower, length: int, t: int, rng, mode: str = "exact
 def _check_counts(q, counts, dims=()) -> tuple:
     """`dims` as a tuple, read once; ValueError unless q is a prime power, dims
     is iterable and each (what, value) and dimension in dims is an int >= 0."""
-    if not (isinstance(q, int) and len(_prime_factors(q)) == 1):
+    if not (isinstance(q, int) and _is_prime_power(q)):
         raise ValueError(f"q = {q!r} is not a prime power")
     try:
         dims = tuple(dims)

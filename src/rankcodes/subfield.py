@@ -78,13 +78,6 @@ class SubfieldEmbedding:
         x, = self.tower.check_elements((x,))
         return self.tower.frobenius(x, self.s) == x
 
-    def ext_coords(self, x: int):
-        """Subfield coordinates of any x over the extension basis."""
-        digits = self.full_basis.coords(x)
-        t, s = self.tower, self.s
-        return tuple(t.contract(digits[r * s:(r + 1) * s], self.poly_basis)
-                     for r in range(self.blocks))
-
     def __repr__(self):
         return f"SubfieldEmbedding(q={self.tower.q}, n={self.tower.n}, s={self.s})"
 

@@ -11,6 +11,7 @@ Matrices are lists of row lists with entries in [0, q); entries outside are
 read modulo q.  Every step is plain modular arithmetic on one entry at a
 time, with nothing shared with the library.  The exception is the last
 section, oracles built on the library's tower, codes and `LinearizedPoly`:
+a dot product over GF(q^n), coordinates over a subfield's extension basis,
 the rank of a matrix over GF(q^n), the GF(q^n) elimination loop on the
 tower's `axpy` and `inv`, a parity vector as the kernel of its dual
 system, the alpha-multiples of a row stepped entry by entry, a direct
@@ -23,8 +24,10 @@ words of a subspace subcode, both by enumerating the code, the parity rows
 that define a subcode's parent, the expansion of a parity vector over a
 subfield, membership in a kernel of parity rows, the minimal subspace
 polynomial, a check on the decoder's root spaces, the Gabidulin
-decoder that solves every row of its locator system, and a subspace
-subcode decoded in its full-length code, the oracle of its parent route.
+decoder that solves every row of its locator system, the decoder on the
+checked elimination wrappers, the root space by elimination at every
+q-degree, and a subspace subcode decoded in its full-length code, the
+oracle of its parent route.
 """
 
 import itertools
@@ -34,6 +37,7 @@ from rankcodes import (DecodingFailure, LinearizedPoly as _LibraryLinearizedPoly
                        ext_nullspace, ext_solve, random_rows as _library_random_rows,
                        rank_of_vector, rank_rows)
 from rankcodes.field import LinearMap, int_digits
+from rankcodes.qlinalg import kernel_rows
 
 
 def rref(rows, q):
@@ -275,6 +279,23 @@ def spread(values, parts, q, n, length):
 # oracles on the library's tower
 
 
+def dot(tower, xs, ys):
+    """sum x_i y_i over GF(q^n); each nonzero product is one counted `mul`."""
+    acc = 0
+    for x, y in zip(xs, ys):
+        if x and y:
+            acc = tower.add(acc, tower.mul(x, y))
+    return acc
+
+
+def ext_coords(emb, x):
+    """Subfield coordinates of x over the extension basis of a
+    `SubfieldEmbedding`, read off its combined basis; x is checked."""
+    digits, s = emb.full_basis.coords(x), emb.s
+    return tuple(emb.tower.contract(digits[r * s:(r + 1) * s], emb.poly_basis)
+                 for r in range(emb.blocks))
+
+
 def ext_rank(tower, matrix):
     """Rank over GF(q^n) by Gaussian elimination, one field operation of
     the tower at a time."""
@@ -449,13 +470,40 @@ def subcode_codewords(sub):
 def expand_parity(code, emb):
     """The (n/s) x n subfield matrix whose column j holds the coordinates
     of h_j over the extension basis; contracting a column restores h_j."""
-    cols = [emb.ext_coords(x) for x in code.h]
+    cols = [ext_coords(emb, x) for x in code.h]
     return [[cols[j][r] for j in range(code.length)] for r in range(emb.blocks)]
 
 
 def annihilates(tower, parity_rows, word):
     """Whether every parity row is orthogonal to the word."""
-    return not any(tower.dot(row, word) for row in parity_rows)
+    return not any(dot(tower, row, word) for row in parity_rows)
+
+
+def _error_values(code, synd):
+    """The key equation solved by `ext_nullspace` and its lowest kernel
+    vector's root space, as `GabidulinCode.decode` found the error values
+    before it reduced its systems by `_rref_ext` itself."""
+    t, cap, r = code.tower, code.capability, code.d - 1
+    kernel = ext_nullspace(t, [[t.frobenius(synd[l - p], p) for p in range(cap + 1)]
+                               for l in range(cap, r)])
+    if not kernel or not any(kernel[0][1:]):
+        raise DecodingFailure("key-equation", f"no error of rank <= {cap} fits the syndromes")
+    sigma = LinearizedPoly(t, kernel[0])
+    values = sigma.root_space_basis()
+    if len(values) != sigma.q_degree:
+        raise DecodingFailure("root-space", f"{len(values)} roots for q-degree {sigma.q_degree}")
+    return values
+
+
+def _corrected(code, y, values, x):
+    """(codeword, error) from the locator solution x over the values; the
+    "locator" stage if a locator lies outside the span of h."""
+    t = code.tower
+    locators = [code.h_basis.coords(xj) for xj in x]
+    if None in locators:
+        raise DecodingFailure("locator", "error locator outside the span of h")
+    error = tuple(t.contract(col, values) for col in zip(*locators))
+    return tuple(t.sub(yi, ei) for yi, ei in zip(y, error)), error
 
 
 def decode_full_locator(code, received):
@@ -468,24 +516,44 @@ def decode_full_locator(code, received):
     synd = code.syndromes(y)
     if not any(synd):
         return y, (0,) * code.length
-    t, cap, r = code.tower, code.capability, code.d - 1
-    kernel = ext_nullspace(t, [[t.frobenius(synd[l - p], p) for p in range(cap + 1)]
-                               for l in range(cap, r)])
-    if not kernel or not any(kernel[0][1:]):
-        raise DecodingFailure("key-equation", f"no error of rank <= {cap} fits the syndromes")
-    sigma = LinearizedPoly(t, kernel[0])
-    values = sigma.root_space_basis()
-    if len(values) != sigma.q_degree:
-        raise DecodingFailure("root-space", f"{len(values)} roots for q-degree {sigma.q_degree}")
+    t, r = code.tower, code.d - 1
+    values = _error_values(code, synd)
     sol = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(r)],
                     [t.frobenius(synd[l], -l) for l in range(r)])
     if sol is None:
         raise DecodingFailure("locator", "locator system is inconsistent")
-    locators = [code.h_basis.coords(xj) for xj in sol[0]]
-    if None in locators:
-        raise DecodingFailure("locator", "error locator outside the span of h")
-    error = tuple(t.contract(col, values) for col in zip(*locators))
-    return tuple(t.sub(yi, ei) for yi, ei in zip(y, error)), error
+    return _corrected(code, y, values, sol[0])
+
+
+def decode_by_wrappers(code, received):
+    """`GabidulinCode.decode` as it was before it read its systems off
+    `_rref_ext`: the key equation through `ext_nullspace`, the f x f
+    locator block through `ext_solve`, then the residual check."""
+    y = tuple(received)
+    synd = code.syndromes(y)
+    if not any(synd):
+        return y, (0,) * code.length
+    t = code.tower
+    values = _error_values(code, synd)
+    f = len(values)
+    x, _ = ext_solve(t, [[t.frobenius(v, -l) for v in values] for l in range(f)],
+                     [t.frobenius(synd[l], -l) for l in range(f)])
+    codeword, error = _corrected(code, y, values, x)
+    if not code.is_codeword(codeword):
+        raise DecodingFailure("residual", "corrected word has nonzero syndromes")
+    return codeword, error
+
+
+def root_space_by_elimination(f):
+    """`LinearizedPoly.root_space_basis` by its elimination alone, as every
+    q-degree took it before table-backed towers answered q-degree 1 by a
+    discrete log: one `kernel_rows` over the basis images f(alpha^i), on the
+    lanes `FieldTower._image_lanes` sums them in, n counted per nonzero
+    coefficient."""
+    t = f.tower
+    w, m = t._image_lanes(f.coeffs)
+    size = t.n * m.lane
+    return kernel_rows([w >> i * size & (1 << size) - 1 for i in range(t.n)], t.q, m.lane)
 
 
 def ambient_decode(sub, received):

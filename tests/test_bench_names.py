@@ -4,12 +4,18 @@ bench/tracer.py wraps the methods and functions listed in its SPANNED_* and
 COUNTED_* tables, and bench/run.py reads attributes off the package as
 `rc.<name>`.  A name missing from rankcodes would only show when the
 benchmark runs (`bench/run.py --trace 1` crashes while installing the
-tracer), so both are checked here.  bench/ is parsed, not imported.
+tracer), so both are checked here, and so is that a trial reaches the
+calls the traced run divides by.  bench/ is parsed, not imported.
 """
 
 import ast
 import importlib
+import json
+import random
+from collections import Counter
 from pathlib import Path
+
+from conftest import bounded
 
 import rankcodes
 import rankcodes.cli  # noqa: F401  (run.py reads rc.cli.main)
@@ -65,3 +71,35 @@ def test_run_reads_existing_names():
         for attr in path:
             assert hasattr(obj, attr), "rc." + ".".join(path)
             obj = getattr(obj, attr)
+
+
+def test_a_paper_trial_reaches_the_names_the_harness_divides_by(monkeypatch):
+    """bench/run.py --trace 1 divides its per-layer figures by the calls of
+    `GabidulinCode.decode`, and spans `sample_channel_error` where run.py
+    reads it, `rc.directsum`.  One paper-q2n12 trial, as run.py runs it,
+    must call the first once per part and the second once."""
+    cfg = json.loads((BENCH / "workloads" / "paper-q2n12.json").read_text())
+    tower = rankcodes.FieldTower(cfg["field"]["q"], cfg["field"]["n"])
+    code = rankcodes.GabidulinCode(tower, cfg["code"]["k"], g=rankcodes.default_generator(tower))
+    M = rankcodes.DirectSumCode(code, cfg["parts"])
+    calls = Counter()
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(rankcodes.GabidulinCode, "decode",
+                        spy("decode", rankcodes.GabidulinCode.decode))
+    monkeypatch.setattr(rankcodes.directsum, "sample_channel_error",
+                        spy("sample", rankcodes.directsum.sample_channel_error))
+    rng = random.Random(f"{cfg['channel']['seed']}:decode")
+    with bounded(10):
+        codeword = M.encode(tuple(tower.random_element(rng) for _ in range(M.message_length)))
+        error = rankcodes.directsum.sample_channel_error(
+            M, M.capability, rng, channel=cfg["channel"]["mode"])
+        M.project(error)
+        result = M.decode(tuple(tower.add(a, b) for a, b in zip(codeword, error)))
+    assert result.ok and result.codeword == codeword
+    assert calls == {"decode": len(cfg["parts"]), "sample": 1}

@@ -6,9 +6,10 @@ import pytest
 from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
-                       SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, find_irreducible,
-                       is_irreducible, is_prime)
-from rankcodes.field import _DEFAULT_MODULI, LinearMap, _mod_lanes
+                       SubfieldEmbedding, SubspaceBasis, SubspaceSubcode, count_rank_matrices,
+                       find_irreducible, is_irreducible, is_prime)
+from rankcodes.field import (_DEFAULT_MODULI, _MR_LIMIT, LinearMap, _is_prime_power, _mod_lanes,
+                             _prime_factors)
 
 import gfq_reference as ref
 
@@ -70,6 +71,29 @@ def test_is_prime_equals_a_sieve():
     for p, want in [(65521, True), (65537, True), (2**31 - 1, True), (10**9 + 7, True),
                     (561, False), (65521 * 65537, False)]:
         assert is_prime(p) is want, p
+
+
+def test_primality_is_bounded_on_large_inputs():
+    # trial division took 0.7 s on (10^7 + 19)^2 and about 70 s on (10^9 + 7)^2
+    big = (10**9 + 7) ** 2
+    with bounded(2):
+        assert not is_prime(big) and not is_prime((10**7 + 19) ** 2)
+        # strong pseudoprimes to the first 9 and the first 12 prime bases
+        assert not is_prime(3825123056546413051) and not is_prime(318665857834031151167461)
+        assert is_prime(2**61 - 1) and is_prime(2**31 - 1) and is_prime(65537)
+        with pytest.raises(ValueError, match="not prime"):
+            FieldTower(big, 2)
+        assert count_rank_matrices(big, 2, 2, 1) == (big**2 - 1) * (big + 1)
+        assert _is_prime_power(big) and _is_prime_power((10**9 + 7) ** 3)
+        assert _is_prime_power(2**100) and not _is_prime_power(6**20)
+        with pytest.raises(ValueError, match="range"):
+            is_prime(_MR_LIMIT)
+
+
+def test_prime_powers_equal_trial_division():
+    with bounded(2):
+        assert [q for q in range(-3, 3000) if _is_prime_power(q)] == [
+            q for q in range(2, 3000) if len(_prime_factors(q)) == 1]
 
 
 def test_non_prime_base_rejected():
@@ -500,7 +524,8 @@ def test_elements_outside_the_field_rejected_at_the_boundary(gf16):
                         call(word[1:] if call == code.encode else word)
                 # single symbols at the subspace and subfield boundary
                 for call in (basis.coords, basis.contains, code.h_basis.coords,
-                             emb.contains, emb.sub_basis.coords, emb.ext_coords):
+                             emb.contains, emb.sub_basis.coords,
+                             lambda x: ref.ext_coords(emb, x)):
                     with pytest.raises(ValueError, match=f"^element {bad!r} "):
                         call(bad)
                 for call in (sub.to_parent, sub.decode,

@@ -126,7 +126,7 @@ def test_contract_and_dot_equal_explicit_fold(case):
     if tower.q == 2:
         assert tower.mul_count == before
     before = tower.mul_count
-    assert tower.dot(xs, ys) == want_dot
+    assert ref.dot(tower, xs, ys) == want_dot
     assert tower.mul_count - before == sum(1 for x, y in zip(xs, ys) if x and y)
 
 
@@ -299,7 +299,7 @@ def ext_systems(draw):
     nrows, ncols = draw(st.integers(1 if kind == "random" else 3, 5)), draw(st.integers(1, 6))
     matrix = [draw(st.lists(entry, min_size=ncols, max_size=ncols)) for _ in range(nrows)]
     x = draw(st.lists(element, min_size=ncols, max_size=ncols))
-    rhs = [tower.dot(row, x) for row in matrix]
+    rhs = [ref.dot(tower, row, x) for row in matrix]
     if kind != "random":  # row 0 = c row 1 + row 2, right-hand side alike
         c = draw(element)
         matrix[0] = tower.axpy(matrix[2], c, matrix[1])
@@ -327,7 +327,7 @@ def test_half_field_elimination_matches_reference_loop(case):
     solution = results[0][2][1]
     assert (solution is None) == (kind == "inconsistent")
     if solution is not None:
-        assert [tower.dot(row, solution[0]) for row in matrix] == rhs
+        assert [ref.dot(tower, row, solution[0]) for row in matrix] == rhs
     event(f"{kind}, GF({tower.q}^{tower.n})")
 
 
@@ -660,8 +660,9 @@ SQUARE_BLOCK_FAILURES = ("locator: error locator outside the span of h",
 
 
 @st.composite
-def equivalence_cases(draw):
-    code = _code(*draw(st.sampled_from(EQUIVALENCE_SHAPES)))
+def equivalence_cases(draw, shapes=EQUIVALENCE_SHAPES):
+    """A uniform word, or a codeword plus an error of rank 0..C+2."""
+    code = _code(*draw(st.sampled_from(shapes)))
     tower = code.tower
     rng = draw(st.randoms(use_true_random=False))
     if draw(st.booleans()):
@@ -696,6 +697,66 @@ def test_decode_equals_full_locator_reference(case):
     event(f"q = {tower.q}, {'table-less' if tower._exp is None else 'table-backed'}, "
           f"{'L = n' if code.length == tower.n else 'L < n'}, "
           f"{got.split(':')[0] if isinstance(got, str) else 'decoded'}")
+
+
+# (q, n, L, k): [8,5,4], whose key equation has C + 1 rows; a three-dim part's
+# parent over GF(3^9); L < n codes of C = 2 over GF(3^9), over GF(2^20), which
+# eliminates in its half field, and over the table-less GF(3^11)
+WRAPPER_SHAPES = [(2, 8, 8, 5), (3, 9, 3, 1), (3, 9, 6, 2), (2, 20, 8, 4), (3, 11, 7, 3)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(equivalence_cases(WRAPPER_SHAPES))
+def test_decode_equals_the_wrapper_route(case):
+    # the systems read straight off `_rref_ext` give the same word, error or
+    # failure text as the checked `ext_nullspace` / `ext_solve` route, and
+    # count the same field operations
+    code, y = case
+    tower = code.tower
+    with bounded(10):
+        outcomes = []
+        for decode in (code.decode, lambda w: ref.decode_by_wrappers(code, w)):
+            before = tower.mul_count
+            outcomes.append((_outcome(decode, y), tower.mul_count - before))
+    assert outcomes[0] == outcomes[1]
+    got = outcomes[0][0]
+    event(f"GF({tower.q}^{tower.n}) [{code.length},{code.k}], "
+          f"{got.split(':')[0] if isinstance(got, str) else 'decoded'}")
+
+
+# table-backed towers, n = 1 included, for the q-degree-1 root space
+DEGREE_ONE_SHAPES = [(2, 1), (2, 6), (2, 12), (3, 1), (3, 5), (3, 9), (5, 1), (5, 4),
+                     (7, 1), (7, 3), (13, 2), (13, 4), (251, 1), (251, 2)]
+
+
+@st.composite
+def degree_one_polys(draw):
+    """c0 x + c1 x^q with c1 != 0, not monic in general: c0 = 0, c0 drawn
+    at random, or c0 = -c1 x^(q-1) for a drawn x != 0, so x is a root."""
+    tower = _tower(*draw(st.sampled_from(DEGREE_ONE_SHAPES)))
+    nonzero = st.integers(1, tower.order - 1)
+    c1 = draw(nonzero)
+    kind = draw(st.sampled_from(["c0 = 0", "random", "rooted"]))
+    if kind == "rooted":
+        c0 = tower.neg(tower.mul(c1, tower.pow(draw(nonzero), tower.q - 1)))
+    else:
+        c0 = draw(nonzero) if kind == "random" else 0
+    return LinearizedPoly(tower, [c0, c1]), kind
+
+
+@settings(max_examples=400, deadline=None)
+@given(degree_one_polys())
+def test_degree_one_root_space_equals_the_elimination(case):
+    f, kind = case
+    tower = f.tower
+    with bounded(5):
+        before = tower.mul_count
+        got = f.root_space_basis()
+        middle = tower.mul_count
+        want = ref.root_space_by_elimination(f)
+    assert got == want
+    assert middle - before == tower.mul_count - middle == tower.n * (1 + (f.coeffs[0] != 0))
+    event(f"GF({tower.q}^{tower.n}), {kind}, {len(got)} root{'s' * (len(got) != 1)}")
 
 
 # table-backed odd-q towers: add, neg and sub through the Zech logarithms

@@ -13,7 +13,7 @@ from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCod
                        direct_sum_violations, dual_vector, ext_nullspace, ext_solve,
                        find_irreducible, is_prime, moore_matrix, random_error, random_rows,
                        rank_event_rate, rank_leq_probability, rank_of_vector, rank_q,
-                       success_probability)
+                       rank_rows, success_probability)
 
 
 @pytest.fixture(scope="module")
@@ -180,6 +180,12 @@ BAD_CALLS = {
     "is_prime string": lambda: is_prime("7"),
     "is_prime bool": lambda: is_prime(True),
     "is_prime None": lambda: is_prime(None),
+    # rank_rows([1], 2.0) returned 1; the float q, the float row and the int
+    # matrix raised AttributeError or TypeError
+    "rank_rows float q": lambda: rank_rows([1], 2.0),
+    "rank_q float q": lambda: rank_q([[1]], 2.0),
+    "rank_rows float row": lambda: rank_rows([1.5], 2),
+    "rank_rows not iterable": lambda: rank_rows(5, 2),
 }
 
 
