@@ -127,6 +127,8 @@ class DirectSumCode:
     """
 
     def __init__(self, code: GabidulinCode, parts):
+        if not isinstance(code, GabidulinCode):
+            raise ValueError(f"code {code!r} is not a GabidulinCode")
         try:  # as check_elements: ValueError, naming the list
             parts = list(parts)
         except TypeError:
@@ -322,7 +324,13 @@ def _pass_lanes(q: int, t: int, n_total: int) -> int:
     where a pass holds at least 4 attempts per column of the widest ranked
     block, since a pass takes about t m^2 int operations to rank a t x m
     block and the per-trial loop t m; at 4 m the two tie on square q = 2
-    blocks with C = m - 1, the lanes' worst case, where no scan stops early."""
+    blocks with C = m - 1, the lanes' worst case, where no scan stops early.
+    q = 3 planes tie near 1 m there: on m = 8, 16, 32 a trial took 11-17,
+    33-41 and 147-182 us at 3 m, 11-17, 32-34 and 123-163 us at 4 m, 8-12,
+    24-25 and 90-95 us at 6 m, against 31-32, 111-114 and 568-617 us by
+    the loop (best of 5, two runs).  4 m stays the one rule for every q: a
+    pass holds 4 m attempts of a square q = 3 block up to m = 25, so only
+    wider ones are left to the loop where the planes would win."""
     return max(1, _PASS_WORDS // (t * (-(-n_total // 32) if q == 2 else n_total)))
 
 
@@ -355,7 +363,9 @@ def sample_channel_error(M: DirectSumCode, t: int, rng,
                          channel: str = "uniform-matrix"):
     """One error vector from the rank-t channel: independent values
     alpha_1..alpha_t combined by a t x N q-ary matrix, expressed over the
-    concatenated subspace basis."""
+    concatenated subspace basis.  ValueError unless M is a DirectSumCode."""
+    if not isinstance(M, DirectSumCode):
+        raise ValueError(f"M = {M!r} is not a DirectSumCode")
     n, n_total = M.tower.n, M.total_dim
     if channel not in ("uniform-matrix", "exact-rank"):
         raise ValueError(f"unknown channel {channel!r}")
@@ -375,7 +385,10 @@ def decode_experiment(M: DirectSumCode, t: int, trials: int, seed,
                       channel: str = "uniform-matrix") -> DecodeExperiment:
     """End-to-end seeded experiment: encode a random message, add a channel
     error, decode per component, and count exact recoveries.  Also counts
-    the per-part rank event, which coincides with exact recovery."""
+    the per-part rank event, which coincides with exact recovery.
+    ValueError unless M is a DirectSumCode."""
+    if not isinstance(M, DirectSumCode):
+        raise ValueError(f"M = {M!r} is not a DirectSumCode")
     tower = M.tower
     _check_counts(tower.q, [("trials", trials)])
     if trials < 1:

@@ -207,8 +207,18 @@ def _reduce_lanes(rows, q: int, bits: int, identity: bool, spread: bool = True):
 
 
 # Monte Carlo on lanes (bitslicing; Biham, FSE 1997): attempt j of a pass sits
-# in lane j of every int, one bit for q = 2 and a byte for odd q <= 13, so one
-# int operation acts on the same entry of every attempt's matrix.
+# in lane j of every int, so one int operation acts on the same entry of every
+# attempt's matrix.  A lane is one bit for q = 2 and a byte for 5 <= q <= 13.
+# q = 3 keeps each entry on two bit planes (lo, hi), bit j of lo (hi) set where
+# lane j holds 1 (2), and adds, multiplies and tests by boolean ops alone: the
+# bitsliced GF(3) of Kawahara, Aoki and Takagi (Pairing 2008) and of Boothby
+# and Bradshaw (arXiv:0901.1413).  a + b is u = (al | bh) ^ (ah | bl),
+# (lo, hi) = ((ah | bh) ^ u, (al | bl) ^ u); a b is ((al & bl) | (ah & bh),
+# (al & bh) | (ah & bl)); a is nonzero on al | ah; 1 / a is a, and -a swaps
+# the planes.
+
+_PLANES = tuple(bytes(b"01"[b == d] for b in range(256)) for d in (1, 2))  # digit d -> "1"
+
 
 @cache
 def _digit_tables(q: int) -> tuple:
@@ -232,7 +242,10 @@ def _draw_lanes(q: int, t: int, width: int, count: int, rng) -> list:
     row is its words, and entry (r, c) of every attempt is one strided slice
     of their binary string.  Odd q draws a word per digit still owed, keeps
     each top byte shifted down and deletes those >= q, until none is owed:
-    digit (j, r, c) is then byte j t width + r width + c."""
+    digit (j, r, c) is then byte j t width + r width + c.  For q = 3 an entry
+    is its two planes (lo, hi): the digits are translated once per plane to
+    "1" where they hold 1 (2), else "0", and read as binary numerals by the
+    same strided slice, backwards so that lane j is bit j."""
     if q == 2:  # entry (r, c) of attempt j: bit j stride + r row + c, + cut in the last word
         row = 32 * -(-width // 32)
         stride, cut = row * t, row - width  # the right shift of a row's last word
@@ -245,8 +258,13 @@ def _draw_lanes(q: int, t: int, width: int, count: int, rng) -> list:
         chunks.append(rng.getrandbits(32 * owed).to_bytes(4 * owed, "little")[3::4]
                       .translate(high, reject))
         owed -= len(chunks[-1])
-    digits = b"".join(chunks)
-    return [[int.from_bytes(digits[r * width + c::t * width], "little") for r in range(t)]
+    digits, stride = b"".join(chunks), t * width
+    if q == 3:  # from the last attempt's byte down: lane count - 1 is the top bit
+        last, (ones, twos) = (count - 1) * stride, (digits.translate(p) for p in _PLANES)
+        return [[(int(ones[last + r * width + c::-stride], 2),
+                  int(twos[last + r * width + c::-stride], 2)) for r in range(t)]
+                for c in range(width)]
+    return [[int.from_bytes(digits[r * width + c::stride], "little") for r in range(t)]
             for c in range(width)]
 
 
@@ -258,19 +276,38 @@ def _rank_reaches(columns, k: int, q: int, count: int) -> int:
     the step is kept: every row with a nonzero entry there is reduced by the
     pivot row, which reduces itself to zero and is never picked again.
     ge[i] masks the lanes of rank >= i, and the scan stops once every lane
-    reaches k.  q = 2 reduces by AND and XOR; odd q takes each product a b
-    by one translate of a q + b, each inverse by a translate, and each sum
-    mod q by a translate."""
+    reaches k.  q = 2 reduces by AND and XOR.  q = 3 works on planes by the
+    boolean formulas above: the coefficient -y / p is y p with its planes
+    swapped, and ge[k] is already a bit per lane.  Byte lanes take each
+    product a b by one translate of a q + b, each inverse by a translate,
+    and each sum mod q by a translate."""
     def lanes(v, table):
         return int.from_bytes(v.to_bytes(count, "little").translate(table), "little")
 
-    if q != 2:
+    def planes_at(pivots, col):  # the pivot row's entry in col, lane by lane, on planes
+        pl = ph = 0
+        for m, (yl, yh) in zip(pivots, col):
+            pl |= m & yl
+            ph |= m & yh
+        return pl, ph
+
+    if q > 3:
         nonzero, inverse, times, minus = _digit_tables(q)[2:]
         mod = _byte_mod(q)[1]
-    done = (1 << count) - 1 if q == 2 else int.from_bytes(b"\xff" * count, "little")
+    done = int.from_bytes(b"\xff" * count, "little") if q > 3 else (1 << count) - 1
     ge, steps = [-1] + [0] * k, []
     for i, col in enumerate(columns):
         for pivots, coefs in steps:
+            if q == 3:  # y + c p: the product x = c p, then the sum y + x
+                pl, ph = planes_at(pivots, col)
+                if pl | ph:
+                    sums = []
+                    for (cl, ch), (yl, yh) in zip(coefs, col):
+                        xl, xh = cl & pl | ch & ph, cl & ph | ch & pl
+                        u = (yl | xh) ^ (yh | xl)
+                        sums.append(((yh | xh) ^ u, (yl | xl) ^ u))
+                    col = sums
+                continue
             p = 0  # the pivot row's entry in this column
             for m, y in zip(pivots, col):
                 p |= m & y
@@ -279,7 +316,8 @@ def _rank_reaches(columns, k: int, q: int, count: int) -> int:
             elif p:
                 col = [lanes(y + lanes(c * q + p, times), mod) if c else y
                        for c, y in zip(coefs, col)]
-        masks = col if q == 2 else [y and lanes(y, nonzero) for y in col]
+        masks = (col if q == 2 else [yl | yh for yl, yh in col] if q == 3
+                 else [y and lanes(y, nonzero) for y in col])
         pivots, taken = [], 0
         for m in masks:
             pivots.append(m & ~taken)
@@ -290,14 +328,17 @@ def _rank_reaches(columns, k: int, q: int, count: int) -> int:
             ge[j] |= ge[j - 1] & taken
         if ge[k] == done or i == len(columns) - 1:
             break
-        if q != 2:  # -y / p, the pivot entry p in each lane
+        if q == 3:  # -y / p = -(y p), as 1 / p = p
+            pl, ph = planes_at(pivots, col)
+            col = [(yl & ph | yh & pl, yl & pl | yh & ph) for yl, yh in col]
+        elif q != 2:  # -y / p, the pivot entry p in each lane
             inv = 0
             for m, y in zip(pivots, col):
                 inv |= m & y
             inv = lanes(inv, inverse)
             col = [y and lanes(y * q + inv, minus) for y in col]
         steps.append((pivots, col))
-    if q == 2:
+    if q <= 3:
         return ge[k]
     return int(ge[k].to_bytes(count, "big").translate(_byte_numerals(2)), 2)  # 0xff mod 2 = 1
 
@@ -397,10 +438,16 @@ def _euclid(a: int, f: int, q: int, lane: int) -> tuple:
     return u, su
 
 
+def _check_modulus(modulus) -> None:
+    if not (isinstance(modulus, (list, tuple))
+            and all(isinstance(c, int) and not isinstance(c, bool) for c in modulus)):
+        raise ValueError(f"modulus must list integer coefficients, got {modulus!r}")
+
+
 def is_irreducible(modulus, q: int) -> bool:
     """Whether the polynomial with coefficients `modulus` mod q, low to
     high, is monic of degree n >= 1 and irreducible over GF(q); ValueError
-    unless q is prime.
+    unless q is prime and modulus a list or tuple of ints.
 
     Ben-Or's test (Ben-Or, FOCS 1981; Gao and Panario 1997): x^(q^j) - x
     is the product of the monic irreducibles of degree dividing j, so f is
@@ -408,6 +455,7 @@ def is_irreducible(modulus, q: int) -> bool:
     returns at the first j that fails, so most reducible f cost a power or
     two of x.  Powers are square and multiply on `_prem`, gcds `_euclid`.
     """
+    _check_modulus(modulus)
     lane = _poly_lane(q, len(modulus))
     f = sum(c % q << lane * i for i, c in enumerate(modulus))
     n = (f.bit_length() - 1) // lane
@@ -620,9 +668,7 @@ class FieldTower:
         self.order = q**n
         if modulus is None:
             modulus = _DEFAULT_MODULI.get((q, n)) or find_irreducible(q, n)
-        if not (isinstance(modulus, (list, tuple))
-                and all(isinstance(c, int) and not isinstance(c, bool) for c in modulus)):
-            raise ValueError(f"modulus must list integer coefficients, got {modulus!r}")
+        _check_modulus(modulus)
         modulus = tuple(c % q for c in modulus)
         if len(modulus) != n + 1 or modulus[-1] != 1:
             raise ValueError("modulus must be monic of degree n")

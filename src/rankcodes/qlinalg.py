@@ -13,6 +13,8 @@ formula and the rank-t error sampler used by the decoding experiments.
 
 from __future__ import annotations
 
+import random
+
 from .field import (FieldTower, LinearMap, _from_lanes, _is_prime_power, _lane_bits,
                     _reduce_lanes, int_digits)
 
@@ -27,9 +29,11 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
     it: getrandbits(q.bit_length()) until below q.  Seeded streams rely on
     randrange being that loop: test_randrange_is_the_getrandbits_rejection_loop.
     With full_rank the draw is repeated until the rank is min(rows, width).
-    ValueError unless q is prime and the shape is two ints >= 0."""
+    ValueError unless q is prime, the shape is two ints >= 0 and rng is a
+    random.Random."""
     if type(rows) is not int or type(width) is not int:  # a bool is no shape
         raise ValueError(f"shape {rows!r} x {width!r} is not two ints")
+    _check_rng(rng)
     if rows < 0 or width < 0:
         raise ValueError(f"negative shape {rows} x {width}")
     if q != 2:
@@ -50,6 +54,11 @@ def random_rows(q: int, rows: int, width: int, rng, full_rank: bool = False):
                 out.append(v)
         if not full_rank or rank_rows(out, q) == min(rows, width):
             return out
+
+
+def _check_rng(rng) -> None:  # once per call: the draws then read rng.getrandbits unchecked
+    if not isinstance(rng, random.Random):
+        raise ValueError(f"rng {rng!r} is not a random.Random")
 
 
 def rank_rows(rows, q: int) -> int:
@@ -273,10 +282,12 @@ def random_error(tower: FieldTower, length: int, t: int, rng, mode: str = "exact
     over GF(q), A a t x length q-ary matrix.  With mode="exact-rank" A is
     resampled until it has rank t, so rank(e) = t exactly, which needs
     t <= length; with mode="uniform-matrix" A is uniform and rank(e) <= t.
-    ValueError on a negative length or t, or t > n.
+    ValueError on a negative length or t, t > n, or an rng that is not a
+    random.Random.
     """
     if mode not in ("exact-rank", "uniform-matrix"):
         raise ValueError(f"unknown error mode {mode!r}")
+    _check_rng(rng)
     if type(length) is not int or type(t) is not int:
         raise ValueError(f"length {length!r} and rank {t!r} must be ints")
     if t < 0 or length < 0:

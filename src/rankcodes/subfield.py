@@ -126,8 +126,12 @@ def compute_factorization(code: GabidulinCode, s: int,
     Requires s | n and d - 2 < s.  Column j of S holds the GF(q)
     coordinates of h_j over the combined basis a_e * gamma_r, block-major
     in r, so the first row of block r of blockdiag(A,...,A) * S holds the
-    coordinates of h over gamma_r.
+    coordinates of h over gamma_r.  ValueError unless code is a
+    GabidulinCode and embedding, if given, a SubfieldEmbedding.
     """
+    if not (isinstance(code, GabidulinCode)
+            and isinstance(embedding, (SubfieldEmbedding, type(None)))):
+        raise ValueError(f"need a GabidulinCode and a SubfieldEmbedding: {code!r}, {embedding!r}")
     tower = code.tower
     _check_degree(tower, s)
     if code.length != tower.n:
@@ -155,8 +159,11 @@ def verify_uniqueness(code: GabidulinCode, factz: SubfieldFactorization):
     its kernel is spanned by the columns of (-S; I) exactly when S is the
     unique solution.  Returns (True, None) on success, else (False,
     description); a distinct solution would contradict the uniqueness
-    theorem and must fail loudly.
+    theorem and must fail loudly.  ValueError unless code is a
+    GabidulinCode and factz a SubfieldFactorization.
     """
+    if not (isinstance(code, GabidulinCode) and isinstance(factz, SubfieldFactorization)):
+        raise ValueError(f"need a GabidulinCode and a SubfieldFactorization: {code!r}, {factz!r}")
     emb, tower = factz.embedding, code.tower
     if emb.tower != tower:
         raise ValueError("embedding and code are over different field towers")

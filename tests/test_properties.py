@@ -20,7 +20,8 @@ from rankcodes import (CoordinateSolver, DecodingFailure, DirectSumCode,
                        SubspaceSubcode, compute_factorization, default_generator, dual_vector,
                        is_irreducible, random_error, random_rows, rank_of_vector, rank_q, rank_rows,
                        sample_channel_error, success_probability, verify_uniqueness)
-from rankcodes.field import LinearMap, _lane_digits, _reduce_lanes, _to_lanes, int_digits
+from rankcodes.field import (LinearMap, _draw_lanes, _lane_digits, _rank_reaches, _reduce_lanes,
+                             _to_lanes, int_digits)
 from rankcodes import directsum, gabidulin, qlinalg
 from rankcodes.qlinalg import ext_nullspace, ext_solve, kernel_rows
 
@@ -1065,12 +1066,12 @@ def test_exact_success_probability_matches_enumeration(case):
 
 @st.composite
 def monte_carlo_cases(draw):
-    """`rank_event_rate`'s arguments: q on bit lanes, byte lanes and past
-    them (17), 0 to 3 parts of dimension 0 to 6 (for q = 2 also 30 to 40,
+    """`rank_event_rate`'s arguments: q on bit lanes, bit planes (3, about
+    3 draws in 10), byte lanes and past them (17), 0 to 3 parts of dimension 0 to 6 (for q = 2 also 30 to 40,
     so a row passes 32 bits), t from 0, C from 0 to N, either channel, and
     passes of 4 m to 4 m + 40 attempts for the widest part m, the fewest
     that take the lanes, so that `trials` spans several passes."""
-    q = draw(st.sampled_from([2, 2, 2, 3, 5, 7, 11, 13, 17]))
+    q = draw(st.sampled_from([2, 2, 2, 3, 3, 3, 5, 7, 11, 13, 17]))
     dim = st.integers(0, 6) | st.integers(30, 40) if q == 2 else st.integers(0, 6)
     dims = draw(st.lists(dim, min_size=draw(st.sampled_from([0, 1, 1, 1])), max_size=3))
     channel = draw(st.sampled_from(["uniform-matrix", "exact-rank"]))
@@ -1095,8 +1096,40 @@ def test_rank_event_rate_equals_the_per_trial_loop(case):
         got = directsum.rank_event_rate(*args, channel=channel).successes
         assert got == ref.rank_event_successes(*args, channel=channel)
     q, trials = args[0], args[4]
-    event(f"{'bits' if q == 2 else 'bytes' if q < 17 else 'loop'}, "
+    event(f"{'bits' if q == 2 else 'planes' if q == 3 else 'bytes' if q < 17 else 'loop'}, "
           f"{'all' if got == trials else 'none' if got == 0 else 'some'} succeed")
+
+
+@pytest.mark.parametrize("count", [1, 7, 64, 65])
+def test_q3_draw_lanes_planes_read_back_to_random_rows(count):
+    # lane j of plane lo (hi) is bit j, set where attempt j holds 1 (2); the
+    # draw is that of `count` random_rows calls and leaves rng where they do
+    for t, width in [(1, 1), (2, 3), (3, 9), (4, 2)]:
+        for seed in range(3):
+            rng, loop = random.Random(seed), random.Random(seed)
+            columns = _draw_lanes(3, t, width, count, rng)
+            rows = [qlinalg.random_rows(3, t, width, loop) for _ in range(count)]
+            assert len(columns) == width and all(len(col) == t for col in columns)
+            for c, col in enumerate(columns):
+                for r, (lo, hi) in enumerate(col):
+                    assert lo & hi == 0 and (lo | hi) >> count == 0
+                    got = [(lo >> j & 1) + 2 * (hi >> j & 1) for j in range(count)]
+                    assert got == [rows[j][r] // 3**c % 3 for j in range(count)]
+            assert rng.getstate() == loop.getstate()
+
+
+@pytest.mark.parametrize("t, width", [(1, 3), (2, 2), (2, 3), (3, 2), (3, 3)])
+def test_q3_rank_reaches_on_planes_ranks_every_matrix(t, width):
+    # every t x width matrix over GF(3) in a lane of its own, so each product
+    # and sum on the planes meets every pair of digits
+    matrices = list(itertools.product(range(3), repeat=t * width))
+    columns = [[tuple(sum(1 << j for j, flat in enumerate(matrices) if flat[r * width + c] == d)
+                      for d in (1, 2)) for r in range(t)] for c in range(width)]
+    ranks = [ref.rank([flat[r * width:(r + 1) * width] for r in range(t)], 3)
+             for flat in matrices]
+    for k in range(1, min(t, width) + 1):
+        got = _rank_reaches(columns, k, 3, len(matrices))
+        assert got == sum(1 << j for j, r in enumerate(ranks) if r >= k), k
 
 
 # every (q, n) with q^n <= 2^12 for q in {2, 3, 5, 7, 13}

@@ -9,11 +9,12 @@ from conftest import bounded
 
 from rankcodes import (CoordinateSolver, DirectSumCode, FieldTower, GabidulinCode,
                        LinearizedPoly, SubfieldEmbedding, SubspaceBasis, block_diagonal,
-                       count_rank_matrices, decode_experiment, default_generator,
-                       direct_sum_violations, dual_vector, ext_nullspace, ext_solve,
-                       find_irreducible, is_prime, moore_matrix, random_error, random_rows,
-                       rank_event_rate, rank_leq_probability, rank_of_vector, rank_q,
-                       rank_rows, success_probability)
+                       compute_factorization, count_rank_matrices, decode_experiment,
+                       default_generator, direct_sum_violations, dual_vector, ext_nullspace,
+                       ext_solve, find_irreducible, is_irreducible, is_prime, moore_matrix,
+                       random_error, random_rows, rank_event_rate, rank_leq_probability,
+                       rank_of_vector, rank_q, rank_rows, sample_channel_error,
+                       success_probability, verify_uniqueness)
 
 
 @pytest.fixture(scope="module")
@@ -158,9 +159,16 @@ def test_direct_sum_violations_takes_only_subspace_bases(gf16):
     assert direct_sum_violations([SubspaceBasis(gf16, [1]), SubspaceBasis(gf16, [2])]) == []
 
 
-# calls that once answered wrong or raised TypeError: rank_q read 2 as 0 over GF(2),
-# -1 as 2 over GF(3) and a ragged matrix as padded; block_diagonal gave [] for
-# copies -1 and ragged rows for a ragged block; is_prime(2.0) was True
+def _code():  # [4, 2, 3] over GF(2^4)
+    tower = FieldTower(2, 4)
+    return GabidulinCode(tower, 2, g=default_generator(tower))
+
+
+# calls that once answered wrong or raised TypeError or AttributeError: rank_q
+# read 2 as 0 over GF(2), -1 as 2 over GF(3) and a ragged matrix as padded;
+# block_diagonal gave [] for copies -1 and ragged rows for a ragged block;
+# is_prime(2.0) was True; an int modulus, rng, code or factorization had no len()
+# or no attribute the call reads
 BAD_CALLS = {
     "rank_q entry q": lambda: rank_q([[1, 2]], 2),
     "rank_q negative entry": lambda: rank_q([[1, -1]], 3),
@@ -186,6 +194,19 @@ BAD_CALLS = {
     "rank_q float q": lambda: rank_q([[1]], 2.0),
     "rank_rows float row": lambda: rank_rows([1.5], 2),
     "rank_rows not iterable": lambda: rank_rows(5, 2),
+    "is_irreducible int modulus": lambda: is_irreducible(5, 2),
+    "is_irreducible float coefficient": lambda: is_irreducible([1.0, 1], 2),
+    "random_rows int rng": lambda: random_rows(3, 2, 2, 5),
+    "random_error int rng": lambda: random_error(FieldTower(2, 4), 2, 1, 5),
+    "sample_channel_error int rng": lambda: sample_channel_error(
+        DirectSumCode(_code(), [[1, 2]]), 1, 5),
+    "sample_channel_error int code": lambda: sample_channel_error(5, 1, random.Random(0)),
+    "DirectSumCode int code": lambda: DirectSumCode(5, [[1]]),
+    "compute_factorization int code": lambda: compute_factorization(5, 2),
+    "compute_factorization int embedding": lambda: compute_factorization(
+        _code(), 2, embedding=5),
+    "verify_uniqueness int factorization": lambda: verify_uniqueness(_code(), 5),
+    "decode_experiment int code": lambda: decode_experiment(5, 1, 1, 1),
 }
 
 
